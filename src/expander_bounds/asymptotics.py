@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .certifier import DEFAULT_MARGIN, DEFAULT_PRECISION, min_eta
 from .combinatorics import binomial_log_row, binomial_pmf, binomial_tail, log_binomial
 
@@ -112,7 +114,8 @@ def solve_one_sided(
         raise ValueError("need 1 <= d <= delta")
 
     frac = (delta - d) / delta
-    row = binomial_log_row(delta)
+    row = binomial_log_row(delta)[: d + 1]
+    k = np.arange(d + 1)
 
     def theta_at(g: float) -> float:
         # P3/P1 as 1 / sum_{k<=d} pmf(k)/pmf(d): each summand is an exp of a
@@ -120,10 +123,10 @@ def solve_one_sided(
         # underflows (far-overshot gamma during bracketing).
         lp = math.log(g) - math.log1p(g)
         lq = -math.log1p(g)
-        logterms = [row[k] + k * lp + (delta - k) * lq for k in range(d + 1)]
-        peak = max(logterms)
-        log_p1 = peak + math.log(math.fsum(math.exp(t - peak) for t in logterms))
-        return frac * math.exp(logterms[d] - log_p1)
+        logterms = row + k * lp + (delta - k) * lq
+        peak = float(logterms.max())
+        log_p1 = peak + math.log(math.fsum(np.exp(logterms - peak).tolist()))
+        return frac * math.exp(float(logterms[d]) - log_p1)
 
     def step(g: float) -> float:
         denom = 1.0 + eta - 2.0 * theta_at(g)

@@ -213,6 +213,14 @@ def min_eta(
     (conservative direction: larger eta means a weaker claimed bound) and the
     condition is re-verified at the rounded value before the certificate is
     assembled.
+
+    The search makes at most 34 float halvings and stops as soon as every
+    float in the bracket ``(lo, hi]`` rounds up to the same grid value: the
+    halvings left could only move ``hi`` inside that bracket, so the rounded
+    result is the one the full search would give. It does not bisect the
+    grid itself, because the condition is not monotone there: at delta=400,
+    margin=1e-3, probes just above 0.080 fail with a pinned cap
+    (BetaUnderflow) and a grid search would certify 0.080 instead of 0.081.
     """
     if not isinstance(delta, int) or delta < 3:
         raise ValueError("delta must be an integer >= 3")
@@ -221,22 +229,31 @@ def min_eta(
     if not isinstance(precision, int) or precision < 1:
         raise ValueError("precision must be a positive integer")
 
+    scale = 10.0**precision
+
+    def grid_index(x: float) -> int:
+        return math.ceil(x * scale)
+
     lo, hi = 0.0, 1.0 - 1e-9
     if not _satisfied(delta, hi, margin):
         raise NoBound(f"no eta below 1 satisfies the margin for delta={delta}")
     for _ in range(34):
+        # x -> ceil(x * scale) is monotone, so its ends decide the bracket;
+        # the next float above lo covers an lo * scale that is an integer.
+        if grid_index(math.nextafter(lo, hi)) == grid_index(hi):
+            break
         mid = 0.5 * (lo + hi)
         if _satisfied(delta, mid, margin):
             hi = mid
         else:
             lo = mid
 
-    scale = 10.0**precision
-    eta = math.ceil(hi * scale) / scale
+    eta = grid_index(hi) / scale
     bumps = 0
     while not _satisfied(delta, eta, margin):
-        # Defensive: the condition is monotone on everything we evaluate, so
-        # this loop is not expected to run; it guards rounding edge cases.
+        # Defensive: the rounded eta lies at or above a passing probe, and no
+        # degree has been seen to fail there (the BetaUnderflow band sits
+        # between grid points), so this loop is not expected to run.
         eta = (round(eta * scale) + 1) / scale
         bumps += 1
         if bumps > 3 or eta >= 1.0:

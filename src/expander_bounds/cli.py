@@ -5,19 +5,13 @@ shell pipelines: 0 = certified / verified / computed, 1 = the claim failed
 (non-negative exponent, failed verification, malformed certificate), 2 =
 usage or validation error. Identical invocations produce byte-identical
 output; every randomized command echoes its seed.
-
-The environment variable EXPANDER_CERT_THREADS (positive integer) caps
-internal parallelism; table rows may be computed concurrently but are always
-emitted in degree order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .asymptotics import TWO_SQRT_LN2, alpha_trend
@@ -57,7 +51,6 @@ class RunConfig:
     fmt: str
     margin: float
     precision: int
-    threads: int
     delta: int | None = None
     delta_min: int | None = None
     delta_max: int | None = None
@@ -69,23 +62,6 @@ class RunConfig:
     simple: bool = False
     tie_rule: str = BEST_IMPROVEMENT
     file: str | None = None
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("EXPANDER_CERT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"EXPANDER_CERT_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"EXPANDER_CERT_THREADS must be a positive integer, got {raw!r}"
-        )
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,7 +136,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         fmt=args.fmt,
         margin=args.margin,
         precision=args.precision,
-        threads=_threads_from_env(),
         delta=getattr(args, "delta", None),
         delta_min=getattr(args, "delta_min", None),
         delta_max=getattr(args, "delta_max", None),
@@ -195,15 +170,7 @@ def _cmd_table(cfg: RunConfig, out: list[str]) -> int:
     deltas = list(range(cfg.delta_min, cfg.delta_max + 1))
     if not deltas or cfg.delta_min < 3:
         raise ValueError("need 3 <= delta-min <= delta-max")
-
-    def solve(d: int) -> BoundCertificate:
-        return min_eta(d, cfg.margin, cfg.precision)
-
-    if cfg.threads > 1 and len(deltas) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            certs = list(pool.map(solve, deltas))
-    else:
-        certs = [solve(d) for d in deltas]
+    certs = [min_eta(d, cfg.margin, cfg.precision) for d in deltas]
 
     if cfg.fmt == "json":
         docs = [_cert_doc(c) for c in certs]

@@ -121,13 +121,16 @@ class TruncatedBinomialProfile:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.delta, int) or self.delta < 1:
-            raise ValueError("delta must be a positive integer")
-        if not isinstance(self.cap, int) or not 0 <= self.cap <= self.delta:
-            raise ValueError("cap must be an integer in [0, delta]")
-        g = self.gamma
-        if not isinstance(g, (int, float)) or not math.isfinite(g) or g <= 0:
-            raise ValueError("gamma must be a finite positive real")
+        _check_profile(self.delta, self.cap, self.gamma)
+
+
+def _check_profile(delta: int, cap: int, gamma: float) -> None:
+    if not isinstance(delta, int) or delta < 1:
+        raise ValueError("delta must be a positive integer")
+    if not isinstance(cap, int) or not 0 <= cap <= delta:
+        raise ValueError("cap must be an integer in [0, delta]")
+    if not isinstance(gamma, (int, float)) or not math.isfinite(gamma) or gamma <= 0:
+        raise ValueError("gamma must be a finite positive real")
 
 
 def truncated_log_moments(delta: int, cap: int, gamma: float) -> tuple[float, float, float]:
@@ -135,12 +138,14 @@ def truncated_log_moments(delta: int, cap: int, gamma: float) -> tuple[float, fl
 
     The sums run over i = 0..cap and are evaluated by scaling with the
     largest term, so the mean S1/S0 stays finite and accurate even when S0
-    itself would overflow (gamma up to ~1e6, delta up to ~1e4).
+    itself would overflow (gamma up to ~1e6, delta up to ~1e4). Inputs get
+    the checks of :class:`TruncatedBinomialProfile` without building one,
+    since this is the solver's inner loop.
     """
-    profile = TruncatedBinomialProfile(delta, cap, gamma)
-    row = binomial_log_row(profile.delta)
-    idx = np.arange(profile.cap + 1)
-    logterms = row[: profile.cap + 1] + idx * math.log(profile.gamma)
+    _check_profile(delta, cap, gamma)
+    row = binomial_log_row(delta)
+    idx = np.arange(cap + 1)
+    logterms = row[: cap + 1] + idx * math.log(gamma)
     peak = float(logterms.max())
     scaled = np.exp(logterms - peak)
     w0 = float(scaled.sum())

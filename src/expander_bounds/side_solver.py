@@ -4,8 +4,11 @@ One side of a bisection with out-degree cap ``cap`` carries the weight family
 ``beta * gamma^i * C(delta, i)`` on out-degrees ``i in [0, cap]``. Two
 constraints pin the two parameters: the weights must sum to 1 (mass) and
 their mean must hit the per-vertex crossing budget ``(1 - eta) * delta / 2``.
-The map ``gamma -> mean`` is strictly increasing, so a bracketing bisection
-finds gamma, after which ``beta = 1 / S0(gamma)`` normalizes the mass.
+The map ``x = ln gamma -> mean`` is strictly increasing, so one bracketed
+root solve in ``x`` finds gamma, after which ``beta = 1 / S0(gamma)``
+normalizes the mass. The uncapped binomial root is always a lower bracket,
+because truncation only lowers the mean; an upper bracket is grown from it by
+doubling steps and the bracket is then closed by Brent's method.
 """
 
 from __future__ import annotations
@@ -28,10 +31,14 @@ __all__ = [
     "target_mean",
 ]
 
-# Bisection stops when the bracket has shrunk to this width relative to its
-# upper end.
+# The root solve stops when the bracket in x = ln gamma has shrunk to this
+# width, i.e. when the gamma bracket is this narrow relative to its upper end.
 _REL_WIDTH = 1e-13
-_MAX_BRACKET_STEPS = 5000
+# Doubling steps of 1, 2, 4, ... in x: nine of them reach 511 past the
+# uncapped root, far beyond any gamma a pinned double mean can need and still
+# inside exp's range.
+_MAX_BRACKET_STEPS = 9
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class InfeasibleTarget(ValueError):
@@ -82,31 +89,113 @@ def profile_residuals(
     """Residuals of the two side constraints at the given (beta, gamma).
 
     Returns ``(|sum_i w_i - 1|, |sum_i i * w_i - target|)`` for
-    ``w_i = beta * gamma^i * C(delta, i)``, summed directly over i = 0..cap.
+    ``w_i = beta * gamma^i * C(delta, i)``, summed directly over i = 0..cap,
+    each plus an allowance for the rounding error of that float summation.
+    So the residuals bound those of the exact sums at the given doubles
+    instead of understating them by a few ulp of ``ln beta``.
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError("beta must be a finite positive real")
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError("gamma must be a finite positive real")
-    row = binomial_log_row(delta)
+    row = binomial_log_row(delta)[: cap + 1]
     idx = np.arange(cap + 1)
-    weights = np.exp(math.log(beta) + idx * math.log(gamma) + row[: cap + 1])
+    log_beta, log_gamma = math.log(beta), math.log(gamma)
+    weights = np.exp(log_beta + idx * log_gamma + row)
     mass = float(weights.sum())
     weighted = float(np.dot(idx, weights))
-    return abs(mass - 1.0), abs(weighted - target_mean(delta, eta))
+    # Relative error of each float weight plus its share of the summation
+    # error, with log and exp within one ulp, ln C(delta, i) within
+    # u * (i + 4 ln C(delta, i)) (i rounded terms, compensated sum), and each
+    # sum within (cap + 1) * u of its total.
+    rel = 5.0 * _UNIT_ROUNDOFF * (
+        abs(log_beta) + idx * (abs(log_gamma) + 1.0) + row + (cap + 1)
+    )
+    slack = weights * rel
+    return (
+        abs(mass - 1.0) + float(slack.sum()),
+        abs(weighted - target_mean(delta, eta)) + float(np.dot(idx, slack)),
+    )
 
 
-def _mean_at(delta: int, cap: int, gamma: float) -> float:
-    return truncated_log_moments(delta, cap, gamma)[2]
+def _bracket(delta: int, cap: int, target: float, probe):
+    """Bracket the root of ``probe`` starting at the uncapped binomial root.
+
+    Returns ``(lo, f_lo, hi, f_hi)`` with ``f_lo <= 0 <= f_hi``.
+    """
+    x0 = math.log(target / (delta - target))
+    f0 = probe(x0)
+    # Truncation only lowers the mean, so f0 <= 0 unless cap = delta, where
+    # x0 is the root itself and rounding may put f0 a hair above zero.
+    sign = 1.0 if f0 <= 0.0 else -1.0
+    near, f_near, step = x0, f0, 1.0
+    for _ in range(_MAX_BRACKET_STEPS):
+        far = near + sign * step
+        f_far = probe(far)
+        if sign * f_far >= 0.0:
+            if sign > 0.0:
+                return near, f_near, far, f_far
+            return far, f_far, near, f_near
+        near, f_near, step = far, f_far, 2.0 * step
+    raise RuntimeError(
+        f"gamma bracket failed to reach the target mean for delta={delta}, cap={cap}"
+    )
+
+
+def _brent(probe, a: float, fa: float, b: float, fb: float) -> float:
+    """Brent's root finder on a sign-changing bracket [a, b] of ``probe``.
+
+    Inverse quadratic or secant steps while they stay inside the bracket and
+    shrink it fast enough, bisection otherwise (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4). Stops once the bracket
+    is ``_REL_WIDTH`` wide and returns its end with the smaller residual.
+    """
+    c, fc = b, fb
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 4.0 * _UNIT_ROUNDOFF * abs(b) + 0.5 * _REL_WIDTH
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = probe(b)
 
 
 def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
     """Solve the mass and mean constraints for one side at out-degree cap ``cap``.
 
-    The bracket for gamma is grown by doubling (or halving) from 1 until it
-    straddles the target mean, then bisected to relative width 1e-13. The
-    whole procedure is deterministic: identical inputs give bit-identical
-    outputs.
+    Solves ``mean(gamma) = target_mean(delta, eta)`` in ``x = ln gamma``: the
+    uncapped binomial root ``ln(t / (delta - t))`` is a lower bracket, an
+    upper one is grown by doubling steps in ``x``, and Brent's method closes
+    the bracket to width 1e-13 (five to seven moment evaluations on average
+    over the paper's table and the large-degree trend). Every
+    evaluation goes through :func:`truncated_log_moments`, and ``beta`` is
+    taken from the evaluation at the returned gamma. The whole procedure is
+    deterministic: identical inputs give bit-identical outputs.
 
     Raises
     ------
@@ -114,6 +203,8 @@ def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
         When the target mean falls outside (0, cap). A profile supported on
         {0..cap} has mean strictly below cap and strictly above 0, so both
         boundary values are rejected.
+    BetaUnderflow
+        When ``beta = 1 / S0`` underflows a double (cap pinned at the mean).
     """
     if not isinstance(delta, int) or delta < 1:
         raise ValueError("delta must be a positive integer")
@@ -127,28 +218,17 @@ def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
             f"target mean {target!r} outside (0, {cap}) for delta={delta}, eta={eta!r}"
         )
 
-    lo = hi = 1.0
-    steps = 0
-    while _mean_at(delta, cap, hi) <= target:
-        hi *= 2.0
-        steps += 1
-        if steps > _MAX_BRACKET_STEPS:
-            raise RuntimeError("gamma bracket failed to grow past the target")
-    while _mean_at(delta, cap, lo) >= target:
-        lo *= 0.5
-        steps += 1
-        if steps > _MAX_BRACKET_STEPS:
-            raise RuntimeError("gamma bracket failed to shrink below the target")
-    while hi - lo > _REL_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        if _mean_at(delta, cap, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    gamma = 0.5 * (lo + hi)
+    log_s0_at: dict[float, float] = {}
 
-    log_s0 = truncated_log_moments(delta, cap, gamma)[0]
-    log_beta = -log_s0
+    def probe(x: float) -> float:
+        log_s0, _, mean = truncated_log_moments(delta, cap, math.exp(x))
+        log_s0_at[x] = log_s0
+        return mean - target
+
+    x = _brent(probe, *_bracket(delta, cap, target, probe))
+    gamma = math.exp(x)
+
+    log_beta = -log_s0_at[x]
     beta = math.exp(log_beta)
     if beta == 0.0:
         # S0 past the double range: the caller gets a diagnosis instead of a

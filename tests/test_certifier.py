@@ -20,6 +20,7 @@ from expander_bounds import (
     build_table,
     certificate_from_json,
     certificate_to_json,
+    certifier,
     feasible_pairs,
     min_eta,
     verify_certificate,
@@ -46,6 +47,36 @@ def test_min_eta_small_degree_pins():
     # delta = 10 than the tight setting
     assert min_eta(10).eta == 0.508
     assert min_eta(10, margin=TIGHT).eta == 0.507
+
+
+def _full_search_eta(delta: int, margin: float, precision: int = 3) -> float:
+    """Reference search: all 34 float halvings, then the threshold rounded up."""
+    lo, hi = 0.0, 1.0 - 1e-9
+    for _ in range(34):
+        mid = 0.5 * (lo + hi)
+        if certifier._satisfied(delta, mid, margin):
+            hi = mid
+        else:
+            lo = mid
+    scale = 10.0**precision
+    return math.ceil(hi * scale) / scale
+
+
+@pytest.mark.parametrize("margin", [1e-3, TIGHT])
+def test_early_stop_matches_full_search(margin):
+    for delta in [*range(3, 21), 400]:
+        assert min_eta(delta, margin=margin).eta == _full_search_eta(delta, margin), delta
+
+
+def test_min_eta_400_crosses_the_underflow_band():
+    # The search condition is not monotone just above eta = 0.080 at delta =
+    # 400: there cap 184 becomes feasible with the target mean pinned a hair
+    # below it, its side solve raises BetaUnderflow, and the probe fails,
+    # while 0.080 itself passes. A bisection on the 1e-3 grid would stop at
+    # 0.080; the float search certifies 0.081.
+    assert certifier._satisfied(400, 0.080, 1e-3)
+    assert not certifier._satisfied(400, 0.0801, 1e-3)
+    assert min_eta(400).eta == 0.081
 
 
 def test_min_eta_monotone_in_margin():

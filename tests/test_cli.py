@@ -223,21 +223,6 @@ def test_oracle_agrees_with_library(capsys):
     assert lines[2] == f"argmin S = {list(argmin)}"
 
 
-def test_threads_env(monkeypatch, capsys):
-    args = ("table", "--delta-min", "4", "--delta-max", "7", "--format", "csv")
-    _, serial, _ = run(capsys, *args)
-    monkeypatch.setenv("EXPANDER_CERT_THREADS", "2")
-    code, threaded, _ = run(capsys, *args)
-    assert code == 0
-    assert threaded == serial
-    monkeypatch.setenv("EXPANDER_CERT_THREADS", "0")
-    code, _, err = run(capsys, *args)
-    assert code == 2 and "EXPANDER_CERT_THREADS" in err
-    monkeypatch.setenv("EXPANDER_CERT_THREADS", "two")
-    code, _, err = run(capsys, *args)
-    assert code == 2 and "EXPANDER_CERT_THREADS" in err
-
-
 def test_margin_and_precision_validation(capsys):
     code, _, err = run(
         capsys, "bound", "--delta", "6", "--eta", "0.5", "--margin", "-1"

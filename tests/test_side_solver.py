@@ -14,9 +14,11 @@ from expander_bounds import (
     InfeasibleTarget,
     log_F,
     profile_residuals,
+    side_solver,
     solve_side,
     target_mean,
 )
+from expander_bounds.combinatorics import truncated_log_moments
 from table_reference import ETA, PAIR_WITNESSES
 
 
@@ -92,6 +94,84 @@ def test_extreme_but_representable_corners():
     assert low.gamma > 1.0 > high.gamma
 
 
+# Degrees and cut levels for the root-solve pins below: every feasible cap
+# of each degree, from caps far above the target mean to caps pinned at it.
+_PIN_DELTAS = (3, 4, 6, 10, 40, 100, 400, 1000)
+_PIN_ETAS = (0.02, 0.3, 0.9)
+
+
+def _pin_grid():
+    for delta in _PIN_DELTAS:
+        for eta in _PIN_ETAS:
+            for cap in range(1, delta + 1):
+                if target_mean(delta, eta) < cap:
+                    yield delta, cap, eta
+
+
+def _bisection_gamma(delta: int, cap: int, eta: float) -> float:
+    """Reference root: plain bisection on gamma from a doubling bracket."""
+    target = target_mean(delta, eta)
+
+    def mean(g: float) -> float:
+        return truncated_log_moments(delta, cap, g)[2]
+
+    lo = hi = 1.0
+    while mean(hi) <= target:
+        hi *= 2.0
+    while mean(lo) >= target:
+        lo *= 0.5
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if mean(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_gamma_matches_reference_bisection():
+    for delta, cap, eta in _pin_grid():
+        ref = _bisection_gamma(delta, cap, eta)
+        try:
+            sol = solve_side(delta, cap, eta)
+        except BetaUnderflow:
+            # Pinned cap: beta underflows at the reference root as well.
+            assert math.exp(-truncated_log_moments(delta, cap, ref)[0]) == 0.0
+            continue
+        target = target_mean(delta, eta)
+        if cap - target <= 4 * math.ulp(cap):
+            # The target rounds to within a few ulp of the cap (eta = 0.9 at
+            # delta = 40, 100, 400), where the mean is flat in gamma and
+            # rounding noise alone picks the root: both solvers must hit the
+            # target, but their gammas need not agree.
+            for g in (sol.gamma, ref):
+                assert truncated_log_moments(delta, cap, g)[2] == pytest.approx(
+                    target, rel=1e-15
+                )
+            continue
+        assert sol.gamma == pytest.approx(ref, rel=1e-12, abs=0.0), (delta, cap, eta)
+
+
+def test_moment_evaluations_per_solve_stay_small(monkeypatch):
+    calls = []
+
+    def counted(delta, cap, gamma):
+        calls.append(gamma)
+        return truncated_log_moments(delta, cap, gamma)
+
+    monkeypatch.setattr(side_solver, "truncated_log_moments", counted)
+    solves = 0
+    for delta, cap, eta in _pin_grid():
+        calls.clear()
+        try:
+            solve_side(delta, cap, eta)
+        except BetaUnderflow:
+            pass
+        assert 1 <= len(calls) <= 20, (delta, cap, eta, len(calls))
+        solves += 1
+    assert solves > 1000
+
+
 @given(
     st.integers(min_value=2, max_value=60),
     st.data(),
@@ -108,6 +188,26 @@ def test_solver_hits_target_mean(delta, data):
     mass, mean = profile_residuals(delta, cap, eta, sol.beta, sol.gamma)
     assert mass == sol.residual_mass
     assert mean == sol.residual_mean
+
+
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_residuals_bound_the_exact_ones(delta, data):
+    """Stored residuals never understate the exact residuals of the stored
+    doubles, whose float sums alone are off by a few ulp of ln beta."""
+    cap = data.draw(st.integers(min_value=1, max_value=delta))
+    t = data.draw(st.floats(min_value=0.05, max_value=0.95))
+    lo = max(1.0 - 2.0 * cap / delta, 0.0)
+    eta = lo + t * (1.0 - lo)
+    sol = solve_side(delta, cap, eta)
+    b, g = Fraction(sol.beta), Fraction(sol.gamma)
+    terms = [b * g**i * math.comb(delta, i) for i in range(cap + 1)]
+    assert abs(sum(terms) - 1) <= sol.residual_mass
+    mean = sum(i * w for i, w in enumerate(terms))
+    assert abs(mean - Fraction(target_mean(delta, eta))) <= sol.residual_mean
 
 
 def test_profile_residuals_validation():
