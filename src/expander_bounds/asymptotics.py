@@ -9,7 +9,10 @@ binomial probabilities at parameter p = gamma / (gamma + 1):
 
 with P1 = Pr[B(delta, p) <= d] and P2 = Pr[B(delta - 1, p) <= d - 1]. The
 exact identity P1 = P2 + ((delta - d)/delta) * P3, where P3 is the point mass
-at d, eliminates P2 and yields a scalar fixed point for gamma.
+at d, eliminates P2 and yields a scalar fixed point for gamma. Because the
+capped mean is delta * p * (1 - theta), that fixed point is the per-side mean
+constraint at cap d, so gamma is found by the side solver's bracketed root
+solve in ln gamma; this module runs no iteration of its own.
 
 Everything here is computed with exact binomial sums; no normal
 approximations. The headline quantity is alpha = eta * sqrt(delta), compared
@@ -21,10 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .certifier import DEFAULT_MARGIN, DEFAULT_PRECISION, min_eta
-from .combinatorics import binomial_log_row, binomial_pmf, binomial_tail, log_binomial
+from .combinatorics import binomial_pmf, binomial_tail, log_binomial
+from .side_solver import _solve_log_gamma
 
 __all__ = [
     "AsymptoticPoint",
@@ -36,9 +38,6 @@ __all__ = [
 
 TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 
-_FIXED_POINT_TOL = 1e-12
-_DAMPED_BUDGET = 400
-
 
 @dataclass(frozen=True)
 class AsymptoticPoint:
@@ -46,9 +45,9 @@ class AsymptoticPoint:
 
     p is the binomial parameter gamma / (gamma + 1); p1, p2, p3 are the
     cumulative, shifted-cumulative, and point binomial probabilities at the
-    cap; theta = ((delta - d)/delta) * p3 / p1 is the correction that
-    separates the capped system from the closed-form uncapped one; alpha is
-    eta * sqrt(delta).
+    cap; theta = ((delta - d)/delta) * p3 / p1, evaluated in logs, is the
+    correction that separates the capped system from the closed-form
+    uncapped one; alpha is eta * sqrt(delta).
     """
 
     delta: int
@@ -99,10 +98,14 @@ def solve_one_sided(
     the factor (delta - d)/delta = 0 and gamma collapses to the closed form
     (1 - eta)/(1 + eta).
 
-    Starts from theta = 0 and iterates with 0.5 damping until the raw
-    residual drops below 1e-12. Where the contraction is slow (binomial mean
-    pinned against the cap), the solve finishes by bisection on the bracketed
-    fixed point instead; both paths land on the same unique root.
+    Since the capped mean is delta * p * (1 - theta), the fixed point is the
+    per-side mean constraint mean(gamma) = (1 - eta) * delta / 2 at cap d, so
+    gamma comes from the side solver's bracketed root solve in ln gamma.
+    theta = ((delta - d)/delta) * C(delta, d) * gamma^d / S0(gamma) is then
+    evaluated in logs, which stays finite where P1 underflows.
+
+    Raises InfeasibleTarget (a ValueError) when the target mean is not below
+    the cap d.
     """
     if not isinstance(delta, int) or delta < 2 or delta % 2 != 0:
         raise ValueError("delta must be a positive even integer >= 2")
@@ -113,74 +116,25 @@ def solve_one_sided(
     if not isinstance(d, int) or not 1 <= d <= delta:
         raise ValueError("need 1 <= d <= delta")
 
-    frac = (delta - d) / delta
-    row = binomial_log_row(delta)[: d + 1]
-    k = np.arange(d + 1)
-
-    def theta_at(g: float) -> float:
-        # P3/P1 as 1 / sum_{k<=d} pmf(k)/pmf(d): each summand is an exp of a
-        # log difference, so the ratio stays accurate even where P1 itself
-        # underflows (far-overshot gamma during bracketing).
-        lp = math.log(g) - math.log1p(g)
-        lq = -math.log1p(g)
-        logterms = row + k * lp + (delta - k) * lq
-        peak = float(logterms.max())
-        log_p1 = peak + math.log(math.fsum(np.exp(logterms - peak).tolist()))
-        return frac * math.exp(float(logterms[d]) - log_p1)
-
-    def step(g: float) -> float:
-        denom = 1.0 + eta - 2.0 * theta_at(g)
-        if denom <= 0.0:
-            raise ArithmeticError("fixed-point denominator collapsed")
-        return (1.0 - eta) / denom
-
-    # The map is increasing in gamma and the start sits below the unique
-    # fixed point, so damped iterates climb toward it monotonically.
-    gamma = (1.0 - eta) / (1.0 + eta)
-    converged = False
-    for _ in range(_DAMPED_BUDGET):
-        proposal = step(gamma)
-        if abs(proposal - gamma) < _FIXED_POINT_TOL:
-            gamma = proposal
-            converged = True
-            break
-        gamma += 0.5 * (proposal - gamma)
-    if not converged:
-        # Slow contraction (binomial mean pinned against the cap at large
-        # delta and small eta): finish by bisection on step(g) - g. The
-        # current iterate still lies below the fixed point.
-        lo = gamma
-        hi = max(2.0 * gamma, 1.0)
-        for _ in range(200):
-            if step(hi) <= hi:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
-            raise ArithmeticError(
-                f"one-sided fixed point did not converge for delta={delta}, eta={eta}"
-            )
-        while hi - lo > 1e-14 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if step(mid) > mid:
-                lo = mid
-            else:
-                hi = mid
-        gamma = 0.5 * (lo + hi)
+    if d == delta:
+        gamma, theta = (1.0 - eta) / (1.0 + eta), 0.0
+    else:
+        x, log_s0 = _solve_log_gamma(delta, d, eta)
+        gamma = math.exp(x)
+        frac = (delta - d) / delta
+        theta = frac * math.exp(log_binomial(delta, d) + d * x - log_s0)
 
     p = gamma / (gamma + 1.0)
-    p1 = binomial_tail(delta, p, d)
-    p2 = binomial_tail(delta - 1, p, d - 1)
-    p3 = binomial_pmf(delta, p, d)
     return AsymptoticPoint(
         delta=delta,
         d=d,
         eta=eta,
         gamma=gamma,
         p=p,
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        theta=theta_at(gamma),
+        p1=binomial_tail(delta, p, d),
+        p2=binomial_tail(delta - 1, p, d - 1),
+        p3=binomial_pmf(delta, p, d),
+        theta=theta,
         alpha=eta * math.sqrt(delta),
     )
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .side_solver import (
     BetaUnderflow,
@@ -43,6 +44,7 @@ __all__ = [
     "build_table",
     "certificate_from_json",
     "certificate_to_json",
+    "evaluate_pairs",
     "feasible_pairs",
     "min_eta",
     "rhs_from_sides",
@@ -163,42 +165,51 @@ class BoundCertificate:
     baseline_bound: float
 
 
-def _satisfied(delta: int, eta: float, margin: float) -> bool:
-    """True when at least one pair is feasible and every feasible pair's
-    growth exponent is at most -margin."""
-    pairs = feasible_pairs(delta, eta)
-    if not pairs:
-        return False
-    sides: dict[int, SideSolution] = {}
-    for d, dp in pairs:
-        try:
-            for cap in (d, dp):
-                if cap not in sides:
-                    sides[cap] = solve_side(delta, cap, eta)
-        except BetaUnderflow:
-            # Cap pinned against the mean: no representable witness, so the
-            # probe counts as failed.  Conservative (can only raise the
-            # certified eta); rounded final etas never hit this corner.
-            return False
-        if rhs_from_sides(delta, eta, sides[d], sides[dp]) > -margin:
-            return False
-    return True
+def evaluate_pairs(delta: int, eta: float) -> Iterator[PairBound]:
+    """Yield a PairBound for every cap pair at crossing level eta, in all_pairs order.
 
-
-def _pair_bounds_at(delta: int, eta: float) -> tuple[PairBound, ...]:
+    Feasible pairs come first (largest d first), each with its two side
+    solutions and growth exponent; every cap is solved once and shared by the
+    pairs that use it. Vacuous pairs follow with the target mean as witness.
+    Consumers that stop early skip the remaining solves. Raises BetaUnderflow
+    when a cap pins the mean.
+    """
     tm = target_mean(delta, eta)
+    feasible = feasible_pairs(delta, eta)
     sides: dict[int, SideSolution] = {}
-    bounds = []
-    for d, dp in all_pairs(delta):
-        if tm < d:
-            for cap in (d, dp):
-                if cap not in sides:
-                    sides[cap] = solve_side(delta, cap, eta)
-            rhs = rhs_from_sides(delta, eta, sides[d], sides[dp])
-            bounds.append(PairBound(d, dp, sides[d], sides[dp], rhs, tm))
-        else:
-            bounds.append(PairBound(d, dp, None, None, None, tm))
-    return tuple(bounds)
+    for d, dp in feasible:
+        for cap in (d, dp):
+            if cap not in sides:
+                sides[cap] = solve_side(delta, cap, eta)
+        rhs = rhs_from_sides(delta, eta, sides[d], sides[dp])
+        yield PairBound(d, dp, sides[d], sides[dp], rhs, tm)
+    # The feasible pairs are a prefix of all_pairs (d descending).
+    for d, dp in all_pairs(delta)[len(feasible):]:
+        yield PairBound(d, dp, None, None, None, tm)
+
+
+def _certifies(pair_bounds: Iterable[PairBound], margin: float) -> bool:
+    """True when at least one pair is feasible and every feasible pair's
+    growth exponent is at most -margin; stops at the first failing pair."""
+    any_feasible = False
+    for pb in pair_bounds:
+        if pb.vacuous:
+            break
+        if pb.rhs > -margin:
+            return False
+        any_feasible = True
+    return any_feasible
+
+
+def _satisfied(delta: int, eta: float, margin: float) -> bool:
+    """The search condition at eta: :func:`_certifies` on :func:`evaluate_pairs`."""
+    try:
+        return _certifies(evaluate_pairs(delta, eta), margin)
+    except BetaUnderflow:
+        # Cap pinned against the mean: no representable witness, so the
+        # probe counts as failed.  Conservative (can only raise the
+        # certified eta); rounded final etas never hit this corner.
+        return False
 
 
 def min_eta(
@@ -210,9 +221,9 @@ def min_eta(
 
     Binary search over eta in [0, 1) for the condition "every feasible cap
     pair has growth exponent <= -margin"; the threshold is then rounded up
-    (conservative direction: larger eta means a weaker claimed bound) and the
-    condition is re-verified at the rounded value before the certificate is
-    assembled.
+    (conservative direction: larger eta means a weaker claimed bound), and
+    the certificate's pair bounds are evaluated once at the rounded value and
+    checked against the same condition.
 
     The search makes at most 34 float halvings and stops as soon as every
     float in the bracket ``(lo, hi]`` rounds up to the same grid value: the
@@ -250,10 +261,16 @@ def min_eta(
 
     eta = grid_index(hi) / scale
     bumps = 0
-    while not _satisfied(delta, eta, margin):
+    while True:
+        try:
+            pair_bounds = tuple(evaluate_pairs(delta, eta))
+        except BetaUnderflow:
+            pair_bounds = ()
+        if _certifies(pair_bounds, margin):
+            break
         # Defensive: the rounded eta lies at or above a passing probe, and no
         # degree has been seen to fail there (the BetaUnderflow band sits
-        # between grid points), so this loop is not expected to run.
+        # between grid points), so this bump is not expected to run.
         eta = (round(eta * scale) + 1) / scale
         bumps += 1
         if bumps > 3 or eta >= 1.0:
@@ -265,7 +282,7 @@ def min_eta(
         eta=eta,
         expansion_bound=(1.0 - eta) * delta / 2.0,
         margin=margin,
-        pair_bounds=_pair_bounds_at(delta, eta),
+        pair_bounds=pair_bounds,
         baseline_eta=baseline_eta,
         baseline_bound=baseline_bound,
     )

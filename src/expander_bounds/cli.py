@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .asymptotics import TWO_SQRT_LN2, alpha_trend
 from .certifier import (
@@ -22,12 +21,10 @@ from .certifier import (
     CertificateFormatError,
     NoBound,
     bollobas_eta,
-    bound_rhs,
+    build_table,
     certificate_from_json,
     certificate_to_json,
-    feasible_pairs,
-    all_pairs,
-    min_eta,
+    evaluate_pairs,
     verify_certificate,
 )
 from .graphlab import (
@@ -40,28 +37,7 @@ from .graphlab import (
     summary_to_csv,
 )
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters shared by the subcommands."""
-
-    subcommand: str
-    fmt: str
-    margin: float
-    precision: int
-    delta: int | None = None
-    delta_min: int | None = None
-    delta_max: int | None = None
-    eta: float | None = None
-    seed: int = 0
-    trials: int = 1
-    n: int = 2
-    restarts: int = 1
-    simple: bool = False
-    tie_rule: str = BEST_IMPROVEMENT
-    file: str | None = None
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,30 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.precision < 1:
-        raise ValueError("precision must be a positive integer")
-    if not args.margin > 0.0:
-        raise ValueError("margin must be positive")
-    return RunConfig(
-        subcommand=args.subcommand,
-        fmt=args.fmt,
-        margin=args.margin,
-        precision=args.precision,
-        delta=getattr(args, "delta", None),
-        delta_min=getattr(args, "delta_min", None),
-        delta_max=getattr(args, "delta_max", None),
-        eta=getattr(args, "eta", None),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 1),
-        n=getattr(args, "n", 2),
-        restarts=getattr(args, "restarts", 1),
-        simple=getattr(args, "simple", False),
-        tie_rule=getattr(args, "tie_rule", BEST_IMPROVEMENT),
-        file=getattr(args, "file", None),
-    )
-
-
 def _fmt_g(x: float) -> str:
     return format(x, ".6g")
 
@@ -164,28 +116,23 @@ def _worst_pair(cert: BoundCertificate) -> str:
     return f"{worst.d}/{worst.d_prime}"
 
 
-def _cmd_table(cfg: RunConfig, out: list[str]) -> int:
-    if cfg.delta_min is None or cfg.delta_max is None:
-        raise ValueError("table requires --delta-min and --delta-max")
-    deltas = list(range(cfg.delta_min, cfg.delta_max + 1))
-    if not deltas or cfg.delta_min < 3:
-        raise ValueError("need 3 <= delta-min <= delta-max")
-    certs = [min_eta(d, cfg.margin, cfg.precision) for d in deltas]
+def _cmd_table(args: argparse.Namespace, out: list[str]) -> int:
+    certs = build_table(args.delta_min, args.delta_max, args.margin, args.precision)
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         docs = [_cert_doc(c) for c in certs]
         payload = docs[0] if len(docs) == 1 else docs
         out.append(json.dumps(payload, indent=2))
         return 0
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         out.append(
             "delta,eta,bound,baseline_eta,baseline_bound,"
             "d,d_prime,vacuous,rhs,beta,gamma,beta_prime,gamma_prime"
         )
         for c in certs:
             head = (
-                f"{c.delta},{c.eta:.{cfg.precision}f},{_fmt_g(c.expansion_bound)},"
-                f"{c.baseline_eta:.{cfg.precision}f},{_fmt_g(c.baseline_bound)}"
+                f"{c.delta},{c.eta:.{args.precision}f},{_fmt_g(c.expansion_bound)},"
+                f"{c.baseline_eta:.{args.precision}f},{_fmt_g(c.baseline_bound)}"
             )
             for pb in c.pair_bounds:
                 if pb.vacuous:
@@ -198,14 +145,14 @@ def _cmd_table(cfg: RunConfig, out: list[str]) -> int:
                     )
         return 0
     out.append(
-        f"# bounds table delta={cfg.delta_min}..{cfg.delta_max} "
-        f"margin={cfg.margin:.1e} precision={cfg.precision}"
+        f"# bounds table delta={args.delta_min}..{args.delta_max} "
+        f"margin={args.margin:.1e} precision={args.precision}"
     )
     for c in certs:
         out.append(
-            f"delta={c.delta} eta={c.eta:.{cfg.precision}f} "
+            f"delta={c.delta} eta={c.eta:.{args.precision}f} "
             f"bound={_fmt_g(c.expansion_bound)} "
-            f"baseline_eta={c.baseline_eta:.{cfg.precision}f} "
+            f"baseline_eta={c.baseline_eta:.{args.precision}f} "
             f"baseline_bound={_fmt_g(c.baseline_bound)} "
             f"worst_pair={_worst_pair(c)}"
         )
@@ -225,28 +172,21 @@ def _cmd_table(cfg: RunConfig, out: list[str]) -> int:
     return 0
 
 
-def _cmd_bound(cfg: RunConfig, out: list[str]) -> int:
-    if cfg.delta is None or cfg.eta is None:
-        raise ValueError("bound requires --delta and --eta")
-    if cfg.delta < 2:
+def _cmd_bound(args: argparse.Namespace, out: list[str]) -> int:
+    if args.delta < 2:
         raise ValueError("delta must be at least 2")
-    if not 0.0 <= cfg.eta < 1.0:
+    if not 0.0 <= args.eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
-    feas = set(feasible_pairs(cfg.delta, cfg.eta))
-    rows = []
-    for d, dp in all_pairs(cfg.delta):
-        if (d, dp) in feas:
-            rows.append((d, dp, bound_rhs(cfg.delta, d, dp, cfg.eta)))
-        else:
-            rows.append((d, dp, None))
-    certified = bool(feas) and all(r < 0.0 for _, _, r in rows if r is not None)
+    rows = [(pb.d, pb.d_prime, pb.rhs) for pb in evaluate_pairs(args.delta, args.eta)]
+    live = [r for _, _, r in rows if r is not None]
+    certified = bool(live) and all(r < 0.0 for r in live)
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.append(
             json.dumps(
                 {
-                    "delta": cfg.delta,
-                    "eta": cfg.eta,
+                    "delta": args.delta,
+                    "eta": args.eta,
                     "certified": certified,
                     "pairs": [
                         {"d": d, "d_prime": dp, "feasible": r is not None, "rhs": r}
@@ -256,16 +196,16 @@ def _cmd_bound(cfg: RunConfig, out: list[str]) -> int:
                 indent=2,
             )
         )
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         out.append("delta,eta,d,d_prime,feasible,rhs")
         for d, dp, r in rows:
             rhs = "" if r is None else f"{r:.6e}"
             out.append(
-                f"{cfg.delta},{_fmt_g(cfg.eta)},{d},{dp},"
+                f"{args.delta},{_fmt_g(args.eta)},{d},{dp},"
                 f"{'true' if r is not None else 'false'},{rhs}"
             )
     else:
-        out.append(f"# growth exponents delta={cfg.delta} eta={_fmt_g(cfg.eta)}")
+        out.append(f"# growth exponents delta={args.delta} eta={_fmt_g(args.eta)}")
         for d, dp, r in rows:
             if r is None:
                 out.append(f"pair d={d} d'={dp} infeasible at this eta")
@@ -278,12 +218,12 @@ def _cmd_bound(cfg: RunConfig, out: list[str]) -> int:
     return 0 if certified else 1
 
 
-def _cmd_certify(cfg: RunConfig, out: list[str]) -> int:
+def _cmd_certify(args: argparse.Namespace, out: list[str]) -> int:
     try:
-        with open(cfg.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ValueError(f"cannot read {cfg.file!r}: {exc}") from exc
+        raise ValueError(f"cannot read {args.file!r}: {exc}") from exc
     try:
         cert = certificate_from_json(text)
     except CertificateFormatError as exc:
@@ -291,7 +231,7 @@ def _cmd_certify(cfg: RunConfig, out: list[str]) -> int:
         out.append("verdict: FAIL")
         return 1
     report = verify_certificate(cert)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.append(
             json.dumps(
                 {
@@ -304,7 +244,7 @@ def _cmd_certify(cfg: RunConfig, out: list[str]) -> int:
                 indent=2,
             )
         )
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         out.append("name,passed,detail")
         for c in report.checks:
             detail = c.detail.replace(",", ";")
@@ -323,26 +263,26 @@ def _cmd_certify(cfg: RunConfig, out: list[str]) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_baseline(cfg: RunConfig, out: list[str]) -> int:
-    if cfg.delta is None or cfg.delta < 3:
+def _cmd_baseline(args: argparse.Namespace, out: list[str]) -> int:
+    if args.delta < 3:
         raise ValueError("baseline requires --delta >= 3")
-    eta, bound = bollobas_eta(cfg.delta, cfg.precision)
+    eta, bound = bollobas_eta(args.delta, args.precision)
     note = (
         "note: for delta=3, stronger bounds are known from other methods"
-        if cfg.delta == 3
+        if args.delta == 3
         else ""
     )
-    if cfg.fmt == "json":
-        doc = {"delta": cfg.delta, "eta": eta, "bound": bound}
+    if args.fmt == "json":
+        doc = {"delta": args.delta, "eta": eta, "bound": bound}
         if note:
             doc["note"] = note
         out.append(json.dumps(doc, indent=2))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         out.append("delta,eta,bound")
-        out.append(f"{cfg.delta},{eta:.{cfg.precision}f},{_fmt_g(bound)}")
+        out.append(f"{args.delta},{eta:.{args.precision}f},{_fmt_g(bound)}")
     else:
         out.append(
-            f"delta={cfg.delta} baseline_eta={eta:.{cfg.precision}f} "
+            f"delta={args.delta} baseline_eta={eta:.{args.precision}f} "
             f"baseline_bound={_fmt_g(bound)}"
         )
         if note:
@@ -350,9 +290,9 @@ def _cmd_baseline(cfg: RunConfig, out: list[str]) -> int:
     return 0
 
 
-def _cmd_trend(cfg: RunConfig, deltas: list[int], out: list[str]) -> int:
-    points = alpha_trend(deltas, cfg.margin, cfg.precision)
-    if cfg.fmt == "json":
+def _cmd_trend(args: argparse.Namespace, out: list[str]) -> int:
+    points = alpha_trend(args.deltas, args.margin, args.precision)
+    if args.fmt == "json":
         out.append(
             json.dumps(
                 {
@@ -372,34 +312,34 @@ def _cmd_trend(cfg: RunConfig, deltas: list[int], out: list[str]) -> int:
                 indent=2,
             )
         )
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         out.append("delta,eta,alpha,gamma,theta,p1")
         for p in points:
             out.append(
-                f"{p.delta},{p.eta:.{cfg.precision}f},{p.alpha:.6f},"
+                f"{p.delta},{p.eta:.{args.precision}f},{p.alpha:.6f},"
                 f"{p.gamma:.6f},{p.theta:.6e},{p.p1:.6f}"
             )
     else:
         out.append(f"# alpha trend (reference constant {TWO_SQRT_LN2:.5f})")
         for p in points:
             out.append(
-                f"delta={p.delta} eta={p.eta:.{cfg.precision}f} "
+                f"delta={p.delta} eta={p.eta:.{args.precision}f} "
                 f"alpha={p.alpha:.6f} theta={p.theta:.6e} p1={p.p1:.6f}"
             )
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig, out: list[str]) -> int:
+def _cmd_simulate(args: argparse.Namespace, out: list[str]) -> int:
     summary = expansion_experiment(
-        cfg.delta,
-        cfg.n,
-        cfg.trials,
-        cfg.seed,
-        restarts=cfg.restarts,
-        simple_only=cfg.simple,
-        tie_rule=cfg.tie_rule,
+        args.delta,
+        args.n,
+        args.trials,
+        args.seed,
+        restarts=args.restarts,
+        simple_only=args.simple,
+        tie_rule=args.tie_rule,
     )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.append(
             json.dumps(
                 {
@@ -430,24 +370,24 @@ def _cmd_simulate(cfg: RunConfig, out: list[str]) -> int:
                 indent=2,
             )
         )
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         out.append(summary_to_csv(summary).rstrip("\n"))
     else:
         out.extend(summary_lines(summary))
     return 0
 
 
-def _cmd_oracle(cfg: RunConfig, out: list[str]) -> int:
-    graph = sample_pairing(cfg.delta, cfg.n, cfg.seed, simple_only=cfg.simple)
+def _cmd_oracle(args: argparse.Namespace, out: list[str]) -> int:
+    graph = sample_pairing(args.delta, args.n, args.seed, simple_only=args.simple)
     value, argmin = brute_force_expansion(graph)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.append(
             json.dumps(
                 {
-                    "delta": cfg.delta,
-                    "n": cfg.n,
-                    "seed": cfg.seed,
-                    "simple_only": cfg.simple,
+                    "delta": args.delta,
+                    "n": args.n,
+                    "seed": args.seed,
+                    "simple_only": args.simple,
                     "expansion_num": value.numerator,
                     "expansion_den": value.denominator,
                     "expansion": float(value),
@@ -456,17 +396,17 @@ def _cmd_oracle(cfg: RunConfig, out: list[str]) -> int:
                 indent=2,
             )
         )
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         out.append("delta,n,seed,expansion_num,expansion_den,expansion,argmin")
         out.append(
-            f"{cfg.delta},{cfg.n},{cfg.seed},{value.numerator},"
+            f"{args.delta},{args.n},{args.seed},{value.numerator},"
             f"{value.denominator},{float(value):.6f},"
             f"{' '.join(map(str, argmin))}"
         )
     else:
         out.append(
-            f"# exact expansion delta={cfg.delta} n={cfg.n} seed={cfg.seed} "
-            f"simple_only={cfg.simple}"
+            f"# exact expansion delta={args.delta} n={args.n} seed={args.seed} "
+            f"simple_only={args.simple}"
         )
         out.append(
             f"i(G) = {value.numerator}/{value.denominator} = {float(value):.6f}"
@@ -475,28 +415,27 @@ def _cmd_oracle(cfg: RunConfig, out: list[str]) -> int:
     return 0
 
 
+_COMMANDS = {
+    "table": _cmd_table,
+    "bound": _cmd_bound,
+    "certify": _cmd_certify,
+    "baseline": _cmd_baseline,
+    "trend": _cmd_trend,
+    "simulate": _cmd_simulate,
+    "oracle": _cmd_oracle,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out: list[str] = []
     try:
-        cfg = _config_from_args(args)
-        if cfg.subcommand == "table":
-            code = _cmd_table(cfg, out)
-        elif cfg.subcommand == "bound":
-            code = _cmd_bound(cfg, out)
-        elif cfg.subcommand == "certify":
-            code = _cmd_certify(cfg, out)
-        elif cfg.subcommand == "baseline":
-            code = _cmd_baseline(cfg, out)
-        elif cfg.subcommand == "trend":
-            code = _cmd_trend(cfg, list(args.deltas), out)
-        elif cfg.subcommand == "simulate":
-            code = _cmd_simulate(cfg, out)
-        elif cfg.subcommand == "oracle":
-            code = _cmd_oracle(cfg, out)
-        else:  # pragma: no cover - argparse enforces the choice
-            raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
+        if args.precision < 1:
+            raise ValueError("precision must be a positive integer")
+        if not args.margin > 0.0:
+            raise ValueError("margin must be positive")
+        code = _COMMANDS[args.subcommand](args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

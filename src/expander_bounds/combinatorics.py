@@ -26,7 +26,6 @@ __all__ = [
     "log_binomial",
     "log_odd_double_factorial",
     "truncated_log_moments",
-    "truncated_moments",
 ]
 
 NEG_INF = float("-inf")
@@ -153,24 +152,6 @@ def truncated_log_moments(delta: int, cap: int, gamma: float) -> tuple[float, fl
     log_s0 = peak + math.log(w0)
     log_s1 = peak + math.log(w1) if w1 > 0.0 else NEG_INF
     return log_s0, log_s1, w1 / w0
-
-
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def truncated_moments(profile: TruncatedBinomialProfile) -> tuple[float, float, float]:
-    """(S0, S1, mean) for the profile's weight family.
-
-    Computed through :func:`truncated_log_moments`; the mean is always finite
-    and accurate, while S0 and S1 degrade to +inf only when they genuinely
-    exceed the double range.
-    """
-    log_s0, log_s1, mean = truncated_log_moments(profile.delta, profile.cap, profile.gamma)
-    return _exp_or_inf(log_s0), _exp_or_inf(log_s1), mean
 
 
 def binomial_pmf(delta: int, p: float, k: int) -> float:

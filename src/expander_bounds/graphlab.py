@@ -158,10 +158,6 @@ class RegularMultigraph:
                 raise ValueError(f"vertex {v} has degree {deg}, expected {self.delta}")
 
     @classmethod
-    def from_pairing(cls, delta: int, n: int, pairing) -> "RegularMultigraph":
-        return cls(delta, n, tuple(tuple(p) for p in pairing))
-
-    @classmethod
     def from_edges(cls, delta: int, n: int, edges) -> "RegularMultigraph":
         """Build a pairing realization of an edge multiset (loops as (v, v))."""
         next_point = [v * delta for v in range(n)]

@@ -8,7 +8,9 @@ The map ``x = ln gamma -> mean`` is strictly increasing, so one bracketed
 root solve in ``x`` finds gamma, after which ``beta = 1 / S0(gamma)``
 normalizes the mass. The uncapped binomial root is always a lower bracket,
 because truncation only lowers the mean; an upper bracket is grown from it by
-doubling steps and the bracket is then closed by Brent's method.
+doubling steps and the bracket is then closed by Brent's method. The same
+root solve serves the one-sided system in ``asymptotics``, whose fixed point
+is this mean constraint at cap ``delta / 2``.
 """
 
 from __future__ import annotations
@@ -185,16 +187,40 @@ def _brent(probe, a: float, fa: float, b: float, fb: float) -> float:
         fb = probe(b)
 
 
+def _solve_log_gamma(delta: int, cap: int, eta: float) -> tuple[float, float]:
+    """Root ``x = ln gamma`` of ``mean(gamma) = target_mean(delta, eta)`` at cap ``cap``.
+
+    Returns ``(x, ln S0(e^x))``. The uncapped binomial root
+    ``ln(t / (delta - t))`` is a lower bracket, an upper one is grown by
+    doubling steps in ``x``, and Brent's method closes the bracket to width
+    1e-13. Every evaluation goes through :func:`truncated_log_moments`.
+
+    Raises InfeasibleTarget when the target mean falls outside (0, cap).
+    """
+    target = target_mean(delta, eta)
+    if not 0.0 < target < cap:
+        raise InfeasibleTarget(
+            f"target mean {target!r} outside (0, {cap}) for delta={delta}, eta={eta!r}"
+        )
+
+    log_s0_at: dict[float, float] = {}
+
+    def probe(x: float) -> float:
+        log_s0, _, mean = truncated_log_moments(delta, cap, math.exp(x))
+        log_s0_at[x] = log_s0
+        return mean - target
+
+    x = _brent(probe, *_bracket(delta, cap, target, probe))
+    return x, log_s0_at[x]
+
+
 def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
     """Solve the mass and mean constraints for one side at out-degree cap ``cap``.
 
-    Solves ``mean(gamma) = target_mean(delta, eta)`` in ``x = ln gamma``: the
-    uncapped binomial root ``ln(t / (delta - t))`` is a lower bracket, an
-    upper one is grown by doubling steps in ``x``, and Brent's method closes
-    the bracket to width 1e-13 (five to seven moment evaluations on average
-    over the paper's table and the large-degree trend). Every
-    evaluation goes through :func:`truncated_log_moments`, and ``beta`` is
-    taken from the evaluation at the returned gamma. The whole procedure is
+    Solves ``mean(gamma) = target_mean(delta, eta)`` in ``x = ln gamma`` with
+    :func:`_solve_log_gamma` (five to seven moment evaluations on average
+    over the paper's table and the large-degree trend), and takes ``beta``
+    from the evaluation at the returned gamma. The whole procedure is
     deterministic: identical inputs give bit-identical outputs.
 
     Raises
@@ -212,23 +238,10 @@ def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
         raise ValueError("cap must be an integer in [1, delta]")
     if not isinstance(eta, (int, float)) or not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
-    target = target_mean(delta, eta)
-    if not 0.0 < target < cap:
-        raise InfeasibleTarget(
-            f"target mean {target!r} outside (0, {cap}) for delta={delta}, eta={eta!r}"
-        )
-
-    log_s0_at: dict[float, float] = {}
-
-    def probe(x: float) -> float:
-        log_s0, _, mean = truncated_log_moments(delta, cap, math.exp(x))
-        log_s0_at[x] = log_s0
-        return mean - target
-
-    x = _brent(probe, *_bracket(delta, cap, target, probe))
+    x, log_s0 = _solve_log_gamma(delta, cap, eta)
     gamma = math.exp(x)
 
-    log_beta = -log_s0_at[x]
+    log_beta = -log_s0
     beta = math.exp(log_beta)
     if beta == 0.0:
         # S0 past the double range: the caller gets a diagnosis instead of a

@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expander_bounds import (
     TWO_SQRT_LN2,
+    InfeasibleTarget,
     alpha_trend,
     check_p1p3_identity,
     solve_one_sided,
@@ -112,15 +114,63 @@ def test_cap_removed_limit_collapses_to_closed_form():
 
 
 def test_bisection_fallback_region():
-    # small eta at large delta pins the binomial mean against the cap; the
-    # damped iteration stalls and the bisection path must still satisfy the
-    # fixed point
+    # small eta at large delta pins the binomial mean against the cap, where
+    # the fixed-point map contracts slowly; the root solve on the mean
+    # constraint must still satisfy the fixed point
     for eta in (0.03, 0.05):
         pt = solve_one_sided(400, eta)
         assert pt.gamma == pytest.approx(
             (1.0 - eta) / (1.0 + eta - 2.0 * pt.theta), rel=1e-9
         )
         assert 0.0 < pt.theta <= (400 - pt.d) / 400
+
+
+def _reference_fixed_point(delta: int, eta: float) -> float:
+    """gamma = (1 - eta)/(1 + eta - 2*theta(gamma)) at cap delta/2, by plain
+    bisection, with theta in logs as frac / sum_j C(delta, d-j)/C(delta, d) * gamma^-j.
+
+    The log ratios are summed from the cap down out of small terms, so theta
+    stays accurate to a few ulp even where P1 underflows.
+    """
+    d = delta // 2
+    frac = (delta - d) / delta
+    log_ratio = np.concatenate(
+        ([0.0], np.cumsum([math.log(k / (delta - k + 1)) for k in range(d, 0, -1)]))
+    )
+    j = np.arange(d + 1)
+
+    def fixed_point_map(g: float) -> float:
+        theta = frac / math.fsum(np.exp(log_ratio - j * math.log(g)).tolist())
+        return (1.0 - eta) / (1.0 + eta - 2.0 * theta)
+
+    # the map is increasing and crosses the diagonal once: above it at the
+    # uncapped closed form (theta > 0 there), below it far out
+    lo = (1.0 - eta) / (1.0 + eta)
+    hi = 2.0 * lo
+    while fixed_point_map(hi) > hi:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if fixed_point_map(mid) > mid:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("delta", [100, 400, 1600, 6400])
+def test_pinned_cap_corner(delta):
+    # eta = 1e-4 pins the binomial mean against the cap (P1 underflows to 0
+    # at delta = 6400); the top of criterion 12b's grid is the other end
+    frac = (delta - delta // 2) / delta
+    for eta in (1e-4, TWO_SQRT_LN2 / math.sqrt(delta) * (1 - 1e-9)):
+        pt = solve_one_sided(delta, eta)
+        assert math.isfinite(pt.theta) and 0.0 < pt.theta <= frac
+        assert pt.gamma == pytest.approx(
+            (1.0 - eta) / (1.0 + eta - 2.0 * pt.theta), rel=1e-9
+        )
+        assert pt.gamma == pytest.approx(_reference_fixed_point(delta, eta), rel=1e-9)
 
 
 def test_theta_small_at_certified_eta():
@@ -142,6 +192,11 @@ def test_solver_validation():
         solve_one_sided(10, 0.5, 0)
     with pytest.raises(ValueError):
         solve_one_sided(10, 0.5, 11)
+    # cap overrides at or below the target mean (1 - eta) * delta / 2
+    with pytest.raises(InfeasibleTarget, match=r"target mean 2\.5 outside \(0, 2\)"):
+        solve_one_sided(10, 0.5, 2)
+    with pytest.raises(InfeasibleTarget, match=r"target mean 49\.5 outside \(0, 49\)"):
+        solve_one_sided(100, 0.01, 49)
 
 
 def test_alpha_trend_single_degree():

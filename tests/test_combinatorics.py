@@ -17,7 +17,6 @@ from expander_bounds import (
     log_binomial,
     log_odd_double_factorial,
     truncated_log_moments,
-    truncated_moments,
 )
 from expander_bounds.combinatorics import NEG_INF
 
@@ -122,10 +121,8 @@ def test_truncated_moments_exact_rational_oracle():
     assert log_s0 == pytest.approx(math.log(s0), rel=1e-13)
     assert log_s1 == pytest.approx(math.log(s1), rel=1e-13)
     assert mean == pytest.approx(float(s1 / s0), rel=1e-13)
-    v0, v1, m2 = truncated_moments(TruncatedBinomialProfile(delta, cap, float(g)))
-    assert v0 == pytest.approx(float(s0), rel=1e-12)
-    assert v1 == pytest.approx(float(s1), rel=1e-12)
-    assert m2 == mean
+    assert math.exp(log_s0) == pytest.approx(float(s0), rel=1e-12)
+    assert math.exp(log_s1) == pytest.approx(float(s1), rel=1e-12)
 
 
 def test_truncated_moments_cap_zero():
@@ -136,10 +133,13 @@ def test_truncated_moments_cap_zero():
 
 
 def test_truncated_moments_survive_overflow():
-    # S0 overflows a double here, but the mean must stay finite and nearly
-    # pinned at the cap.
-    s0, s1, mean = truncated_moments(TruncatedBinomialProfile(200, 150, 1e6))
-    assert s0 == math.inf and s1 == math.inf
+    # S0 and S1 overflow a double here, but their logs and the mean must stay
+    # finite, with the mean nearly pinned at the cap.
+    log_s0, log_s1, mean = truncated_log_moments(200, 150, 1e6)
+    for log_s in (log_s0, log_s1):
+        assert math.isfinite(log_s)
+        with pytest.raises(OverflowError):
+            math.exp(log_s)
     assert 149.9 < mean < 150.0
 
 
