@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import merge
 
 from .combinatorics import log_binomial, log_odd_double_factorial
 
@@ -182,9 +183,6 @@ class RegularMultigraph:
     def num_edges(self) -> int:
         return self.delta * self.n // 2
 
-    def vertex_of(self, point: int) -> int:
-        return point // self.delta
-
     def multiplicity(self, u: int, v: int) -> int:
         """Number of u-v edges (loop count when u == v)."""
         key = (u, v) if u <= v else (v, u)
@@ -196,17 +194,6 @@ class RegularMultigraph:
     def neighbor_items(self, v: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, multiplicity) pairs, neighbors distinct and != v, ascending."""
         return self._items[v]
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex neighbor multiset (loops contribute the vertex twice)."""
-        rows = []
-        for v in range(self.n):
-            row: list[int] = [v, v] * self._nloops[v]
-            for w, m in self._items[v]:
-                row.extend([w] * m)
-            rows.append(tuple(sorted(row)))
-        return tuple(rows)
 
     @property
     def is_simple(self) -> bool:
@@ -264,7 +251,8 @@ def sample_pairing(
     Uniform over all (delta*n - 1)!! matchings of the delta*n points; with
     simple_only, uniform over pairings whose merged graph has no loops or
     parallel edges (acceptance probability bounded away from 0 for fixed
-    delta, so rejection terminates quickly in practice).
+    delta, so rejection terminates quickly in practice). A simple graph
+    needs delta <= n - 1; asking for one beyond that raises ValueError.
     """
     if not isinstance(delta, int) or delta < 1:
         raise ValueError("delta must be a positive integer")
@@ -272,6 +260,10 @@ def sample_pairing(
         raise ValueError("n must be a positive integer")
     if (delta * n) % 2 != 0:
         raise ValueError("delta * n must be even")
+    if simple_only and delta > n - 1:
+        raise ValueError(
+            f"no simple {delta}-regular graph has {n} vertices (needs delta <= n - 1)"
+        )
     rng = random.Random(seed)
     for _ in range(_SIMPLE_ATTEMPT_LIMIT):
         pairs = _raw_matching(rng, delta * n)
@@ -393,84 +385,161 @@ def swap_delta(state: CutState, u: int, v: int) -> int:
     )
 
 
+_Buckets = tuple[list[list[int]], list[list[int]]]
+
+
+def _buckets(graph: RegularMultigraph, member: list[bool], out: list[int]) -> _Buckets:
+    """Vertices grouped by side and score = out-degree + loop count.
+
+    buckets[member[w]][score(w)] holds w, each group ascending, so index
+    True is S and False its complement; scores lie in 0..delta.
+    """
+    loops = graph._nloops
+    buckets = tuple([[] for _ in range(graph.delta + 1)] for _ in range(2))
+    for w in range(graph.n):
+        buckets[member[w]][out[w] + loops[w]].append(w)
+    return buckets
+
+
 def _apply_swap(
     graph: RegularMultigraph,
     member: list[bool],
     out: list[int],
+    buckets: _Buckets,
     u: int,
     v: int,
 ) -> None:
-    member[u] = False
-    member[v] = True
+    """Move u out of S and v into it, then refresh the out-degree and bucket
+    of the at most 2*delta + 2 vertices that can change (u, v and their
+    neighbours): O(delta) to recount each, plus a bisect in its bucket."""
+    loops = graph._nloops
     affected = {u, v}
     affected.update(w for w, _ in graph.neighbor_items(u))
     affected.update(w for w, _ in graph.neighbor_items(v))
-    for w in affected:
+    before = [(w, member[w], out[w]) for w in affected]
+    member[u] = False
+    member[v] = True
+    for w, side, old in before:
         out[w] = sum(
             m for x, m in graph.neighbor_items(w) if member[x] != member[w]
         )
+        if member[w] != side or out[w] != old:
+            group = buckets[side][old + loops[w]]
+            del group[bisect_left(group, w)]
+            insort(buckets[member[w]][out[w] + loops[w]], w)
+
+
+def _first_non_neighbour(graph: RegularMultigraph, u: int, group: list[int]) -> int | None:
+    """Smallest vertex of the ascending `group` not adjacent to u, or None.
+
+    Skips at most deg(u) entries, so it examines at most delta + 1."""
+    for v in group:
+        if not graph.multiplicity(u, v):
+            return v
+    return None
+
+
+def _bucket_pair_best(
+    graph: RegularMultigraph, us: list[int], vs: list[int], base: int
+) -> tuple[int, int, int] | None:
+    """Smallest (cut change, u, v) over us x vs if it improves, else None.
+
+    Every pair costs base + 2*mult(u, v), so the answer is the first u with a
+    non-neighbour in vs, paired with its first one; reaching it skips at most
+    deg(u) entries of vs per u. The u tried before it are adjacent to all of
+    vs, hence neighbours of vs[0]: at most delta of them.
+    If every pair is adjacent, both groups hold at most delta vertices and
+    the cheapest pair decides.
+    """
+    adjacent = []
+    for u in us:
+        for v in vs:
+            m = graph.multiplicity(u, v)
+            if not m:
+                return base, u, v
+            adjacent.append((base + 2 * m, u, v))
+    best = min(adjacent)
+    return best if best[0] < 0 else None
 
 
 def _select_best(
-    graph: RegularMultigraph, member: list[bool], out: list[int]
+    graph: RegularMultigraph,
+    member: list[bool],
+    out: list[int],
+    buckets: _Buckets,
 ) -> tuple[int, int, int] | None:
     """Most-improving swap, ties broken by smallest (u, v); None at optimum.
 
-    Vertices are bucketed by score = out-degree + loop count; a pair's cut
-    change is 2*delta - 2*(score_u + score_v) + 2*mult(u, v) >= the bucket
-    base, so high-score bucket pairs are scanned first and scanning stops
-    once the base alone cannot beat (or tie) the incumbent.
+    A pair's cut change is 2*delta - 2*(score_u + score_v) + 2*mult(u, v),
+    at least its bucket pair's base. High-score bucket pairs come first, and
+    the visit stops once the base alone cannot beat (or tie) the incumbent;
+    `_bucket_pair_best` prices each bucket pair. Cost: at most (delta + 1)^2
+    bucket pairs with at most (delta + 1)^2 multiplicity lookups each, so
+    O(delta^4) per call whatever n is (O(delta) in the common case, where
+    the first u of a bucket has a non-neighbour among its first few v).
     """
     delta = graph.delta
-    buckets_s: dict[int, list[int]] = defaultdict(list)
-    buckets_o: dict[int, list[int]] = defaultdict(list)
-    for w in range(graph.n):
-        (buckets_s if member[w] else buckets_o)[out[w] + graph.loops(w)].append(w)
-    levels_s = sorted(buckets_s, reverse=True)
-    levels_o = sorted(buckets_o, reverse=True)
-
-    best_dc = 0
-    best_pair: tuple[int, int] | None = None
-    for a in levels_s:
+    inside, outside = buckets[True], buckets[False]
+    levels_o = [b for b in range(delta, -1, -1) if outside[b]]
+    best: tuple[int, int, int] | None = None
+    for a in range(delta, -1, -1):
+        if not inside[a]:
+            continue
         # Even the highest outside bucket cannot improve from this level down.
-        if levels_o and 2 * delta - 2 * (a + levels_o[0]) > (
-            best_dc if best_pair is not None else -2
+        if not levels_o or 2 * delta - 2 * (a + levels_o[0]) > (
+            best[0] if best is not None else -2
         ):
             break
         for b in levels_o:
             base = 2 * delta - 2 * (a + b)
-            if base > (best_dc if best_pair is not None else -2):
+            if base > (best[0] if best is not None else -2):
                 break
-            for u in buckets_s[a]:
-                for v in buckets_o[b]:
-                    dc = base + 2 * graph.multiplicity(u, v)
-                    if dc >= 0:
-                        continue
-                    if (
-                        best_pair is None
-                        or dc < best_dc
-                        or (dc == best_dc and (u, v) < best_pair)
-                    ):
-                        best_dc = dc
-                        best_pair = (u, v)
-    if best_pair is None:
+            cand = _bucket_pair_best(graph, inside[a], outside[b], base)
+            if cand is not None and (best is None or cand < best):
+                best = cand
+    if best is None:
         return None
-    return best_pair[0], best_pair[1], best_dc
+    dc, u, v = best
+    return u, v, dc
 
 
 def _select_first(
-    graph: RegularMultigraph, member: list[bool], out: list[int]
+    graph: RegularMultigraph,
+    member: list[bool],
+    out: list[int],
+    buckets: _Buckets,
 ) -> tuple[int, int, int] | None:
-    """First improving swap in ascending (u, v) scan order; None at optimum."""
+    """First improving swap in ascending (u, v) scan order; None at optimum.
+
+    With t = delta - score(u), the swap (u, v) improves iff
+    score(v) - mult(u, v) > t. For u the smallest such v is the lesser of
+    the first non-neighbour in the outside buckets above t and the first
+    outside neighbour that qualifies. If top is the highest outside score,
+    a u with score <= delta - top cannot improve, so u runs in ascending
+    order over the inside buckets above that level only. A u tried there
+    without success is adjacent to the whole top bucket, so at most delta
+    of them precede the answer. Cost: O(delta^3) multiplicity lookups per
+    call whatever n is.
+    """
     delta = graph.delta
-    inside = [w for w in range(graph.n) if member[w]]
-    outside = [w for w in range(graph.n) if not member[w]]
-    for u in inside:
-        su = out[u] + graph.loops(u)
-        for v in outside:
-            dc = 2 * delta - 2 * (su + out[v] + graph.loops(v)) + 2 * graph.multiplicity(u, v)
-            if dc < 0:
-                return u, v, dc
+    loops = graph._nloops
+    inside, outside = buckets[True], buckets[False]
+    top = max((b for b in range(delta + 1) if outside[b]), default=0)
+    for u in merge(*inside[delta + 1 - top :]):
+        t = delta - out[u] - loops[u]
+        best: tuple[int, int] | None = None  # (v, cut change)
+        for b in range(t + 1, top + 1):
+            v = _first_non_neighbour(graph, u, outside[b])
+            if v is not None and (best is None or v < best[0]):
+                best = (v, 2 * (t - b))
+        for w, m in graph.neighbor_items(u):
+            if best is not None and w > best[0]:
+                break
+            if not member[w] and out[w] + loops[w] - m > t:
+                best = (w, 2 * (t - out[w] - loops[w] + m))
+                break
+        if best is not None:
+            return u, best[0], best[1]
     return None
 
 
@@ -485,6 +554,11 @@ def local_descent(
     (smallest (u, v) on ties), first-improvement takes the first improving
     pair in ascending vertex order. If `trace` is a list, the cut after each
     accepted swap is appended to it.
+
+    Vertices are bucketed by side and score once, in O(n); each swap then
+    costs a selection (O(delta^4) lookups for best-improvement, O(delta^3)
+    for first-improvement, independent of n) and a bucket update of at most
+    2*delta + 2 vertices by bisection.
     """
     if tie_rule not in (BEST_IMPROVEMENT, FIRST_IMPROVEMENT):
         raise ValueError(f"unknown tie rule {tie_rule!r}")
@@ -494,13 +568,14 @@ def local_descent(
     select = _select_best if tie_rule == BEST_IMPROVEMENT else _select_first
     member = list(state.membership)
     out = list(state.out_degrees)
+    buckets = _buckets(graph, member, out)
     cut = state.cut
     while True:
-        found = select(graph, member, out)
+        found = select(graph, member, out, buckets)
         if found is None:
             break
         u, v, dc = found
-        _apply_swap(graph, member, out, u, v)
+        _apply_swap(graph, member, out, buckets, u, v)
         cut += dc
         if trace is not None:
             trace.append(cut)

@@ -223,6 +223,13 @@ def test_oracle_agrees_with_library(capsys):
     assert lines[2] == f"argmin S = {list(argmin)}"
 
 
+def test_oracle_refuses_impossible_simple_graph(capsys):
+    # no simple 4-regular graph on 4 vertices: diagnosed before any sampling
+    code, out, err = run(capsys, "oracle", "--delta", "4", "--n", "4", "--simple")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no simple 4-regular graph has 4 vertices")
+
+
 def test_margin_and_precision_validation(capsys):
     code, _, err = run(
         capsys, "bound", "--delta", "6", "--eta", "0.5", "--margin", "-1"

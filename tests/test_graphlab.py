@@ -7,10 +7,13 @@ the critical values are fixed constants so the test needs no stats library.
 
 import itertools
 import math
+import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
+from expander_bounds import graphlab
 from expander_bounds.graphlab import (
     BEST_IMPROVEMENT,
     FIRST_IMPROVEMENT,
@@ -39,6 +42,17 @@ CUBE_EDGES = [
     (4, 5), (5, 6), (6, 7), (7, 4),
     (0, 4), (1, 5), (2, 6), (3, 7),
 ]
+
+
+def _adjacency(g: RegularMultigraph) -> tuple[tuple[int, ...], ...]:
+    """Per-vertex neighbour multiset (loops contribute the vertex twice)."""
+    rows = []
+    for v in range(g.n):
+        row = [v, v] * g.loops(v)
+        for w, m in g.neighbor_items(v):
+            row.extend([w] * m)
+        rows.append(tuple(sorted(row)))
+    return tuple(rows)
 
 
 def test_derive_seed_pins():
@@ -71,8 +85,8 @@ def test_from_edges_k4():
     assert g.multiplicity(0, 3) == 1
     assert g.multiplicity(3, 0) == 1
     assert g.loops(2) == 0
-    assert g.adjacency == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-    assert g.vertex_of(0) == 0 and g.vertex_of(11) == 3
+    assert _adjacency(g) == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    assert sorted((a // 3, b // 3) for a, b in g.pairing) == K4_EDGES
     assert g.neighbor_items(0) == ((1, 1), (2, 1), (3, 1))
 
 
@@ -82,7 +96,7 @@ def test_from_edges_loops_and_parallels():
     assert g.multiplicity(0, 0) == 1
     assert g.multiplicity(0, 1) == 1
     assert not g.is_simple
-    assert g.adjacency == ((0, 0, 1), (0, 1, 1))
+    assert _adjacency(g) == ((0, 0, 1), (0, 1, 1))
     doubled = RegularMultigraph.from_edges(2, 2, [(0, 1), (0, 1)])
     assert doubled.multiplicity(0, 1) == 2
     assert not doubled.is_simple
@@ -119,9 +133,20 @@ def test_sample_pairing_determinism():
         sample_pairing(3, 3, seed=0)
     with pytest.raises(ValueError):
         sample_pairing(0, 4, seed=0)
-    # a single vertex can only realize loops, so the rejection loop exhausts
-    with pytest.raises(RuntimeError):
+    # no simple delta-regular graph has delta > n - 1: refused up front
+    with pytest.raises(ValueError, match="no simple"):
         sample_pairing(2, 1, seed=0, simple_only=True)
+    with pytest.raises(ValueError, match="no simple"):
+        sample_pairing(4, 4, seed=0, simple_only=True)
+    # delta = n - 1 is the complete graph, the densest simple case
+    assert sample_pairing(3, 4, seed=0, simple_only=True).is_simple
+
+
+def test_sample_pairing_attempt_limit(monkeypatch):
+    # a feasible request that runs out of attempts still ends in RuntimeError
+    monkeypatch.setattr(graphlab, "_SIMPLE_ATTEMPT_LIMIT", 1)
+    with pytest.raises(RuntimeError, match="no simple graph found in 1 attempts"):
+        sample_pairing(3, 4, seed=0, simple_only=True)
 
 
 def test_cut_state_on_the_cycle():
@@ -192,6 +217,160 @@ def test_local_descent_traces_and_terminates():
         local_descent(start, tie_rule="steepest")
     with pytest.raises(ValueError):
         local_descent(cut_state(g, set(range(11))))
+
+
+# Reference selectors: the plain pair scans that local_descent's bucketed
+# selection must reproduce swap for swap.
+def _reference_select_best(graph, member, out):
+    delta = graph.delta
+    buckets_s: dict[int, list[int]] = defaultdict(list)
+    buckets_o: dict[int, list[int]] = defaultdict(list)
+    for w in range(graph.n):
+        (buckets_s if member[w] else buckets_o)[out[w] + graph.loops(w)].append(w)
+    levels_s = sorted(buckets_s, reverse=True)
+    levels_o = sorted(buckets_o, reverse=True)
+    best_dc = 0
+    best_pair = None
+    for a in levels_s:
+        if levels_o and 2 * delta - 2 * (a + levels_o[0]) > (
+            best_dc if best_pair is not None else -2
+        ):
+            break
+        for b in levels_o:
+            base = 2 * delta - 2 * (a + b)
+            if base > (best_dc if best_pair is not None else -2):
+                break
+            for u in buckets_s[a]:
+                for v in buckets_o[b]:
+                    dc = base + 2 * graph.multiplicity(u, v)
+                    if dc >= 0:
+                        continue
+                    if (
+                        best_pair is None
+                        or dc < best_dc
+                        or (dc == best_dc and (u, v) < best_pair)
+                    ):
+                        best_dc = dc
+                        best_pair = (u, v)
+    if best_pair is None:
+        return None
+    return best_pair[0], best_pair[1], best_dc
+
+
+def _reference_select_first(graph, member, out):
+    delta = graph.delta
+    inside = [w for w in range(graph.n) if member[w]]
+    outside = [w for w in range(graph.n) if not member[w]]
+    for u in inside:
+        su = out[u] + graph.loops(u)
+        for v in outside:
+            dc = 2 * delta - 2 * (su + out[v] + graph.loops(v)) + 2 * graph.multiplicity(u, v)
+            if dc < 0:
+                return u, v, dc
+    return None
+
+
+def _reference_descent(state: CutState, tie_rule: str) -> tuple[list[int], CutState]:
+    graph = state.graph
+    select = (
+        _reference_select_best if tie_rule == BEST_IMPROVEMENT else _reference_select_first
+    )
+    member = list(state.membership)
+    out = list(state.out_degrees)
+    cut = state.cut
+    trace = []
+    while (found := select(graph, member, out)) is not None:
+        u, v, dc = found
+        member[u], member[v] = False, True
+        out = list(cut_state(graph, member).out_degrees)
+        cut += dc
+        trace.append(cut)
+    final = cut_state(graph, member)
+    assert final.cut == cut
+    return trace, final
+
+
+def _assert_matches_reference(start: CutState, tie_rule: str) -> list[int]:
+    trace: list[int] = []
+    final = local_descent(start, tie_rule=tie_rule, trace=trace)
+    ref_trace, ref_final = _reference_descent(start, tie_rule)
+    assert trace == ref_trace
+    assert final == ref_final
+    return trace
+
+
+def test_descent_matches_pair_scan_reference():
+    seen_loops = seen_parallel = 0
+    for i in range(300):
+        rng = random.Random(derive_seed(8128, i))
+        delta = rng.randint(1, 10)
+        n = rng.randint(2, 60) if i % 5 else rng.randint(61, 300)
+        n += (delta * n) % 2
+        g = sample_pairing(delta, n, seed=rng.randrange(1 << 32))
+        seen_loops += any(g.loops(v) for v in range(n))
+        seen_parallel += any(m > 1 for v in range(n) for _, m in g.neighbor_items(v))
+        start = cut_state(g, set(rng.sample(range(n), rng.randint(0, n // 2))))
+        for rule in (BEST_IMPROVEMENT, FIRST_IMPROVEMENT):
+            _assert_matches_reference(start, rule)
+    # the sampled multigraphs exercise loops and parallel edges
+    assert seen_loops > 50 and seen_parallel > 50
+
+
+def test_descent_tie_cases():
+    # K4: every swap changes the cut by exactly 0, and a tie is never taken
+    k4 = RegularMultigraph.from_edges(3, 4, K4_EDGES)
+    for s in [set(), {0}, {3}, {0, 1}, {1, 3}]:
+        start = cut_state(k4, s)
+        for rule in (BEST_IMPROVEMENT, FIRST_IMPROVEMENT):
+            assert _assert_matches_reference(start, rule) == []
+            assert local_descent(start, tie_rule=rule) == start
+    # cube, S an independent set: non-adjacent swaps drop the cut by 6 and
+    # adjacent ones by 4, so the rules pick different first swaps
+    cube = RegularMultigraph.from_edges(3, 8, CUBE_EDGES)
+    start = cut_state(cube, {0, 2, 5, 7})
+    assert start.cut == 12
+    assert swap_delta(start, 0, 6) == -6 and swap_delta(start, 0, 1) == -4
+    best = _assert_matches_reference(start, BEST_IMPROVEMENT)
+    first = _assert_matches_reference(start, FIRST_IMPROVEMENT)
+    assert best[0] == 6 and first[0] == 8
+    assert best[-1] == first[-1] == 4
+    # one lowest swap among many tied ones, on both sides of every bucket
+    for s in itertools.combinations(range(8), 4):
+        for rule in (BEST_IMPROVEMENT, FIRST_IMPROVEMENT):
+            _assert_matches_reference(cut_state(cube, set(s)), rule)
+
+
+def _assert_locally_optimal(final: CutState) -> None:
+    """No improving swap, checked in O(n * delta) without the selectors."""
+    g, member = final.graph, final.membership
+    score = [final.out_degrees[w] + g.loops(w) for w in range(g.n)]
+    outside = sorted((w for w in range(g.n) if not member[w]), key=lambda w: -score[w])
+    for u in range(g.n):
+        if not member[u]:
+            continue
+        nbrs = {w for w, _ in g.neighbor_items(u)}
+        # the first non-neighbour in score order is at most deg(u) entries in
+        top = next((score[v] for v in outside if v not in nbrs), None)
+        assert top is None or score[u] + top <= g.delta
+        for w, m in g.neighbor_items(u):
+            if not member[w]:
+                assert score[u] + score[w] - m <= g.delta
+
+
+@pytest.mark.parametrize("tie_rule", [BEST_IMPROVEMENT, FIRST_IMPROVEMENT])
+def test_descent_at_ten_thousand_vertices(tie_rule):
+    n, delta = 10_000, 3
+    g = sample_pairing(delta, n, seed=31337)
+    start = cut_state(g, set(random.Random(5).sample(range(n), n // 2)))
+    trace: list[int] = []
+    final = local_descent(start, tie_rule=tie_rule, trace=trace)
+    seq = [start.cut] + trace
+    assert len(trace) > 1000
+    assert all(a > b for a, b in zip(seq, seq[1:]))
+    assert final.cut == seq[-1] == cut_state(g, final.membership).cut
+    assert final.size_s == start.size_s
+    assert final.d + final.d_prime <= delta + 1
+    _assert_locally_optimal(final)
 
 
 def test_brute_force_known_graphs(petersen):
