@@ -2,12 +2,13 @@
 """Descent experiment: sampled pairings vs the certified bound.
 
 Runs the restart descent on random regular multigraphs for one or more sizes
-and prints the per-trial CSV followed by the summary line for each size.
+and prints, for each size, the text report of `expander-cert simulate` (one
+line per trial, then the summary lines) followed by a blank line.
 """
 
 from argparse import ArgumentParser
 
-from expander_bounds import expansion_experiment, summary_lines
+from expander_bounds.cli import main as cli_main
 
 
 def main() -> int:
@@ -21,16 +22,14 @@ def main() -> int:
     args = ap.parse_args()
 
     for n in args.sizes:
-        summary = expansion_experiment(
-            args.delta,
-            n,
-            trials=args.trials,
-            seed=args.seed,
-            restarts=args.restarts,
-            simple_only=args.simple,
-        )
-        for line in summary_lines(summary):
-            print(line)
+        argv = [
+            "simulate", "--delta", str(args.delta), "--n", str(n),
+            "--trials", str(args.trials), "--seed", str(args.seed),
+            "--restarts", str(args.restarts),
+        ]
+        code = cli_main(argv + (["--simple"] if args.simple else []))
+        if code != 0:
+            return code
         print()
     return 0
 

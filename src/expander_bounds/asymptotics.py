@@ -25,7 +25,12 @@ import math
 from dataclasses import dataclass
 
 from .certifier import DEFAULT_MARGIN, DEFAULT_PRECISION, min_eta
-from .combinatorics import binomial_pmf, binomial_tail, log_binomial
+from .combinatorics import (
+    binomial_log_row,
+    binomial_pmf,
+    binomial_tail,
+    log_binomial,
+)
 from .side_solver import _solve_log_gamma
 
 __all__ = [
@@ -80,7 +85,8 @@ def check_p1p3_identity(delta: int, d: int, gamma: float) -> float:
     log_q = -math.log1p(gamma)
 
     def term(n: int, k: int) -> float:
-        return math.exp(log_binomial(n, k) + k * log_p + (n - k) * log_q)
+        log_c = float(binomial_log_row(n)[k])
+        return math.exp(log_c + k * log_p + (n - k) * log_q)
 
     signed = [term(delta, i) for i in range(d + 1)]
     signed.extend(-term(delta - 1, i) for i in range(d))

@@ -12,14 +12,12 @@ safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "NEG_INF",
-    "TruncatedBinomialProfile",
     "binomial_log_row",
     "binomial_pmf",
     "binomial_tail",
@@ -106,23 +104,6 @@ def log_odd_double_factorial(m: int) -> float:
     return math.lgamma(2 * k + 1) - k * _LN2 - math.lgamma(k + 1)
 
 
-@dataclass(frozen=True)
-class TruncatedBinomialProfile:
-    """Weight family w_i = gamma^i * C(delta, i) on out-degrees i in [0, cap].
-
-    Normalized by beta = 1 / sum(w_i) this is the shape a maximum-count
-    out-degree histogram takes on one side of a cut; the solver layer picks
-    gamma so the mean lands on the crossing-edge budget.
-    """
-
-    delta: int
-    cap: int
-    gamma: float
-
-    def __post_init__(self) -> None:
-        _check_profile(self.delta, self.cap, self.gamma)
-
-
 def _check_profile(delta: int, cap: int, gamma: float) -> None:
     if not isinstance(delta, int) or delta < 1:
         raise ValueError("delta must be a positive integer")
@@ -137,9 +118,8 @@ def truncated_log_moments(delta: int, cap: int, gamma: float) -> tuple[float, fl
 
     The sums run over i = 0..cap and are evaluated by scaling with the
     largest term, so the mean S1/S0 stays finite and accurate even when S0
-    itself would overflow (gamma up to ~1e6, delta up to ~1e4). Inputs get
-    the checks of :class:`TruncatedBinomialProfile` without building one,
-    since this is the solver's inner loop.
+    itself would overflow (gamma up to ~1e6, delta up to ~1e4). Inputs are
+    checked first: delta >= 1, cap in [0, delta], gamma finite and positive.
     """
     _check_profile(delta, cap, gamma)
     row = binomial_log_row(delta)

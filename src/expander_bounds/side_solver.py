@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import binomial_log_row, log_binomial, truncated_log_moments
+from .combinatorics import binomial_log_row, truncated_log_moments
 
 __all__ = [
     "BetaUnderflow",
     "InfeasibleTarget",
     "SideSolution",
-    "log_F",
     "profile_residuals",
     "solve_side",
     "target_mean",
@@ -262,24 +260,3 @@ def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
         log_beta=log_beta,
     )
 
-
-def log_F(svec: Sequence[int]) -> float:
-    """ln of prod_i C(delta, i)^{s_i} / s_i! for an out-degree count vector.
-
-    The vector length fixes delta = len(svec) - 1. This is the per-side
-    factor in the number of point configurations realizing the histogram
-    ``svec``; its maximizers over fixed totals are the truncated profiles the
-    solver produces.
-    """
-    counts = list(svec)
-    if not counts:
-        raise ValueError("svec must be non-empty")
-    delta = len(counts) - 1
-    terms = []
-    for i, s in enumerate(counts):
-        if not isinstance(s, int) or s < 0:
-            raise ValueError("svec entries must be non-negative integers")
-        if s == 0:
-            continue
-        terms.append(s * log_binomial(delta, i) - math.lgamma(s + 1))
-    return math.fsum(terms)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end via main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -14,8 +15,8 @@ from expander_bounds.graphlab import (
     brute_force_expansion,
     expansion_experiment,
     sample_pairing,
-    summary_to_csv,
 )
+from test_graphlab import SIMULATE_ARGV, SIMULATE_GOLDEN_CSV
 
 
 def run(capsys, *argv):
@@ -190,14 +191,16 @@ def test_trend_formats(capsys):
 
 
 def test_simulate_csv_matches_library(capsys):
-    code, out, _ = run(
-        capsys,
-        "simulate", "--delta", "3", "--n", "12", "--trials", "4",
-        "--seed", "99", "--restarts", "2", "--format", "csv",
-    )
+    code, out, _ = run(capsys, *SIMULATE_ARGV, "--format", "csv")
     assert code == 0
+    assert out == SIMULATE_GOLDEN_CSV
     summary = expansion_experiment(3, 12, trials=4, seed=99, restarts=2)
-    assert out == summary_to_csv(summary)
+    for r, line in zip(summary.records, out.splitlines()[1:], strict=True):
+        e = r.expansion
+        assert line.split(",") == [
+            str(x) for x in (r.index, 12, 3, e.numerator, e.denominator,
+                             r.d, r.d_prime, r.swaps, 2)
+        ]
 
 
 def test_simulate_text_summary(capsys):
@@ -232,13 +235,18 @@ def test_oracle_refuses_impossible_simple_graph(capsys):
 
 def test_margin_and_precision_validation(capsys):
     code, _, err = run(
-        capsys, "bound", "--delta", "6", "--eta", "0.5", "--margin", "-1"
+        capsys, "table", "--delta-min", "4", "--delta-max", "4", "--margin", "-1"
     )
     assert code == 2 and err.startswith("error:")
-    code, _, err = run(
-        capsys, "bound", "--delta", "6", "--eta", "0.5", "--precision", "0"
-    )
+    code, _, err = run(capsys, "trend", "--deltas", "6", "--precision", "0")
     assert code == 2 and err.startswith("error:")
+    # only table, trend and baseline read these; elsewhere they are not options
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--delta", "3", "--n", "8", "--margin", "1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--delta", "6", "--eta", "0.5", "--precision", "3"])
+    assert exc.value.code == 2
 
 
 def test_missing_arguments_exit_two():
@@ -251,3 +259,135 @@ def test_missing_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--delta", "3", "--n", "12"])
     assert exc.value.code == 2
+
+
+# Byte fingerprints of every command in every format, and of the error paths:
+# argv -> (exit code, sha256 of stdout, sha256 of stderr), each digest cut to
+# its first 16 hex digits (EMPTY is the digest of no output). Certificate
+# paths are relative to a scratch working directory holding the files
+# `_write_certificates` makes, so the bytes do not depend on where the test
+# runs.
+EMPTY = "e3b0c44298fc1c14"
+FINGERPRINTS = {
+    "table --delta-min 4 --delta-max 6": (0, "1a494df145ee7d90", EMPTY),
+    "table --delta-min 4 --delta-max 6 --format csv": (0, "7eb7b13e3025a6ae", EMPTY),
+    "table --delta-min 4 --delta-max 6 --format json": (0, "b4fd897801d5aabb", EMPTY),
+    "table --delta-min 7 --delta-max 7 --margin 1e-6 --precision 4":
+        (0, "ab7d33fc76da09e4", EMPTY),
+    "table --delta-min 7 --delta-max 7 --margin 1e-6 --precision 4 --format csv":
+        (0, "4885b3575b113049", EMPTY),
+    "table --delta-min 7 --delta-max 7 --margin 1e-6 --precision 4 --format json":
+        (0, "a0c63f48d86d59de", EMPTY),
+    "table --delta-min 3 --delta-max 3 --margin 10.0": (1, EMPTY, "4199959fac2d425a"),
+    "table --delta-min 3 --delta-max 3 --margin 10.0 --format json":
+        (1, EMPTY, "4199959fac2d425a"),
+    "table --delta-min 2 --delta-max 4 --format csv": (2, EMPTY, "c1e8daa428980c30"),
+    "table --delta-min 4 --delta-max 4 --margin -1": (2, EMPTY, "e7c36e7988d7a6d4"),
+    "table --delta-min 4 --delta-max 4 --margin 0 --format json":
+        (2, EMPTY, "e7c36e7988d7a6d4"),
+    "table --delta-min 4 --delta-max 4 --precision 0 --format csv":
+        (2, EMPTY, "12ba52bd19840fba"),
+    "table --delta-min 4": (2, EMPTY, "8c3af22fb9014ac8"),
+    "table --delta-min 4 --delta-max 6 --format xml": (2, EMPTY, "1159f8440e0cb9ea"),
+    "bound --delta 6 --eta 0.648": (0, "6256f73e1e258f11", EMPTY),
+    "bound --delta 6 --eta 0.648 --format csv": (0, "6b53c8456651b42b", EMPTY),
+    "bound --delta 6 --eta 0.648 --format json": (0, "9f4ae0b46f580272", EMPTY),
+    "bound --delta 6 --eta 0.64": (1, "27de91363fc9b354", EMPTY),
+    "bound --delta 6 --eta 0.64 --format csv": (1, "020030588f44af1f", EMPTY),
+    "bound --delta 6 --eta 0.64 --format json": (1, "f1d74b7d069db1c1", EMPTY),
+    "bound --delta 6 --eta 0.0": (1, "c064c262c98fba48", EMPTY),
+    "bound --delta 6 --eta 0.0 --format json": (1, "758b039b0c099927", EMPTY),
+    "bound --delta 1 --eta 0.5": (2, EMPTY, "e475a3300cd95692"),
+    "bound --delta 6 --eta 1.0 --format csv": (2, EMPTY, "b2c74031d595e7d8"),
+    "certify --file pass.json": (0, "b1cb13c038affdab", EMPTY),
+    "certify --file pass.json --format csv": (0, "15f20bdf4ab7dc07", EMPTY),
+    "certify --file pass.json --format json": (0, "fa5d75cf2f93eeff", EMPTY),
+    "certify --file tampered.json": (1, "8003cd199e8099c8", EMPTY),
+    "certify --file tampered.json --format csv": (1, "50e3ac7ee5a2de3d", EMPTY),
+    "certify --file tampered.json --format json": (1, "b6d01e57600b83e2", EMPTY),
+    "certify --file malformed.json": (1, "9a1e9a1027d811c4", EMPTY),
+    "certify --file malformed.json --format csv": (1, "9a1e9a1027d811c4", EMPTY),
+    "certify --file malformed.json --format json": (1, "9a1e9a1027d811c4", EMPTY),
+    "certify --file missing.json": (2, EMPTY, "db89591770eb12c5"),
+    "certify --file missing.json --format json": (2, EMPTY, "db89591770eb12c5"),
+    "baseline --delta 3": (0, "317e669d83bdcb4b", EMPTY),
+    "baseline --delta 3 --format csv": (0, "a0dca6b43f532080", EMPTY),
+    "baseline --delta 3 --format json": (0, "d062a1253020d76e", EMPTY),
+    "baseline --delta 9 --precision 5": (0, "5cf88923b816de61", EMPTY),
+    "baseline --delta 9 --precision 5 --format csv": (0, "53c4bb7a0ac96496", EMPTY),
+    "baseline --delta 9 --precision 5 --format json": (0, "8cf368004e1f2b0d", EMPTY),
+    "baseline --delta 2": (2, EMPTY, "bcc53a976dee0e47"),
+    "baseline --delta 9 --precision 0": (2, EMPTY, "12ba52bd19840fba"),
+    "trend --deltas 6 10": (0, "6ef5bf264b98b640", EMPTY),
+    "trend --deltas 6 10 --format csv": (0, "6b18c4a5203920db", EMPTY),
+    "trend --deltas 6 10 --format json": (0, "2f77c7c51660e76c", EMPTY),
+    "trend --deltas 8 --margin 1e-6 --precision 4": (0, "26284f520666e959", EMPTY),
+    "trend --deltas 8 --margin 1e-6 --precision 4 --format csv":
+        (0, "d6eeddb08e12e693", EMPTY),
+    "trend --deltas 8 --margin 1e-6 --precision 4 --format json":
+        (0, "9a7f44441a086120", EMPTY),
+    "trend --deltas 7": (2, EMPTY, "9b0e2ad2323eb223"),
+    "trend --deltas 6 --margin -1 --format csv": (2, EMPTY, "e7c36e7988d7a6d4"),
+    "trend --deltas 6 --precision 0": (2, EMPTY, "12ba52bd19840fba"),
+    "simulate --delta 3 --n 12 --trials 4 --seed 99 --restarts 2":
+        (0, "81c2d7a63a3db162", EMPTY),
+    "simulate --delta 3 --n 12 --trials 4 --seed 99 --restarts 2 --format csv":
+        (0, "2a6be0b505839c7e", EMPTY),
+    "simulate --delta 3 --n 12 --trials 4 --seed 99 --restarts 2 --format json":
+        (0, "d07c8de07abcd380", EMPTY),
+    "simulate --delta 4 --n 10 --trials 3 --seed 2 --simple"
+    " --tie-rule first-improvement":
+        (0, "0a9bde92193cc8bc", EMPTY),
+    "simulate --delta 4 --n 10 --trials 3 --seed 2 --simple"
+    " --tie-rule first-improvement --format csv":
+        (0, "b1bcf6602b71bfb1", EMPTY),
+    "simulate --delta 4 --n 10 --trials 3 --seed 2 --simple"
+    " --tie-rule first-improvement --format json":
+        (0, "d35b88733073e883", EMPTY),
+    "simulate --delta 2 --n 8 --trials 2 --seed 1": (0, "427cc402ed879b98", EMPTY),
+    "simulate --delta 2 --n 8 --trials 2 --seed 1 --format csv":
+        (0, "e3dc5866b75837b9", EMPTY),
+    "simulate --delta 2 --n 8 --trials 2 --seed 1 --format json":
+        (0, "0c72a08d673b5498", EMPTY),
+    "simulate --delta 3 --n 1 --trials 2": (2, EMPTY, "2043f9cbc95868cd"),
+    "oracle --delta 3 --n 8 --seed 1": (0, "78fa3ec061754756", EMPTY),
+    "oracle --delta 3 --n 8 --seed 1 --format csv": (0, "bdcf386f403c0b9d", EMPTY),
+    "oracle --delta 3 --n 8 --seed 1 --format json": (0, "b799deb1a4e258e9", EMPTY),
+    "oracle --delta 4 --n 7 --seed 3 --simple": (0, "3be6ee0cae4fd95c", EMPTY),
+    "oracle --delta 4 --n 7 --seed 3 --simple --format csv":
+        (0, "e3a886be12f662b2", EMPTY),
+    "oracle --delta 4 --n 7 --seed 3 --simple --format json":
+        (0, "735fdcfce2305eb4", EMPTY),
+    "oracle --delta 4 --n 4 --simple": (2, EMPTY, "2746a028d50d4ce3"),
+    "oracle --delta 3 --n 30 --format json": (2, EMPTY, "fca974b96e19bb05"),
+}
+
+
+def _write_certificates(directory):
+    text = certificate_to_json(min_eta(5))
+    (directory / "pass.json").write_text(text, encoding="utf-8")
+    doc = json.loads(text)
+    doc["expansion_bound"] = "1.2500000000000000e+00"
+    (directory / "tampered.json").write_text(json.dumps(doc), encoding="utf-8")
+    (directory / "malformed.json").write_text("{not json", encoding="utf-8")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _fingerprint(capsys, argv):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, _digest(captured.out), _digest(captured.err)
+
+
+def test_stdout_fingerprints(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    _write_certificates(tmp_path)
+    got = {argv: _fingerprint(capsys, argv) for argv in FINGERPRINTS}
+    assert got == FINGERPRINTS

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expander_bounds import (
-    TruncatedBinomialProfile,
     binomial_log_row,
     binomial_pmf,
     binomial_tail,
@@ -100,15 +99,15 @@ def test_log_odd_double_factorial_rejects_bad_input():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        TruncatedBinomialProfile(0, 0, 1.0)
+        truncated_log_moments(0, 0, 1.0)
     with pytest.raises(ValueError):
-        TruncatedBinomialProfile(4, 5, 1.0)
+        truncated_log_moments(4, 5, 1.0)
     with pytest.raises(ValueError):
-        TruncatedBinomialProfile(4, -1, 1.0)
+        truncated_log_moments(4, -1, 1.0)
     with pytest.raises(ValueError):
-        TruncatedBinomialProfile(4, 2, 0.0)
+        truncated_log_moments(4, 2, 0.0)
     with pytest.raises(ValueError):
-        TruncatedBinomialProfile(4, 2, math.inf)
+        truncated_log_moments(4, 2, math.inf)
 
 
 def test_truncated_moments_exact_rational_oracle():

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from expander_bounds import graphlab
+from expander_bounds.cli import main
 from expander_bounds.graphlab import (
     BEST_IMPROVEMENT,
     FIRST_IMPROVEMENT,
@@ -28,9 +29,6 @@ from expander_bounds.graphlab import (
     log_config_prob,
     sample_out_degree_configurations,
     sample_pairing,
-    summary_lines,
-    summary_to_csv,
-    swap_delta,
 )
 
 C8_EDGES = [(i, (i + 1) % 8) for i in range(8)]
@@ -55,6 +53,29 @@ def _adjacency(g: RegularMultigraph) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def swap_delta(state: CutState, u: int, v: int) -> int:
+    """Reference: exact cut change if u (inside S) and v (outside) trade sides.
+
+    2*delta - 2*out(u) - 2*out(v) - 2*loops(u) - 2*loops(v) + 2*mult(u, v):
+    internal edges of each swapped vertex start crossing, crossing ones stop,
+    loops never cross, and each parallel u-v edge crosses both before and
+    after (the -2 counted for each endpoint is returned as +2m).
+    """
+    graph = state.graph
+    if not 0 <= u < graph.n or not 0 <= v < graph.n:
+        raise ValueError("vertex id out of range")
+    if not state.membership[u]:
+        raise ValueError(f"vertex {u} is not in S")
+    if state.membership[v]:
+        raise ValueError(f"vertex {v} is in S")
+    return (
+        2 * graph.delta
+        - 2 * (state.out_degrees[u] + graph.loops(u))
+        - 2 * (state.out_degrees[v] + graph.loops(v))
+        + 2 * graph.multiplicity(u, v)
+    )
+
+
 def test_derive_seed_pins():
     assert derive_seed(0, 0) == 13787848793156543929
     assert derive_seed(424242, 1) == 8676182475379700876
@@ -65,10 +86,10 @@ def test_derive_seed_pins():
 def test_out_degree_vector():
     v = OutDegreeVector((2, 0, 3))
     assert v.delta == 2
-    assert v.total == 5
-    assert v.weighted_total == 6
+    assert v.counts == (2, 0, 3)
+    assert sum(v.counts) == 5  # vertices counted
+    assert sum(i * c for i, c in enumerate(v.counts)) == 6  # crossing endpoints
     assert v.max_out_degree == 2
-    assert v[1] == 0 and len(v) == 3 and list(v) == [2, 0, 3]
     assert OutDegreeVector((4,)).max_out_degree == 0
     with pytest.raises(ValueError):
         OutDegreeVector(())
@@ -506,16 +527,27 @@ def test_sampler_is_uniform_over_matchings(case, delta, n):
     assert chi2 < _CHI2_CRIT[k - 1]
 
 
-def test_expansion_experiment_golden_csv():
+SIMULATE_ARGV = ["simulate", "--delta", "3", "--n", "12", "--trials", "4",
+                 "--seed", "99", "--restarts", "2"]
+SIMULATE_GOLDEN_CSV = (
+    "trial,n,delta,best_expansion_num,best_expansion_den,d,d_prime,swaps,restarts\n"
+    "0,12,3,2,3,2,2,1,2\n"
+    "1,12,3,2,3,2,1,1,2\n"
+    "2,12,3,2,3,2,1,2,2\n"
+    "3,12,3,1,3,1,1,1,2\n"
+)
+
+
+def _simulate_stdout(capsys, argv) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_expansion_experiment_golden_csv(capsys):
     summary = expansion_experiment(3, 12, trials=4, seed=99, restarts=2)
-    golden = (
-        "trial,n,delta,best_expansion_num,best_expansion_den,d,d_prime,swaps,restarts\n"
-        "0,12,3,2,3,2,2,1,2\n"
-        "1,12,3,2,3,2,1,1,2\n"
-        "2,12,3,2,3,2,1,2,2\n"
-        "3,12,3,1,3,1,1,1,2\n"
-    )
-    assert summary_to_csv(summary) == golden
+    assert [(r.cut, r.size_s, r.d, r.d_prime, r.swaps) for r in summary.records] == [
+        (4, 6, 2, 2, 1), (4, 6, 2, 1, 1), (4, 6, 2, 1, 2), (2, 6, 1, 1, 1),
+    ]
     assert summary.min_expansion == Fraction(1, 3)
     assert summary.mean_expansion == 0.5833333333333334
     assert summary.frac_caps_within_delta == 0.75
@@ -523,19 +555,40 @@ def test_expansion_experiment_golden_csv():
     assert summary.certified_bound == 0.1875
     assert summary.flagged_trials == ()
     # determinism end to end
-    again = expansion_experiment(3, 12, trials=4, seed=99, restarts=2)
-    assert summary_to_csv(again) == golden
-    lines = summary_lines(summary)
+    assert expansion_experiment(3, 12, trials=4, seed=99, restarts=2) == summary
+    csv_argv = SIMULATE_ARGV + ["--format", "csv"]
+    assert _simulate_stdout(capsys, csv_argv) == SIMULATE_GOLDEN_CSV
+    assert _simulate_stdout(capsys, csv_argv) == SIMULATE_GOLDEN_CSV
+    lines = _simulate_stdout(capsys, SIMULATE_ARGV).splitlines()
     assert lines[0].startswith("# expansion experiment delta=3 n=12 trials=4")
     assert lines[-1] == "summary: certified_bound=0.187500 met_in=1.000 flagged=[]"
 
 
-def test_expansion_experiment_without_certificate():
+def test_expansion_experiment_without_certificate(capsys):
     summary = expansion_experiment(2, 8, trials=1, seed=1)
     assert summary.certified_bound is None
     assert summary.frac_meeting_bound is None
     assert summary.flagged_trials == ()
-    assert summary_lines(summary)[-1] == "summary: no certified bound for this degree"
+    argv = ["simulate", "--delta", "2", "--n", "8", "--trials", "1", "--seed", "1"]
+    last = _simulate_stdout(capsys, argv).splitlines()[-1]
+    assert last == "summary: no certified bound for this degree"
+
+
+def test_expansion_experiment_accepts_multigraph_local_optima(capsys):
+    # Trial 1 ends with d = 4, d' = 3 (delta + 2) at two vertices joined by a
+    # double edge, so swapping them gains nothing and the state is a local
+    # optimum; a d + d' <= delta + 1 check rejected it.
+    summary = expansion_experiment(5, 6, trials=5, seed=5)
+    assert (summary.records[1].d, summary.records[1].d_prime) == (4, 3)
+    argv = ["simulate", "--delta", "5", "--n", "6", "--trials", "5", "--seed", "5"]
+    assert _simulate_stdout(capsys, argv).startswith("# expansion experiment delta=5")
+
+
+def test_expansion_experiment_raises_on_an_improvable_descent(monkeypatch):
+    # A descent that stops early is caught by the exact optimality check.
+    monkeypatch.setattr(graphlab, "local_descent", lambda state, **kwargs: state)
+    with pytest.raises(RuntimeError, match="not locally optimal"):
+        expansion_experiment(3, 12, trials=1, seed=0)
 
 
 def test_expansion_experiment_validation():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from expander_bounds import (
     BetaUnderflow,
     InfeasibleTarget,
-    log_F,
+    log_binomial,
     profile_residuals,
     side_solver,
     solve_side,
@@ -215,6 +215,26 @@ def test_profile_residuals_validation():
         profile_residuals(4, 2, 0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         profile_residuals(4, 2, 0.5, 0.5, -1.0)
+
+
+def log_F(svec) -> float:
+    """Reference: ln of prod_i C(delta, i)^{s_i} / s_i! with delta = len(svec) - 1.
+
+    The per-side factor in the number of point configurations realizing the
+    out-degree count vector ``svec``; its maximizers over fixed totals are
+    the truncated profiles the solver produces.
+    """
+    counts = list(svec)
+    if not counts:
+        raise ValueError("svec must be non-empty")
+    delta = len(counts) - 1
+    terms = []
+    for i, s in enumerate(counts):
+        if not isinstance(s, int) or s < 0:
+            raise ValueError("svec entries must be non-negative integers")
+        if s:
+            terms.append(s * log_binomial(delta, i) - math.lgamma(s + 1))
+    return math.fsum(terms)
 
 
 def test_log_F_small_exact():
