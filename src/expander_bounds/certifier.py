@@ -43,6 +43,7 @@ __all__ = [
     "bound_rhs",
     "build_table",
     "certificate_from_json",
+    "certificate_to_dict",
     "certificate_to_json",
     "evaluate_pairs",
     "feasible_pairs",
@@ -504,7 +505,8 @@ def _side_to_dict(side: SideSolution) -> dict:
     }
 
 
-def certificate_to_json(cert: BoundCertificate) -> str:
+def certificate_to_dict(cert: BoundCertificate) -> dict:
+    """The `cert-v1` document of a certificate, before JSON encoding."""
     pairs = []
     for pb in cert.pair_bounds:
         entry: dict = {
@@ -518,7 +520,7 @@ def certificate_to_json(cert: BoundCertificate) -> str:
             entry["side"] = _side_to_dict(pb.side)
             entry["side_prime"] = _side_to_dict(pb.side_prime)
         pairs.append(entry)
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "delta": cert.delta,
         "eta": _fmt(cert.eta),
@@ -528,7 +530,10 @@ def certificate_to_json(cert: BoundCertificate) -> str:
         "baseline_bound": _fmt(cert.baseline_bound),
         "pair_bounds": pairs,
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def certificate_to_json(cert: BoundCertificate) -> str:
+    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
 
 
 def _need(doc: dict, key: str, kind, where: str):

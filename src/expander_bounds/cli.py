@@ -28,7 +28,7 @@ from .certifier import (
     bollobas_eta,
     build_table,
     certificate_from_json,
-    certificate_to_json,
+    certificate_to_dict,
     evaluate_pairs,
     verify_certificate,
 )
@@ -117,7 +117,7 @@ def _flag(b: bool) -> str:
 def _cmd_table(args: argparse.Namespace) -> _Result:
     prec = args.precision
     certs = build_table(args.delta_min, args.delta_max, args.margin, prec)
-    docs = [json.loads(certificate_to_json(c)) for c in certs]
+    docs = [certificate_to_dict(c) for c in certs]
     rows = [["delta", "eta", "bound", "baseline_eta", "baseline_bound", "d", "d_prime",
              "vacuous", "rhs", "beta", "gamma", "beta_prime", "gamma_prime"]]
     lines = [

@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
+from operator import eq
 
 from .combinatorics import log_binomial, log_odd_double_factorial
 
@@ -76,65 +78,114 @@ class OutDegreeVector:
         return 0
 
 
-@dataclass(frozen=True)
+# Templates that `*` and slicing copy into fresh arrays, faster than array().
+_UNMATCHED = array("q", [-1])
+_ZERO = array("q", [0])
+
+
 class RegularMultigraph:
     """delta-regular multigraph on n vertices realized by a point pairing.
 
-    `pairing` is the canonical matching on points {0..delta*n-1}: each pair
-    stored (low, high), pairs sorted. Adjacency structures are derived on
-    construction and validated against the regularity contract.
+    The pairing is held flat: `_partner[q]` is the point matched with point
+    q, and point q belongs to vertex q // delta. The adjacency is derived
+    from it once, in CSR form: vertex v's distinct neighbours other than v
+    are `_nbrs[_offsets[v]:_offsets[v + 1]]`, ascending, with their edge
+    multiplicities at the same positions of `_mults`, and `_loops[v]` counts
+    its loops. Each row is built by sorting v's delta partner vertices and
+    run-length encoding them.
+
+    `pairing` is the canonical matching (pairs stored (low, high), sorted),
+    derived on demand from the partner array and not cached. Every
+    construction validates the pairing: points in range, none in two pairs,
+    every point covered. Vertex v owns the delta points v*delta ..
+    v*delta + delta - 1, so coverage makes every degree delta. Instances
+    are immutable.
     """
 
-    delta: int
-    n: int
-    pairing: tuple[tuple[int, int], ...]
-    _items: tuple = field(init=False, repr=False, compare=False)
-    _nloops: tuple = field(init=False, repr=False, compare=False)
-    _mult: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("delta", "n", "_partner", "_loops", "_offsets", "_nbrs", "_mults")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.delta, int) or self.delta < 1:
-            raise ValueError("delta must be a positive integer")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        num_points = self.delta * self.n
-        if num_points % 2 != 0:
-            raise ValueError("delta * n must be even")
-        canon = tuple(
-            sorted((a, b) if a < b else (b, a) for a, b in self.pairing)
-        )
-        object.__setattr__(self, "pairing", canon)
-        seen = [False] * num_points
-        for a, b in canon:
-            for q in (a, b):
-                if not 0 <= q < num_points:
-                    raise ValueError(f"point {q} out of range")
-                if seen[q]:
+    def __init__(self, delta: int, n: int, pairing) -> None:
+        """Graph of an explicit pairing, an iterable of (a, b) point pairs."""
+        num_points = _num_points(delta, n)
+        partner = _UNMATCHED * num_points
+        for a, b in pairing:
+            if not (0 <= a < num_points and 0 <= b < num_points):
+                raise ValueError(f"pair {(a, b)} has a point out of range")
+            for q, p in ((a, b), (b, a)):
+                if partner[q] >= 0:
                     raise ValueError(f"point {q} appears in two pairs")
-                seen[q] = True
-        if len(canon) * 2 != num_points:
+                partner[q] = p
+        if -1 in partner:
             raise ValueError("pairing must cover every point exactly once")
+        self._index(delta, n, partner)
 
-        mult: dict[tuple[int, int], int] = {}
-        nloops = [0] * self.n
-        for a, b in canon:
-            va, vb = a // self.delta, b // self.delta
-            if va == vb:
-                nloops[va] += 1
-            key = (va, vb) if va < vb else (vb, va)
-            mult[key] = mult.get(key, 0) + 1
-        items: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for (va, vb), m in sorted(mult.items()):
-            if va != vb:
-                items[va].append((vb, m))
-                items[vb].append((va, m))
-        object.__setattr__(self, "_mult", mult)
-        object.__setattr__(self, "_nloops", tuple(nloops))
-        object.__setattr__(self, "_items", tuple(tuple(row) for row in items))
-        for v in range(self.n):
-            deg = 2 * nloops[v] + sum(m for _, m in items[v])
-            if deg != self.delta:
-                raise ValueError(f"vertex {v} has degree {deg}, expected {self.delta}")
+    @classmethod
+    def _from_partner(cls, delta: int, n: int, partner: array) -> "RegularMultigraph":
+        """Graph of a partner-of-point array, validated as a fixed-point-free
+        involution on the delta * n points."""
+        num_points = _num_points(delta, n)
+        points = range(num_points)
+        if len(partner) != num_points:
+            raise ValueError("pairing must cover every point exactly once")
+        # An entry past the end raises IndexError here. A negative entry
+        # partner[q] = -k fails the check: it needs partner[num_points - k]
+        # == q, and the check at num_points - k then reads -k, not itself.
+        try:
+            involution = all(map(eq, map(partner.__getitem__, partner), points))
+        except IndexError:
+            raise ValueError("partner point out of range") from None
+        if not involution or any(map(eq, partner, points)):
+            raise ValueError("a point appears in two pairs")
+        graph = cls.__new__(cls)
+        graph._index(delta, n, partner)
+        return graph
+
+    def _index(self, delta: int, n: int, partner: array) -> None:
+        vertex = delta.__rfloordiv__  # point -> its vertex
+        loops = _ZERO * n
+        offsets = _ZERO * (n + 1)
+        nbrs = _ZERO[:0]
+        mults = _ZERO[:0]
+        add_nbr, add_mult = nbrs.append, mults.append
+        for v in range(n):
+            lo = v * delta
+            row = sorted(map(vertex, partner[lo : lo + delta]))
+            own = row.count(v)  # both points of each loop
+            if own:
+                loops[v] = own // 2
+                i = row.index(v)
+                del row[i : i + own]
+            prev = -1
+            for w in row:
+                if w != prev:
+                    add_nbr(w)
+                    add_mult(1)
+                    prev = w
+                else:
+                    mults[-1] += 1
+            offsets[v + 1] = len(nbrs)
+        init = object.__setattr__
+        init(self, "delta", delta)
+        init(self, "n", n)
+        init(self, "_partner", partner)
+        init(self, "_loops", loops)
+        init(self, "_offsets", offsets)
+        init(self, "_nbrs", nbrs)
+        init(self, "_mults", mults)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RegularMultigraph):
+            return NotImplemented
+        return (self.delta, self.n, self._partner) == (other.delta, other.n, other._partner)
+
+    def __hash__(self) -> int:
+        return hash((self.delta, self.n, self._partner.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"RegularMultigraph(delta={self.delta}, n={self.n}, pairing={self.pairing!r})"
 
     @classmethod
     def from_edges(cls, delta: int, n: int, edges) -> "RegularMultigraph":
@@ -158,63 +209,96 @@ class RegularMultigraph:
         return graph
 
     @property
+    def pairing(self) -> tuple[tuple[int, int], ...]:
+        """The canonical matching, rebuilt from the partner array on each access."""
+        return tuple((q, p) for q, p in enumerate(self._partner) if q < p)
+
+    @property
     def num_edges(self) -> int:
         return self.delta * self.n // 2
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of u-v edges (loop count when u == v)."""
-        key = (u, v) if u <= v else (v, u)
-        return self._mult.get(key, 0)
+        if u == v:
+            return self._loops[u]
+        hi = self._offsets[u + 1]
+        i = bisect_left(self._nbrs, v, self._offsets[u], hi)
+        return self._mults[i] if i < hi and self._nbrs[i] == v else 0
 
     def loops(self, v: int) -> int:
-        return self._nloops[v]
+        return self._loops[v]
 
     def neighbor_items(self, v: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, multiplicity) pairs, neighbors distinct and != v, ascending."""
-        return self._items[v]
+        lo, hi = self._offsets[v], self._offsets[v + 1]
+        return tuple(zip(self._nbrs[lo:hi], self._mults[lo:hi]))
 
     @property
     def is_simple(self) -> bool:
-        return all(l == 0 for l in self._nloops) and all(
-            m == 1 for (a, b), m in self._mult.items() if a != b
-        )
+        return _rows_simple(self.delta, self.n, self._partner)
 
 
-def _raw_matching(rng: random.Random, num_points: int) -> list[tuple[int, int]]:
-    """Uniform perfect matching: repeatedly pair the lowest unmatched point
-    with a uniformly random other unmatched point."""
-    pool = list(range(num_points))
-    where = list(range(num_points))
+def _num_points(delta: int, n: int) -> int:
+    if not isinstance(delta, int) or delta < 1:
+        raise ValueError("delta must be a positive integer")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive integer")
+    if (delta * n) % 2 != 0:
+        raise ValueError("delta * n must be even")
+    return delta * n
 
-    def remove(p: int) -> None:
-        i = where[p]
-        last = pool[-1]
-        pool[i] = last
-        where[last] = i
-        pool.pop()
-        where[p] = -1
 
-    pairs = []
+_LIST_POOL_POINTS = 1 << 16
+
+
+def _raw_matching(rng: random.Random, num_points: int) -> array:
+    """Uniform perfect matching as a partner-of-point array: repeatedly pair
+    the lowest unmatched point with a uniformly random other unmatched point.
+
+    `pool` holds the unmatched points and `where[p]` the index of p in it;
+    a point leaves the pool by moving the last entry into its slot. The
+    partner array doubles as the record of which points are matched.
+    `pool` and `where` are lists up to _LIST_POOL_POINTS points, where they
+    index faster, and arrays beyond, where they hold a point in 8 bytes
+    instead of about 36.
+    """
+    if num_points <= _LIST_POOL_POINTS:
+        pool = list(range(num_points))
+    else:
+        pool = array("q", range(num_points))
+    where = pool[:]
+    partner = _UNMATCHED * num_points
+    randrange = rng.randrange
+    pop = pool.pop
     for low in range(num_points):
-        if where[low] < 0:
+        if partner[low] >= 0:
             continue
-        remove(low)
-        partner = pool[rng.randrange(len(pool))]
-        remove(partner)
-        pairs.append((low, partner))
-    return pairs
+        last = pop()
+        if last != low:
+            i = where[low]
+            pool[i] = last
+            where[last] = i
+        j = randrange(len(pool))
+        p = pool[j]
+        last = pop()
+        if last != p:
+            pool[j] = last
+            where[last] = j
+        partner[low] = p
+        partner[p] = low
+    return partner
 
 
-def _pairs_simple(delta: int, pairs) -> bool:
-    seen = set()
-    for a, b in pairs:
-        va, vb = a // delta, b // delta
-        if va == vb:
+def _rows_simple(delta: int, n: int, partner: array) -> bool:
+    """True iff no vertex's row of delta partner vertices holds the vertex
+    itself (a loop) or a repeat (a parallel edge). Stops at the first bad
+    row, so a rejected pairing is not indexed."""
+    vertex = delta.__rfloordiv__
+    for v in range(n):
+        lo = v * delta
+        row = set(map(vertex, partner[lo : lo + delta]))
+        if len(row) < delta or v in row:
             return False
-        key = (va, vb) if va < vb else (vb, va)
-        if key in seen:
-            return False
-        seen.add(key)
     return True
 
 
@@ -232,21 +316,16 @@ def sample_pairing(
     delta, so rejection terminates quickly in practice). A simple graph
     needs delta <= n - 1; asking for one beyond that raises ValueError.
     """
-    if not isinstance(delta, int) or delta < 1:
-        raise ValueError("delta must be a positive integer")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if (delta * n) % 2 != 0:
-        raise ValueError("delta * n must be even")
+    num_points = _num_points(delta, n)
     if simple_only and delta > n - 1:
         raise ValueError(
             f"no simple {delta}-regular graph has {n} vertices (needs delta <= n - 1)"
         )
     rng = random.Random(seed)
     for _ in range(_SIMPLE_ATTEMPT_LIMIT):
-        pairs = _raw_matching(rng, delta * n)
-        if not simple_only or _pairs_simple(delta, pairs):
-            return RegularMultigraph(delta, n, tuple(pairs))
+        partner = _raw_matching(rng, num_points)
+        if not simple_only or _rows_simple(delta, n, partner):
+            return RegularMultigraph._from_partner(delta, n, partner)
     raise RuntimeError(
         f"no simple graph found in {_SIMPLE_ATTEMPT_LIMIT} attempts "
         f"(delta={delta}, n={n})"
@@ -326,17 +405,19 @@ def cut_state(graph: RegularMultigraph, membership) -> CutState:
 
     membership is a length-n boolean sequence or a set of vertex ids. A
     crossing edge is a pairing pair whose endpoints' vertices sit on opposite
-    sides; loops never cross.
+    sides; loops never cross. Walks the partner array once.
     """
     member = _normalize_membership(graph, membership)
+    delta = graph.delta
     out = [0] * graph.n
     cut = 0
-    for a, b in graph.pairing:
-        va, vb = a // graph.delta, b // graph.delta
-        if member[va] != member[vb]:
-            cut += 1
-            out[va] += 1
-            out[vb] += 1
+    for a, b in enumerate(graph._partner):
+        if a < b:
+            va, vb = a // delta, b // delta
+            if member[va] != member[vb]:
+                cut += 1
+                out[va] += 1
+                out[vb] += 1
     return _state_from_arrays(graph, member, out, cut)
 
 
@@ -349,7 +430,7 @@ def _buckets(graph: RegularMultigraph, member: list[bool], out: list[int]) -> _B
     buckets[member[w]][score(w)] holds w, each group ascending, so index
     True is S and False its complement; scores lie in 0..delta.
     """
-    loops = graph._nloops
+    loops = graph._loops
     buckets = tuple([[] for _ in range(graph.delta + 1)] for _ in range(2))
     for w in range(graph.n):
         buckets[member[w]][out[w] + loops[w]].append(w)
@@ -364,20 +445,31 @@ def _apply_swap(
     u: int,
     v: int,
 ) -> None:
-    """Move u out of S and v into it, then refresh the out-degree and bucket
-    of the at most 2*delta + 2 vertices that can change (u, v and their
-    neighbours): O(delta) to recount each, plus a bisect in its bucket."""
-    loops = graph._nloops
-    affected = {u, v}
-    affected.update(w for w, _ in graph.neighbor_items(u))
-    affected.update(w for w, _ in graph.neighbor_items(v))
-    before = [(w, member[w], out[w]) for w in affected]
+    """Move u out of S and v into it, then update the out-degree and bucket
+    of the vertices that change (u, v and their neighbours).
+
+    Every u-w and v-w edge with w outside {u, v} flips between crossing and
+    internal, so w's out-degree moves by the edge's multiplicity. The u-v
+    edges cross before and after, and each of u's other non-loop edges
+    flips, so u's out-degree becomes delta - 2*loops(u) - out(u) +
+    mult(u, v); likewise for v. O(delta) work plus a bisect per moved vertex.
+    """
+    loops, offsets, nbrs, mults = graph._loops, graph._offsets, graph._nbrs, graph._mults
+    m_uv = graph.multiplicity(u, v)
+    before = {u: (True, out[u]), v: (False, out[v])}
+    for x, was in ((u, True), (v, False)):
+        lo, hi = offsets[x], offsets[x + 1]
+        for w, m in zip(nbrs[lo:hi], mults[lo:hi]):
+            if w == u or w == v:
+                continue
+            if w not in before:
+                before[w] = (member[w], out[w])
+            # internal before (w on x's old side) and crossing after, or back
+            out[w] += m if member[w] == was else -m
+        out[x] = graph.delta - 2 * loops[x] - out[x] + m_uv
     member[u] = False
     member[v] = True
-    for w, side, old in before:
-        out[w] = sum(
-            m for x, m in graph.neighbor_items(w) if member[x] != member[w]
-        )
+    for w, (side, old) in before.items():
         if member[w] != side or out[w] != old:
             group = buckets[side][old + loops[w]]
             del group[bisect_left(group, w)]
@@ -477,7 +569,7 @@ def _select_first(
     call whatever n is.
     """
     delta = graph.delta
-    loops = graph._nloops
+    loops = graph._loops
     inside, outside = buckets[True], buckets[False]
     top = max((b for b in range(delta + 1) if outside[b]), default=0)
     for u in merge(*inside[delta + 1 - top :]):
@@ -551,7 +643,7 @@ def _no_improving_swap(state: CutState) -> bool:
     """
     graph = state.graph
     member = state.membership
-    score = [o + k for o, k in zip(state.out_degrees, graph._nloops)]
+    score = [o + k for o, k in zip(state.out_degrees, graph._loops)]
     at_least = [0] * (graph.delta + 2)  # outside vertices with score >= s
     for w in range(graph.n):
         if not member[w]:
@@ -593,6 +685,9 @@ def brute_force_expansion(graph: RegularMultigraph) -> tuple[Fraction, tuple[int
             f"n={n} exceeds the exhaustive limit {_BRUTE_FORCE_LIMIT}; "
             "use local_descent over sampled starts instead"
         )
+    rows = [graph.neighbor_items(v) for v in range(n)]
+    # non-loop edge endpoints of each vertex: crossing + internal
+    spans = [graph.delta - 2 * graph.loops(v) for v in range(n)]
     member = [False] * n
     cut = 0
     size = 0
@@ -603,11 +698,9 @@ def brute_force_expansion(graph: RegularMultigraph) -> tuple[Fraction, tuple[int
         w = (k & -k).bit_length() - 1
         # Flipping w turns its crossing edges internal and vice versa
         # (loops never cross either way).
-        crossing = sum(
-            m for x, m in graph.neighbor_items(w) if member[x] != member[w]
-        )
-        internal = graph.delta - 2 * graph.loops(w) - crossing
-        cut += internal - crossing
+        side = member[w]
+        crossing = sum(m for x, m in rows[w] if member[x] != side)
+        cut += spans[w] - 2 * crossing
         member[w] = not member[w]
         size += 1 if member[w] else -1
         if not 1 <= size <= half:
@@ -678,7 +771,10 @@ def sample_out_degree_configurations(
     """Tally (svec, svec_prime) over seeded pairings with S = {0..size_s-1}.
 
     A lean Monte-Carlo loop for validating log_config_prob: works on raw
-    matchings without building graph objects.
+    partner arrays without building graph objects, and reads only the points
+    of S, since every crossing pair has exactly one point there. Trials are
+    counted by out-degree vector, and each distinct vector is turned into its
+    histograms once at the end.
     """
     if not 0 <= size_s <= n:
         raise ValueError("size_s must lie in [0, n]")
@@ -687,13 +783,19 @@ def sample_out_degree_configurations(
     rng = random.Random(seed)
     boundary = size_s * delta
     num_points = delta * n
-    tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    by_out: dict[tuple[int, ...], int] = {}
     for _ in range(trials):
         out = [0] * n
-        for a, b in _raw_matching(rng, num_points):
-            if (a < boundary) != (b < boundary):
+        partner = _raw_matching(rng, num_points)
+        for a in range(boundary):
+            b = partner[a]
+            if b >= boundary:
                 out[a // delta] += 1
                 out[b // delta] += 1
+        key = tuple(out)
+        by_out[key] = by_out.get(key, 0) + 1
+    tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for out, count in by_out.items():
         hist_s = [0] * (delta + 1)
         hist_c = [0] * (delta + 1)
         for v in range(size_s):
@@ -701,7 +803,7 @@ def sample_out_degree_configurations(
         for v in range(size_s, n):
             hist_c[out[v]] += 1
         key = (tuple(hist_s), tuple(hist_c))
-        tally[key] = tally.get(key, 0) + 1
+        tally[key] = tally.get(key, 0) + count
     return tally
 
 

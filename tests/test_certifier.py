@@ -19,6 +19,7 @@ from expander_bounds import (
     bound_rhs,
     build_table,
     certificate_from_json,
+    certificate_to_dict,
     certificate_to_json,
     certifier,
     feasible_pairs,
@@ -214,6 +215,15 @@ def test_json_round_trip_is_byte_identical():
     assert text == again
     assert text.endswith("\n")
     assert verify_certificate(certificate_from_json(text)).passed
+
+
+def test_certificate_dict_is_the_json_document():
+    # the CLI renders the dict directly; it must be what the JSON text parses to
+    for delta in (4, 8):
+        cert = min_eta(delta, margin=TIGHT)
+        doc = certificate_to_dict(cert)
+        assert doc == json.loads(certificate_to_json(cert))
+        assert json.dumps(doc, indent=2) + "\n" == certificate_to_json(cert)
 
 
 def test_round_trip_preserves_every_numeric_field():

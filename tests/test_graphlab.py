@@ -5,9 +5,12 @@ chi-square goodness-of-fit at the 0.999 level against 1e5 seeded samples;
 the critical values are fixed constants so the test needs no stats library.
 """
 
+import hashlib
 import itertools
 import math
 import random
+import tracemalloc
+from array import array
 from collections import defaultdict
 from fractions import Fraction
 
@@ -51,6 +54,51 @@ def _adjacency(g: RegularMultigraph) -> tuple[tuple[int, ...], ...]:
             row.extend([w] * m)
         rows.append(tuple(sorted(row)))
     return tuple(rows)
+
+
+def _reference_adjacency(delta: int, n: int, pairing):
+    """Reference: the dict-and-tuple adjacency graphs were once stored as.
+
+    Returns (canonical pairing, multiplicity dict keyed by (low, high) vertex
+    pairs with loops under (v, v), loop counts, per-vertex ascending
+    (neighbour, multiplicity) tuples without the vertex itself).
+    """
+    canon = tuple(sorted((a, b) if a < b else (b, a) for a, b in pairing))
+    mult: dict[tuple[int, int], int] = {}
+    nloops = [0] * n
+    for a, b in canon:
+        va, vb = a // delta, b // delta
+        if va == vb:
+            nloops[va] += 1
+        key = (va, vb) if va < vb else (vb, va)
+        mult[key] = mult.get(key, 0) + 1
+    items: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (va, vb), m in sorted(mult.items()):
+        if va != vb:
+            items[va].append((vb, m))
+            items[vb].append((va, m))
+    return canon, mult, tuple(nloops), tuple(tuple(row) for row in items)
+
+
+def _assert_layout_matches_reference(g: RegularMultigraph, rng: random.Random) -> None:
+    canon, mult, nloops, items = _reference_adjacency(g.delta, g.n, g.pairing)
+    assert g.pairing == canon
+    assert g.num_edges == len(canon)
+    assert g.is_simple == (
+        not any(nloops) and all(m == 1 for (a, b), m in mult.items() if a != b)
+    )
+    for v in range(g.n):
+        assert g.neighbor_items(v) == items[v]
+        assert g.loops(v) == nloops[v]
+        assert g.multiplicity(v, v) == mult.get((v, v), 0) == nloops[v]
+        for w, m in items[v]:
+            assert g.multiplicity(v, w) == g.multiplicity(w, v) == m
+        for w in rng.sample(range(g.n), min(g.n, 4)):  # mostly non-adjacent
+            key = (v, w) if v <= w else (w, v)
+            assert g.multiplicity(v, w) == mult.get(key, 0)
+    # the graph equals its rebuild from the pairing, and hashes alike
+    again = RegularMultigraph(g.delta, g.n, canon[::-1])
+    assert again == g and hash(again) == hash(g)
 
 
 def swap_delta(state: CutState, u: int, v: int) -> int:
@@ -141,6 +189,109 @@ def test_construction_validation():
     # pairing order is canonicalized
     g = RegularMultigraph(1, 4, ((3, 2), (1, 0)))
     assert g.pairing == ((0, 1), (2, 3))
+
+
+def test_layout_matches_reference_on_sampled_graphs():
+    rng = random.Random(20261018)
+    simple = seen_loops = seen_parallel = 0
+    prev = RegularMultigraph(1, 2, ((0, 1),))
+    for i in range(240):
+        # every third graph is rejection-sampled to simple, at degrees where
+        # that takes few attempts
+        delta = rng.randint(1, 4 if i % 3 == 0 else 12)
+        n = rng.randint(1, 400) if i % 4 else rng.randint(1, 12)
+        n += (delta * n) % 2
+        simple_only = i % 3 == 0 and delta <= n - 1
+        g = sample_pairing(delta, n, seed=rng.randrange(1 << 32), simple_only=simple_only)
+        assert g.is_simple or not simple_only
+        _assert_layout_matches_reference(g, rng)
+        simple += simple_only
+        seen_loops += any(g.loops(v) for v in range(n))
+        seen_parallel += any(m > 1 for v in range(n) for _, m in g.neighbor_items(v))
+        # == agrees with comparing the reference's (delta, n, pairing)
+        assert (g == prev) == ((g.delta, g.n, g.pairing) == (prev.delta, prev.n, prev.pairing))
+        prev = g
+    # the cases cover simple graphs, loops and parallel edges
+    assert simple > 60 and seen_loops > 100 and seen_parallel > 100
+
+
+def test_layout_matches_reference_on_edge_lists(petersen):
+    cases = [
+        (3, 2, DUMBBELL_EDGES),
+        (2, 2, [(0, 1), (0, 1)]),
+        (3, 2, [(0, 1)] * 3),  # a triple edge
+        (4, 2, [(0, 0), (0, 1), (0, 1), (1, 1)]),
+        (4, 2, [(0, 0), (0, 0), (1, 1), (1, 1)]),  # two loops at each vertex
+        (4, 3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)]),
+        (2, 1, [(0, 0)]),
+        (3, 4, K4_EDGES),
+        (3, 8, CUBE_EDGES),
+        (2, 8, C8_EDGES),
+    ]
+    rng = random.Random(7)
+    for delta, n, edges in cases:
+        g = RegularMultigraph.from_edges(delta, n, edges)
+        # the pairing realizes exactly the given edge multiset
+        merged = sorted(tuple(sorted((a // delta, b // delta))) for a, b in g.pairing)
+        assert merged == sorted(tuple(sorted(e)) for e in edges)
+        _assert_layout_matches_reference(g, rng)
+    _assert_layout_matches_reference(petersen, rng)
+    assert RegularMultigraph.from_edges(4, 2, [(0, 0), (0, 0), (1, 1), (1, 1)]).loops(1) == 2
+    assert RegularMultigraph.from_edges(3, 2, [(0, 1)] * 3).neighbor_items(1) == ((0, 3),)
+
+
+def test_from_partner_validation():
+    good = array("q", [1, 0, 3, 2])
+    assert RegularMultigraph._from_partner(1, 4, good).pairing == ((0, 1), (2, 3))
+    bad = [
+        array("q", [1, 0]),  # too short
+        array("q", [1, 0, 3, 4]),  # out of range
+        array("q", [1, 0, -1, 2]),  # out of range
+        array("q", [1, 0, 2, 3]),  # points matched with themselves
+        array("q", [1, 2, 3, 0]),  # not an involution
+    ]
+    for partner in bad:
+        with pytest.raises(ValueError):
+            RegularMultigraph._from_partner(1, 4, partner)
+
+
+# sha256 of the flattened canonical pairing of
+# sample_pairing(delta, n, seed, simple_only), recorded before the graph
+# layout became a partner array: the sampler's random stream and every
+# sampled graph must stay bit-identical, rejection sampling included, and
+# on both sides of the matching's list/array switch (70,000 points is above it).
+PAIRING_SHA = {
+    (10, 7000, 1, False): "1ed657abee29014171ddc1b3e8e0a5b40b1770fbb2810428867989b298567c31",
+    (10, 2000, 1, False): "456bb00528a8839fd8496dc05bfa5bb820fb79af358928ec1906939dbb114199",
+    (10, 2000, 2, False): "4ca9958f4ba5280366064a2faa9c8523e00608a4690259f0f10121eca4daff0a",
+    (10, 2000, 3, False): "f7f7fa0e59a67b144618d7bf4eae8559746cfa3f71c0f998226f06999f5a17b4",
+    (4, 200, 1, True): "48999c6b954fafe75b2d61fbb329121605b828e48e22c3e651e0503a765fb2af",
+}
+
+
+@pytest.mark.parametrize("delta,n,seed,simple_only", sorted(PAIRING_SHA))
+def test_sample_pairing_stream_is_pinned(delta, n, seed, simple_only):
+    g = sample_pairing(delta, n, seed=seed, simple_only=simple_only)
+    flat = array("q", itertools.chain.from_iterable(g.pairing)).tobytes()
+    assert hashlib.sha256(flat).hexdigest() == PAIRING_SHA[delta, n, seed, simple_only]
+
+
+def test_sample_pairing_memory_per_point():
+    # The graph and its construction stay within 64 bytes per point; the
+    # tuple-and-dict layout took about 300.
+    delta, n = 10, 20_000
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sample_pairing(delta, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 64 * delta * n
 
 
 def test_sample_pairing_determinism():
@@ -489,6 +640,25 @@ def test_sample_out_degree_configurations():
         sample_out_degree_configurations(2, 4, 5, trials=1, seed=0)
     with pytest.raises(ValueError):
         sample_out_degree_configurations(3, 3, 1, trials=1, seed=0)
+
+
+# sha256 of repr(sorted(tally.items())) for criterion 08's three
+# (delta, n, seed) cases at 50,000 draws, recorded before the sampler
+# returned partner arrays: the same random stream gives the same tallies.
+TALLY_SHA = [
+    "164064b7ca2d44085266d0a2f8016124b33eacc99b47cb55ed07ce2cbebd51c0",
+    "99e4e059704d79961c505281f48225fa6b51eb5982c06e406ea38bd901b1e570",
+    "56e49f940739869ac5a307f4ed09307df4efed6bef17866acbee6f1d8646f6a6",
+]
+
+
+@pytest.mark.parametrize("case,delta,n", [(0, 1, 4), (1, 3, 2), (2, 2, 4)])
+def test_out_degree_tallies_are_pinned(case, delta, n):
+    tally = sample_out_degree_configurations(
+        delta, n, n // 2, 50_000, seed=derive_seed(20240801, case)
+    )
+    digest = hashlib.sha256(repr(sorted(tally.items())).encode()).hexdigest()
+    assert digest == TALLY_SHA[case]
 
 
 def _all_matchings(num_points: int) -> list[tuple[tuple[int, int], ...]]:
