@@ -15,13 +15,14 @@ rows are:
 - the wall time of criterion 08's three tallies (1e6 draws each).
 
 Every row also records a fingerprint of its output, so the file shows
-whether both checkouts computed the same thing. For each of `--workloads` it
-then runs `perfbench/run.py --workload W --trace 0` `--pairs` times in each
+whether both checkouts computed the same thing. Every row runs RUNS = 5 times
+per checkout. For each of `--workloads` it then runs
+`perfbench/run.py --workload W --seconds 20 --trace 0` PAIRS = 10 times in each
 checkout, alternating which goes first and cycling through `--seeds`, and
 stores the end-to-end metrics and phase times of every pair:
 
     python3 scripts/bench_sampler.py --parent /path/to/parent --change . \\
-        --runs 5 --workloads lab --pairs 10 --seeds 1 13
+        --workloads lab --seeds 1 13
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ HERE = Path(__file__).resolve().parent
 
 ROWS = ("sample", "sample_peak", "simple", "oracle", "descent_best", "descent_first", "tiny",
         "criterion_08")
+RUNS = 5  # repetitions of every row per checkout
+PAIRS = 10  # parent/change pairs per perfbench workload
+SECONDS = 20  # perfbench --seconds
 
 
 def sha256(data: bytes | str) -> str:
@@ -119,11 +123,11 @@ def child(root: Path, name: str) -> dict:
     return json.loads(done.stdout)
 
 
-def perfbench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench_run(root: Path, workload: str, seed: int) -> dict:
     """Median of every timing of one `perfbench/run.py --trace 0` run in `root`."""
     done = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         capture_output=True, text=True, check=True)
     lines = [json.loads(line) for line in done.stdout.splitlines()]
     out = {line["name"]: line["median"] for line in lines if line.get("info") == "metric"}
@@ -134,21 +138,20 @@ def perfbench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def perfbench_pairs(sides: dict[str, Path], workload: str, count: int, seeds: list[int],
-                    seconds: float) -> dict:
-    """`count` alternating parent/change runs of one workload; pair i uses seeds[i % len]."""
+def perfbench_pairs(sides: dict[str, Path], workload: str, seeds: list[int]) -> dict:
+    """PAIRS alternating parent/change runs of one workload; pair i uses seeds[i % len]."""
     pairs = []
-    for i in range(count):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"pair": i + 1, "first": order[0], "seed": seeds[i % len(seeds)]}
         for side in order:
-            pair[side] = perfbench_run(sides[side], workload, pair["seed"], seconds)
+            pair[side] = perfbench_run(sides[side], workload, pair["seed"])
         print(json.dumps({"workload": workload, **pair}), flush=True)
         pairs.append(pair)
     metrics = [m for m in pairs[0]["parent"] if isinstance(pairs[0]["parent"][m], float)]
     return {
         "command": f"python3 perfbench/run.py --workload {workload} --seed SEED "
-                   f"--seconds {seconds:g} --trace 0",
+                   f"--seconds {SECONDS} --trace 0",
         "all_correct_no_failed_ops": all(p[s]["correct"] and not p[s]["failed"]
                                          for p in pairs for s in sides),
         "fingerprints_equal_in_every_pair": all(
@@ -174,12 +177,8 @@ def main() -> int:
     ap = ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, help="checkout measured as the parent")
     ap.add_argument("--change", type=Path, default=HERE.parent)
-    ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--rows", nargs="+", choices=ROWS, default=list(ROWS))
     ap.add_argument("--workloads", nargs="*", default=[], help="perfbench workloads to pair")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
-    ap.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds")
     ap.add_argument("--out", type=Path, default=HERE.parent / "BENCH_sampler.json")
     ap.add_argument("--row", help=SUPPRESS)
     args = ap.parse_args()
@@ -192,9 +191,9 @@ def main() -> int:
 
     samples: dict[str, dict[str, list[float]]] = {}
     prints: dict[str, dict[str, set[str]]] = {}
-    for rep in range(args.runs):
+    for rep in range(RUNS):
         order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
-        for name in args.rows:
+        for name in ROWS:
             for side in order:
                 result = child(sides[side], name)
                 prints.setdefault(name, {}).setdefault(side, set()).add(result.pop("fingerprint"))
@@ -205,7 +204,7 @@ def main() -> int:
         "label": "sampler",
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "cpus_allowed": len(os.sched_getaffinity(0))},
-        "runs": args.runs,
+        "runs": RUNS,
         "rows": {metric: {side: stats(values) for side, values in by_side.items()}
                  for metric, by_side in samples.items()},
         "fingerprints": {name: {side: sorted(fp) for side, fp in by_side.items()}
@@ -215,7 +214,7 @@ def main() -> int:
     }
     for workload in args.workloads:
         doc.setdefault("perfbench_pairs", {})[workload] = perfbench_pairs(
-            sides, workload, args.pairs, args.seeds, args.seconds)
+            sides, workload, args.seeds)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

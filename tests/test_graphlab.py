@@ -5,9 +5,11 @@ chi-square goodness-of-fit at the 0.999 level against 1e5 seeded samples;
 the critical values are fixed constants so the test needs no stats library.
 """
 
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from array import array
@@ -253,6 +255,18 @@ def test_from_partner_validation():
     for partner in bad:
         with pytest.raises(ValueError):
             RegularMultigraph._from_partner(1, 4, partner)
+
+
+def test_graphs_copy_and_pickle():
+    g = sample_pairing(4, 50, seed=3)
+    for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert clone == g
+        assert [clone.neighbor_items(v) for v in range(50)] == [
+            g.neighbor_items(v) for v in range(50)
+        ]
+    state = cut_state(g, set(range(25)))
+    assert copy.deepcopy(state) == state
+    assert pickle.loads(pickle.dumps(state)) == state
 
 
 # sha256 of the flattened canonical pairing of
