@@ -7,126 +7,24 @@ decays exponentially, turning it into the bound expansion >= (1-eta)*delta/2
 together with a recheckable certificate. The empirical half (graphlab) is a
 pairing-model laboratory: seeded samplers, exact cut bookkeeping, swap-based
 local improvement, and a brute-force expansion oracle for small graphs.
+
+Each module's `__all__` is its public surface; the package re-exports their
+union.
 """
 
-from .asymptotics import (
-    AsymptoticPoint,
-    TWO_SQRT_LN2,
-    alpha_trend,
-    check_p1p3_identity,
-    solve_one_sided,
-)
-from .certifier import (
-    DEFAULT_MARGIN,
-    DEFAULT_PRECISION,
-    BoundCertificate,
-    CertificateFormatError,
-    CheckResult,
-    NoBound,
-    PairBound,
-    VerificationReport,
-    all_pairs,
-    bollobas_eta,
-    bollobas_threshold,
-    bound_rhs,
-    build_table,
-    certificate_from_json,
-    certificate_to_dict,
-    certificate_to_json,
-    evaluate_pairs,
-    feasible_pairs,
-    min_eta,
-    rhs_from_sides,
-    verify_certificate,
-)
-from .combinatorics import (
-    binomial_log_row,
-    binomial_pmf,
-    binomial_tail,
-    log_binomial,
-    log_odd_double_factorial,
-    truncated_log_moments,
-)
-from .graphlab import (
-    BEST_IMPROVEMENT,
-    FIRST_IMPROVEMENT,
-    CutState,
-    ExperimentSummary,
-    OutDegreeVector,
-    RegularMultigraph,
-    TrialRecord,
-    brute_force_expansion,
-    cut_state,
-    derive_seed,
-    expansion_experiment,
-    local_descent,
-    log_config_prob,
-    sample_out_degree_configurations,
-    sample_pairing,
-)
-from .side_solver import (
-    BetaUnderflow,
-    InfeasibleTarget,
-    SideSolution,
-    profile_residuals,
-    solve_side,
-    target_mean,
-)
+from . import asymptotics, certifier, combinatorics, graphlab, side_solver
+from .asymptotics import *
+from .certifier import *
+from .combinatorics import *
+from .graphlab import *
+from .side_solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticPoint",
-    "BEST_IMPROVEMENT",
-    "BetaUnderflow",
-    "BoundCertificate",
-    "CertificateFormatError",
-    "CheckResult",
-    "CutState",
-    "DEFAULT_MARGIN",
-    "DEFAULT_PRECISION",
-    "ExperimentSummary",
-    "FIRST_IMPROVEMENT",
-    "InfeasibleTarget",
-    "NoBound",
-    "OutDegreeVector",
-    "PairBound",
-    "RegularMultigraph",
-    "SideSolution",
-    "TWO_SQRT_LN2",
-    "TrialRecord",
-    "VerificationReport",
-    "all_pairs",
-    "alpha_trend",
-    "binomial_log_row",
-    "binomial_pmf",
-    "binomial_tail",
-    "bollobas_eta",
-    "bollobas_threshold",
-    "bound_rhs",
-    "brute_force_expansion",
-    "build_table",
-    "certificate_from_json",
-    "certificate_to_dict",
-    "certificate_to_json",
-    "check_p1p3_identity",
-    "cut_state",
-    "derive_seed",
-    "evaluate_pairs",
-    "expansion_experiment",
-    "feasible_pairs",
-    "local_descent",
-    "log_binomial",
-    "log_config_prob",
-    "log_odd_double_factorial",
-    "min_eta",
-    "profile_residuals",
-    "rhs_from_sides",
-    "sample_out_degree_configurations",
-    "sample_pairing",
-    "solve_one_sided",
-    "solve_side",
-    "target_mean",
-    "truncated_log_moments",
-    "verify_certificate",
-]
+__all__ = sorted(
+    asymptotics.__all__
+    + certifier.__all__
+    + combinatorics.__all__
+    + graphlab.__all__
+    + side_solver.__all__
+)

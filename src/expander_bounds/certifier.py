@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_PRECISION",
     "NoBound",
     "PairBound",
-    "SCHEMA_VERSION",
     "VerificationReport",
     "all_pairs",
     "bollobas_eta",
@@ -209,7 +208,7 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     except BetaUnderflow:
         # Cap pinned against the mean: no representable witness, so the
         # probe counts as failed.  Conservative (can only raise the
-        # certified eta); rounded final etas never hit this corner.
+        # certified eta); min_eta bumps a rounded eta that hits it.
         return False
 
 
@@ -233,6 +232,15 @@ def min_eta(
     grid itself, because the condition is not monotone there: at delta=400,
     margin=1e-3, probes just above 0.080 fail with a pinned cap
     (BetaUnderflow) and a grid search would certify 0.080 instead of 0.081.
+
+    The rounded eta can still fail the condition, because a pinned cap can
+    underflow on a grid point above a passing float probe. It is then bumped
+    one grid step at a time, at most three times, and NoBound is raised if
+    that does not certify. At margin 1e-6 delta=308 needs one bump (0.091
+    underflows, 0.092 certifies and verifies); delta=800 and 830 need two
+    at margins 1e-3 and 1e-6, though verify_certificate rejects what they
+    return, and delta=920, 950, 960 and 990 use up the bumps and raise
+    NoBound.
     """
     if not isinstance(delta, int) or delta < 3:
         raise ValueError("delta must be an integer >= 3")
@@ -269,9 +277,8 @@ def min_eta(
             pair_bounds = ()
         if _certifies(pair_bounds, margin):
             break
-        # Defensive: the rounded eta lies at or above a passing probe, and no
-        # degree has been seen to fail there (the BetaUnderflow band sits
-        # between grid points), so this bump is not expected to run.
+        # The rounded eta lies above a passing probe, but a pinned cap can
+        # underflow there (delta=308, margin=1e-6 fails at 0.091), so step up.
         eta = (round(eta * scale) + 1) / scale
         bumps += 1
         if bumps > 3 or eta >= 1.0:

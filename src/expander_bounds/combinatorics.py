@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "NEG_INF",
     "binomial_log_row",
     "binomial_pmf",
     "binomial_tail",

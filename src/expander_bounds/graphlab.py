@@ -10,6 +10,7 @@ arithmetic mix, never Python's salted hash().
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from bisect import bisect_left, insort
@@ -176,7 +177,9 @@ class RegularMultigraph:
         return hash((self.delta, self.n, self._partner.tobytes()))
 
     def __repr__(self) -> str:
-        return f"RegularMultigraph(delta={self.delta}, n={self.n}, pairing={self.pairing!r})"
+        # bounded whatever n is: the pairing as a digest, not in full
+        digest = hashlib.sha256(self._partner.tobytes()).hexdigest()[:16]
+        return f"RegularMultigraph(delta={self.delta}, n={self.n}, partner_sha256={digest})"
 
     @classmethod
     def from_edges(cls, delta: int, n: int, edges) -> "RegularMultigraph":
@@ -308,14 +311,22 @@ def sample_pairing(
 
     Uniform over all (delta*n - 1)!! matchings of the delta*n points; with
     simple_only, uniform over pairings whose merged graph has no loops or
-    parallel edges (acceptance probability bounded away from 0 for fixed
-    delta, so rejection terminates quickly in practice). A simple graph
-    needs delta <= n - 1; asking for one beyond that raises ValueError.
+    parallel edges, by rejection. Hopeless simple_only requests raise
+    ValueError before sampling: delta > n - 1, where no simple graph exists,
+    and delta >= 8, where a pairing is simple with probability about
+    exp(-(delta^2 - 1)/4) as n grows (Bender-Canfield 1978; Bollobas 1980),
+    less at finite n, so the 100,000 attempts would almost surely run out.
     """
     num_points = _num_points(delta, n)
     if simple_only and delta > n - 1:
         raise ValueError(
             f"no simple {delta}-regular graph has {n} vertices (needs delta <= n - 1)"
+        )
+    if simple_only and (delta * delta - 1) / 4 > math.log(10 * _SIMPLE_ATTEMPT_LIMIT):
+        raise ValueError(
+            f"a {delta}-regular pairing is simple with probability about "
+            f"exp(-(delta^2 - 1)/4) = {math.exp(-(delta * delta - 1) / 4):.1e}, too rare "
+            f"for {_SIMPLE_ATTEMPT_LIMIT} rejection attempts"
         )
     rng = random.Random(seed)
     for _ in range(_SIMPLE_ATTEMPT_LIMIT):
@@ -339,6 +350,13 @@ class CutState:
     hist_s: OutDegreeVector
     hist_comp: OutDegreeVector
     out_degrees: tuple[int, ...]
+
+    def __repr__(self) -> str:
+        # bounded whatever n and delta are: the per-vertex fields are left out
+        return (
+            f"CutState(graph={self.graph!r}, size_s={self.size_s}, cut={self.cut}, "
+            f"d={self.d}, d_prime={self.d_prime})"
+        )
 
     @property
     def d(self) -> int:

@@ -80,6 +80,18 @@ def test_min_eta_400_crosses_the_underflow_band():
     assert min_eta(400).eta == 0.081
 
 
+def test_min_eta_308_needs_the_bump():
+    # The float search's threshold rounds up to 0.091, where cap 140 is
+    # pinned at the mean and its side solve raises BetaUnderflow; min_eta
+    # steps one grid point up to 0.092, which certifies and still beats the
+    # baseline of 0.095.
+    assert not certifier._satisfied(308, 0.091, TIGHT)
+    assert certifier._satisfied(308, 0.092, TIGHT)
+    cert = min_eta(308, margin=TIGHT)
+    assert cert.eta == 0.092
+    assert verify_certificate(cert).passed
+
+
 def test_min_eta_monotone_in_margin():
     loose = min_eta(8, margin=0.05)
     tight = min_eta(8, margin=TIGHT)

@@ -8,6 +8,7 @@ import pytest
 from expander_bounds import (
     bollobas_eta,
     certificate_to_json,
+    graphlab,
     min_eta,
 )
 from expander_bounds.cli import main
@@ -231,6 +232,20 @@ def test_oracle_refuses_impossible_simple_graph(capsys):
     code, out, err = run(capsys, "oracle", "--delta", "4", "--n", "4", "--simple")
     assert code == 2 and out == ""
     assert err.startswith("error: no simple 4-regular graph has 4 vertices")
+
+
+def test_simulate_refuses_hopeless_simple_request(monkeypatch, capsys):
+    # a 10-regular pairing is simple with probability about 2e-11: refused
+    # before sampling instead of after 100,000 rejected attempts
+    def no_sampling(rng, num_points):
+        raise AssertionError("sampled a pairing")
+
+    monkeypatch.setattr(graphlab, "_raw_matching", no_sampling)
+    code, out, err = run(
+        capsys, "simulate", "--delta", "10", "--n", "1000", "--trials", "1", "--simple"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: a 10-regular pairing is simple with probability")
 
 
 def test_margin_and_precision_validation(capsys):

@@ -335,6 +335,31 @@ def test_sample_pairing_attempt_limit(monkeypatch):
         sample_pairing(3, 4, seed=0, simple_only=True)
 
 
+def test_sample_pairing_refuses_hopeless_simple_requests(monkeypatch):
+    # exp(-(delta^2 - 1)/4) is 1.4e-7 at delta = 8: refused before sampling
+    def no_sampling(rng, num_points):
+        raise AssertionError("sampled a pairing")
+
+    with monkeypatch.context() as m:
+        m.setattr(graphlab, "_raw_matching", no_sampling)
+        with pytest.raises(ValueError, match="too rare for 100000 rejection attempts"):
+            sample_pairing(8, 1000, seed=0, simple_only=True)
+    # delta = 7 (about 6e-6 per attempt) still goes to rejection sampling,
+    # here with every pairing accepted so the test stays fast
+    monkeypatch.setattr(graphlab, "_rows_simple", lambda delta, n, partner: True)
+    assert sample_pairing(7, 8, seed=0, simple_only=True).delta == 7
+
+
+def test_graph_and_cut_state_reprs_are_bounded():
+    g = sample_pairing(10, 20000, seed=1)
+    state = cut_state(g, set(range(10000)))
+    assert len(repr(g)) < 300
+    assert len(repr(state)) < 300
+    assert repr(g) != repr(sample_pairing(10, 20000, seed=2))
+    # a digest of the partner array, not the salted hash(): the same in every run
+    assert repr(g) == "RegularMultigraph(delta=10, n=20000, partner_sha256=8840550f80739b37)"
+
+
 def test_cut_state_on_the_cycle():
     g = RegularMultigraph.from_edges(2, 8, C8_EDGES)
     alt = cut_state(g, {0, 2, 4, 6})

@@ -1,0 +1,106 @@
+"""What the repository ships beside the library's behaviour: the package's
+public names and the bench scripts under `scripts/`."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import expander_bounds
+from expander_bounds import asymptotics, certifier, combinatorics, graphlab, side_solver
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC_NAMES = [
+    "AsymptoticPoint",
+    "BEST_IMPROVEMENT",
+    "BetaUnderflow",
+    "BoundCertificate",
+    "CertificateFormatError",
+    "CheckResult",
+    "CutState",
+    "DEFAULT_MARGIN",
+    "DEFAULT_PRECISION",
+    "ExperimentSummary",
+    "FIRST_IMPROVEMENT",
+    "InfeasibleTarget",
+    "NoBound",
+    "OutDegreeVector",
+    "PairBound",
+    "RegularMultigraph",
+    "SideSolution",
+    "TWO_SQRT_LN2",
+    "TrialRecord",
+    "VerificationReport",
+    "all_pairs",
+    "alpha_trend",
+    "binomial_log_row",
+    "binomial_pmf",
+    "binomial_tail",
+    "bollobas_eta",
+    "bollobas_threshold",
+    "bound_rhs",
+    "brute_force_expansion",
+    "build_table",
+    "certificate_from_json",
+    "certificate_to_dict",
+    "certificate_to_json",
+    "check_p1p3_identity",
+    "cut_state",
+    "derive_seed",
+    "evaluate_pairs",
+    "expansion_experiment",
+    "feasible_pairs",
+    "local_descent",
+    "log_binomial",
+    "log_config_prob",
+    "log_odd_double_factorial",
+    "min_eta",
+    "profile_residuals",
+    "rhs_from_sides",
+    "sample_out_degree_configurations",
+    "sample_pairing",
+    "solve_one_sided",
+    "solve_side",
+    "target_mean",
+    "truncated_log_moments",
+    "verify_certificate",
+]
+
+
+def test_public_surface_is_pinned():
+    assert expander_bounds.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(expander_bounds, name) is not None, name
+
+
+def test_package_exports_the_union_of_module_surfaces():
+    # the package's __all__ is built from its library modules' lists, so each
+    # public name is declared once, in its own module
+    modules = (asymptotics, certifier, combinatorics, graphlab, side_solver)
+    union = [name for module in modules for name in module.__all__]
+    assert len(set(union)) == len(union)
+    assert sorted(union) == PUBLIC_NAMES
+
+
+def _run_script(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_bench_scripts_run():
+    done = _run_script(
+        "scripts/bench_descent.py", "--row", "--sizes", "200", "--rules", "best-improvement"
+    )
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    row = json.loads(line)
+    assert row["n"] == 200 and row["rule"] == "best-improvement"
+    assert row["final_cut"] <= row["start_cut"]
+
+    done = _run_script("scripts/bench_sampler.py", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "--parent" in done.stdout
