@@ -1,33 +1,41 @@
 #!/usr/bin/env python3
-"""Time the pairing sampler and the lab routines on two checkouts; write BENCH_sampler.json.
+"""Time the pairing sampler and the lab routines on two checkouts; write BENCH_<label>.json.
 
-Each measurement runs in a fresh child process whose PYTHONPATH is one
-checkout's `src/`, and repetitions alternate which checkout goes first. The
-rows are:
+Most rows run in a fresh child process whose PYTHONPATH is one checkout's
+`src/`, and repetitions alternate which checkout goes first. The rows are:
 
 - `sample_pairing(10, 1e5)`: seconds, then `cut_state` on that graph from a
   seeded half, and, in a separate child, the `tracemalloc` peak per point;
-- `sample_pairing(5, 1000, simple_only=True)`, which rejects 1,113 pairings;
 - `brute_force_expansion` on `sample_pairing(3, 20)`;
 - `local_descent` at delta 3, n = 1e5, under both tie rules (the rows of
   `bench_descent.py`);
-- `sample_pairing(3, 2)` in microseconds per call (best of 15 blocks);
 - the wall time of criterion 08's three tallies (1e6 draws each).
 
+Rows that resolve a few percent, where separate processes spread more than
+that, run both checkouts in one child instead: the two packages are imported
+under different names, each round times one block of each, alternating which
+goes first, and the row reports the median of the per-round change/parent
+ratios. These paired rows are
+- `tiny`: `sample_pairing(3, 2)` in microseconds per call, blocks of 2000;
+- `simple`: `sample_pairing(5, 1000, simple_only=True)`, which rejects
+  1,113 pairings.
+
 Every row also records a fingerprint of its output, so the file shows
-whether both checkouts computed the same thing. Every row runs RUNS = 5 times
-per checkout. For each of `--workloads` it then runs
-`perfbench/run.py --workload W --seconds 20 --trace 0` PAIRS = 10 times in each
-checkout, alternating which goes first and cycling through `--seeds`, and
-stores the end-to-end metrics and phase times of every pair:
+whether both checkouts computed the same thing. Every per-process row runs
+RUNS = 5 times per checkout. For each of `--workloads` it then runs
+`perfbench/run.py --workload W --seconds 20 --trace 0` PAIRS = 10 times in
+each checkout, alternating which goes first and cycling through `--seeds`,
+and stores the end-to-end metrics and phase times of every pair. The label
+in the file is the `BENCH_<label>.json` part of `--out`:
 
     python3 scripts/bench_sampler.py --parent /path/to/parent --change . \\
-        --workloads lab --seeds 1 13
+        --workloads lab --seeds 1 13 --out BENCH_sampler.json
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -37,15 +45,14 @@ import statistics
 import subprocess
 import sys
 import time
-import timeit
 from argparse import SUPPRESS, ArgumentParser
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 
-ROWS = ("sample", "sample_peak", "simple", "oracle", "descent_best", "descent_first", "tiny",
-        "criterion_08")
-RUNS = 5  # repetitions of every row per checkout
+ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "criterion_08")
+PAIRED_ROWS = {"tiny": 15, "simple": 7}  # row: rounds
+RUNS = 5  # repetitions of every per-process row per checkout
 PAIRS = 10  # parent/change pairs per perfbench workload
 SECONDS = 20  # perfbench --seconds
 
@@ -77,12 +84,6 @@ def row(name: str) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         return {"peak_bytes_per_point": peak / 1e6, "fingerprint": f"n={graph.n}"}
-    if name == "simple":
-        t0 = time.perf_counter()
-        graph = lab.sample_pairing(5, 1000, 1, simple_only=True)
-        seconds = time.perf_counter() - t0
-        flat = array("q", itertools.chain.from_iterable(graph.pairing)).tobytes()
-        return {"sample_pairing_simple_s": seconds, "fingerprint": sha256(flat)}
     if name == "oracle":
         graph = lab.sample_pairing(3, 20, 1)
         t0 = time.perf_counter()
@@ -96,15 +97,6 @@ def row(name: str) -> dict:
         r = descent_row(3, 100_000, rule, 0)
         return {f"local_descent_{name[8:]}_s": r["seconds"],
                 "fingerprint": f"swaps={r['swaps']} cut={r['final_cut']}"}
-    if name == "tiny":
-        # the fastest of 15 blocks of 2000 calls, so a burst of load on the
-        # shared host does not count
-        def block() -> None:
-            for i in range(2000):
-                lab.sample_pairing(3, 2, seed=i)
-
-        best = min(timeit.repeat(block, number=1, repeat=15))
-        return {"sample_pairing_3_2_us": 1e6 * best / 2000, "fingerprint": "-"}
     if name == "criterion_08":
         digests = []
         t0 = time.perf_counter()
@@ -120,6 +112,67 @@ def child(root: Path, name: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run([sys.executable, __file__, "--row", name], env=env,
                           capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def load_package(root: Path, alias: str):
+    """Import `root`'s expander_bounds package under the top-level name `alias`."""
+    init = root / "src" / "expander_bounds" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        alias, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def paired_block(lab, name: str) -> tuple[float, str]:
+    """Seconds for one block of a paired row, and its output's fingerprint."""
+    from array import array
+
+    if name == "tiny":
+        t0 = time.perf_counter()
+        for i in range(2000):
+            lab.sample_pairing(3, 2, seed=i)
+        return (time.perf_counter() - t0) / 2000, "-"
+    if name == "simple":
+        t0 = time.perf_counter()
+        graph = lab.sample_pairing(5, 1000, 1, simple_only=True)
+        seconds = time.perf_counter() - t0
+        return seconds, sha256(array("q", itertools.chain.from_iterable(graph.pairing)).tobytes())
+    raise ValueError(f"unknown paired row {name!r}")
+
+
+def paired_row(sides: dict[str, Path], name: str) -> dict:
+    """Run in the child: time both checkouts, one block each per round."""
+    labs = {side: load_package(root, f"bench_{side}_expander_bounds").graphlab
+            for side, root in sides.items()}
+    for lab in labs.values():
+        paired_block(lab, name)  # warm-up
+    seconds: dict[str, list[float]] = {side: [] for side in sides}
+    prints: dict[str, set[str]] = {side: set() for side in sides}
+    for rnd in range(PAIRED_ROWS[name]):
+        for side in (("parent", "change") if rnd % 2 == 0 else ("change", "parent")):
+            took, fingerprint = paired_block(labs[side], name)
+            seconds[side].append(took)
+            prints[side].add(fingerprint)
+    ratios = [c / p for c, p in zip(seconds["change"], seconds["parent"])]
+    unit, scale = ("us_per_call", 1e6) if name == "tiny" else ("s", 1.0)
+    return {
+        "rounds": PAIRED_ROWS[name],
+        "unit": unit,
+        **{side: stats([scale * t for t in seconds[side]]) for side in sides},
+        "change_over_parent": stats(ratios),
+        "change_faster_rounds": sum(r < 1 for r in ratios),
+        "fingerprints": {side: sorted(fp) for side, fp in prints.items()},
+    }
+
+
+def paired_child(sides: dict[str, Path], name: str) -> dict:
+    done = subprocess.run(
+        [sys.executable, __file__, "--paired-row", name, "--parent", str(sides["parent"]),
+         "--change", str(sides["change"])],
+        capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
@@ -181,6 +234,7 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--out", type=Path, default=HERE.parent / "BENCH_sampler.json")
     ap.add_argument("--row", help=SUPPRESS)
+    ap.add_argument("--paired-row", help=SUPPRESS)
     args = ap.parse_args()
     if args.row:
         print(json.dumps(row(args.row)))
@@ -188,6 +242,9 @@ def main() -> int:
     if args.parent is None:
         ap.error("--parent is required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.paired_row:
+        print(json.dumps(paired_row(sides, args.paired_row)))
+        return 0
 
     samples: dict[str, dict[str, list[float]]] = {}
     prints: dict[str, dict[str, set[str]]] = {}
@@ -200,8 +257,13 @@ def main() -> int:
                 for metric, value in result.items():
                     samples.setdefault(metric, {}).setdefault(side, []).append(value)
                 print(json.dumps({"rep": rep, "row": name, "side": side, **result}), flush=True)
+    paired = {}
+    for name in PAIRED_ROWS:
+        paired[name] = paired_child(sides, name)
+        print(json.dumps({"paired_row": name, **paired[name]}), flush=True)
+    label = args.out.name.removeprefix("BENCH_").removesuffix(".json")
     doc = {
-        "label": "sampler",
+        "label": label,
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "cpus_allowed": len(os.sched_getaffinity(0))},
         "runs": RUNS,
@@ -209,8 +271,11 @@ def main() -> int:
                  for metric, by_side in samples.items()},
         "fingerprints": {name: {side: sorted(fp) for side, fp in by_side.items()}
                          for name, by_side in prints.items()},
+        "paired_rows": paired,
         "fingerprints_equal": all(len(by_side["parent"] | by_side["change"]) == 1
-                                  for by_side in prints.values()),
+                                  for by_side in prints.values())
+        and all(len(set(r["fingerprints"]["parent"]) | set(r["fingerprints"]["change"])) == 1
+                for r in paired.values()),
     }
     for workload in args.workloads:
         doc.setdefault("perfbench_pairs", {})[workload] = perfbench_pairs(

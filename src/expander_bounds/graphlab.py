@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
 
+import numpy as np
+
 from .combinatorics import log_binomial, log_odd_double_factorial
 
 __all__ = [
@@ -86,13 +88,21 @@ class RegularMultigraph:
     from it once, in CSR form: vertex v's distinct neighbours other than v
     are `_nbrs[_offsets[v]:_offsets[v + 1]]`, ascending, with their edge
     multiplicities at the same positions of `_mults`, and `_loops[v]` counts
-    its loops. Each row is built by sorting v's delta partner vertices and
-    run-length encoding them.
+    its loops. All of them are `array('q')`, since descent reads single
+    entries as Python ints.
+
+    Construction runs numpy kernels over chunks of rows of at most 65,536
+    points, viewing the partner array without copying it. Each chunk is
+    validated, its rows of delta partner vertices are sorted, the loops
+    counted and the other entries run-length encoded into neighbours and
+    multiplicities; a counting pass sizes the outputs exactly and a second
+    pass fills them. Temporaries stay a few MB whatever n is.
 
     `pairing` is the canonical matching (pairs stored (low, high), sorted),
     derived on demand from the partner array and not cached. Every
     construction validates the pairing: points in range, none in two pairs,
-    every point covered. Vertex v owns the delta points v*delta ..
+    every point covered, with the same error for the same first offending
+    point at any size. Vertex v owns the delta points v*delta ..
     v*delta + delta - 1, so coverage makes every degree delta. Instances
     are immutable.
     """
@@ -121,37 +131,48 @@ class RegularMultigraph:
         num_points = _num_points(delta, n)
         if len(partner) != num_points:
             raise ValueError("pairing must cover every point exactly once")
-        for q, p in enumerate(partner):
-            if not 0 <= p < num_points:
-                raise ValueError(f"point {q} has partner {p}, out of range")
-            if p == q or partner[p] != q:
-                raise ValueError(f"point {q} appears in two pairs")
         graph = cls.__new__(cls)
         graph._index(delta, n, partner)
         return graph
 
     def _index(self, delta: int, n: int, partner: array) -> None:
+        """Validate the partner array and build the CSR adjacency, in chunks
+        of rows of at most _CHUNK_POINTS points: a counting pass for the
+        loops and offsets, then a pass that fills the exact-size neighbour
+        and multiplicity arrays through numpy views of them. The fill pass
+        walks the chunks backwards, so the last chunk's runs carry over from
+        the counting pass instead of being sorted again."""
+        points = np.frombuffer(partner, dtype=np.int64)
+        rows = max(1, _CHUNK_POINTS // delta)
+        chunks = [(v0, min(n, v0 + rows)) for v0 in range(0, n, rows)]
         loops = array("q", [0]) * n
         offsets = array("q", [0]) * (n + 1)
-        nbrs = array("q")
-        mults = array("q")
-        for v in range(n):
-            lo = v * delta
-            row = sorted([q // delta for q in partner[lo : lo + delta]])
-            own = row.count(v)  # both points of each loop
-            if own:
-                loops[v] = own // 2
-                i = row.index(v)
-                del row[i : i + own]
-            prev = -1
-            for w in row:
-                if w != prev:
-                    nbrs.append(w)
-                    mults.append(1)
-                    prev = w
-                else:
-                    mults[-1] += 1
-            offsets[v + 1] = len(nbrs)
+        loop_counts = np.frombuffer(loops, dtype=np.int64)
+        run_counts = np.frombuffer(offsets, dtype=np.int64)[1:]
+        for v0, v1 in chunks:
+            _check_involution(points, v0 * delta, v1 * delta)
+            row, own, start = _row_runs(points, delta, v0, v1)
+            # both points of each loop are own
+            np.floor_divide(own.sum(axis=1), 2, out=loop_counts[v0:v1])
+            run_counts[v0:v1] = start.sum(axis=1)
+        np.add.accumulate(run_counts, out=run_counts)
+        nbrs = array("q", [0]) * offsets[n]
+        mults = array("q", [0]) * offsets[n]
+        nbr_view = np.frombuffer(nbrs, dtype=np.int64)
+        mult_view = np.frombuffer(mults, dtype=np.int64)
+        for v0, v1 in reversed(chunks):
+            if v1 < n:
+                row, own, start = _row_runs(points, delta, v0, v1)
+            kept = ~own
+            first_of_run = start[kept]
+            first = first_of_run.nonzero()[0]
+            lo, hi = offsets[v0], offsets[v1]
+            nbr_view[lo:hi] = row[kept][first]
+            # a run ends where the next one starts, the last at the chunk's end
+            length = mult_view[lo:hi]
+            length[:-1] = first[1:]
+            length[-1:] = first_of_run.size
+            length -= first
         init = object.__setattr__
         init(self, "delta", delta)
         init(self, "n", n)
@@ -240,6 +261,47 @@ def _num_points(delta: int, n: int) -> int:
     if (delta * n) % 2 != 0:
         raise ValueError("delta * n must be even")
     return delta * n
+
+
+# Graph construction works on rows of at most this many points at a time,
+# so its numpy temporaries stay a few MB whatever the graph's size.
+_CHUNK_POINTS = 1 << 16
+
+
+def _check_involution(points: np.ndarray, lo: int, hi: int) -> None:
+    """Raise ValueError at the first point q in [lo, hi) whose partner is out
+    of range, is q itself, or is not matched back with q."""
+    chunk = points[lo:hi]
+    q = np.arange(lo, hi)
+    bad = points.take(chunk, mode="clip") != q
+    bad |= chunk == q
+    out_of_range = chunk.view(np.uint64) >= points.size  # negatives wrap high
+    bad |= out_of_range
+    if np.count_nonzero(bad):
+        i = int(bad.argmax())
+        if out_of_range[i]:
+            raise ValueError(f"point {lo + i} has partner {int(chunk[i])}, out of range")
+        raise ValueError(f"point {lo + i} appears in two pairs")
+
+
+def _row_runs(
+    points: np.ndarray, delta: int, v0: int, v1: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows v0..v1-1 of partner vertices, each sorted ascending, with masks of
+    the entries equal to the row's own vertex (both points of each loop) and
+    of the other entries that start a run of equal vertices."""
+    # int32 vertex ids halve the sort's traffic; they overflow only past
+    # 2^31 vertices, whose partner array alone would take 16 GB
+    row = np.empty((v1 - v0, delta), dtype=np.int32)
+    np.floor_divide(points[v0 * delta : v1 * delta].reshape(row.shape), delta, out=row,
+                    casting="unsafe")
+    row.sort(axis=1)
+    own = row == np.arange(v0, v1, dtype=np.int32)[:, None]
+    start = np.empty_like(own)
+    start[:, 0] = True
+    np.not_equal(row[:, 1:], row[:, :-1], out=start[:, 1:])
+    np.greater(start, own, out=start)  # start and not own
+    return row, own, start
 
 
 # `_raw_matching` keeps its pool in lists up to this many points and in
@@ -682,14 +744,38 @@ def _no_improving_swap(state: CutState) -> bool:
 
 
 _BRUTE_FORCE_LIMIT = 26
+_BLOCK_VERTICES = 16  # the oracle's low block: 2^16 subsets per vector pass
+
+
+def _lex_smallest(masks: np.ndarray) -> int:
+    """The vertex bitmask whose sorted vertex tuple is lexicographically
+    smallest: keep the masks with the smallest next vertex, one vertex at a
+    time, until one mask has no vertex left (a shorter prefix sorts first)."""
+    chosen = 0
+    rest = masks
+    while True:
+        if not rest.all():
+            return chosen
+        low = rest & -rest
+        pick = low.min()
+        chosen |= int(pick)
+        rest = rest[low == pick] ^ pick
 
 
 def brute_force_expansion(graph: RegularMultigraph) -> tuple[Fraction, tuple[int, ...]]:
     """Exact edge expansion min_{0 < |S| <= n/2} cut(S)/|S| with its minimizer.
 
-    Enumerates all subsets in Gray-code order with O(delta) incremental cut
-    updates, comparing ratios by integer cross-multiplication. Returns the
-    lexicographically smallest minimizing set (as a sorted vertex tuple).
+    Block enumeration: the cut and size of every subset A of the low
+    L = min(n, 16) vertices are built by doubling in arrays of length 2^L,
+    with `near[v][A]`, the number of edges from v into A. The n - L high
+    vertices are walked in Gray-code order; with B the current high set,
+    cut(A | B) = cut(A) + cut(B) - 2 * e(A, B), so each flip of a high
+    vertex w updates the vector e(., B) by near[w] and the scalar cut(B) by
+    w's edges. Ratios are ranked by the exact integer key
+    cut * (lcm(1..n//2) // |S|), which fits int64 up to n = 26. Returns the
+    lexicographically smallest minimizing set (as a sorted vertex tuple);
+    that rule does not depend on the enumeration order. O(n * 2^L) memory
+    and 2^(n-L) vector passes.
     """
     n = graph.n
     if n < 2:
@@ -699,35 +785,64 @@ def brute_force_expansion(graph: RegularMultigraph) -> tuple[Fraction, tuple[int
             f"n={n} exceeds the exhaustive limit {_BRUTE_FORCE_LIMIT}; "
             "use local_descent over sampled starts instead"
         )
+    low_n = min(n, _BLOCK_VERTICES)
+    half = n // 2
     rows = [graph.neighbor_items(v) for v in range(n)]
     # non-loop edge endpoints of each vertex: crossing + internal
     spans = [graph.delta - 2 * graph.loops(v) for v in range(n)]
+    near = np.zeros((n, 1 << low_n), dtype=np.int32)
+    cut_low = np.zeros(1 << low_n, dtype=np.int32)
+    size_low = np.zeros(1 << low_n, dtype=np.int32)
+    into = np.zeros((n, low_n), dtype=np.int32)
+    for v, row in enumerate(rows):
+        for x, m in row:
+            if x < low_n:
+                into[v, x] = m
+    for i in range(low_n):
+        lo, hi = 1 << i, 2 << i
+        near[:, lo:hi] = near[:, :lo] + into[:, i : i + 1]
+        # adding vertex i to A turns its edges into A internal
+        cut_low[lo:hi] = cut_low[:lo] + (spans[i] - 2 * near[i, :lo])
+        size_low[lo:hi] = size_low[:lo] + 1
+    scale = math.lcm(*range(1, half + 1))
+    factor = np.zeros(n + 1, dtype=np.int64)
+    factor[1 : half + 1] = [scale // s for s in range(1, half + 1)]
+    # per high-set size b: the key factor of every low subset, and which
+    # subsets A have 1 <= |A| + b <= n/2
+    factors = [factor[size_low + b] for b in range(n - low_n + 1)]
+    valid = [f > 0 for f in factors]
+
+    best_key = best_mask = None
     member = [False] * n
-    cut = 0
-    size = 0
-    best_cut = best_size = 0
-    best_set: tuple[int, ...] | None = None
-    half = n // 2
-    for k in range(1, 1 << n):
-        w = (k & -k).bit_length() - 1
-        # Flipping w turns its crossing edges internal and vice versa
-        # (loops never cross either way).
-        side = member[w]
-        crossing = sum(m for x, m in rows[w] if member[x] != side)
-        cut += spans[w] - 2 * crossing
-        member[w] = not member[w]
-        size += 1 if member[w] else -1
-        if not 1 <= size <= half:
+    cross = np.zeros(1 << low_n, dtype=np.int32)  # e(A, B) for every A
+    cut_high = size_high = high_mask = 0
+    for k in range(1 << (n - low_n)):
+        if k:
+            w = low_n + (k & -k).bit_length() - 1
+            side = member[w]
+            crossing = sum(m for x, m in rows[w] if member[x] != side)
+            cut_high += spans[w] - 2 * crossing
+            member[w] = not side
+            if side:
+                cross -= near[w]
+                size_high -= 1
+            else:
+                cross += near[w]
+                size_high += 1
+            high_mask ^= 1 << w
+        if size_high > half:
             continue
-        if best_set is None or cut * best_size < best_cut * size:
-            best_cut, best_size = cut, size
-            best_set = tuple(v for v in range(n) if member[v])
-        elif cut * best_size == best_cut * size:
-            cand = tuple(v for v in range(n) if member[v])
-            if cand < best_set:
-                best_cut, best_size = cut, size
-                best_set = cand
-    return Fraction(best_cut, best_size), best_set
+        key = (cut_low - 2 * cross + cut_high) * factors[size_high]
+        step_best = int(key.min(where=valid[size_high], initial=np.iinfo(np.int64).max))
+        if best_key is not None and step_best > best_key:
+            continue
+        ties = np.flatnonzero((key == step_best) & valid[size_high]) | high_mask
+        if best_key == step_best:
+            ties = np.append(ties, best_mask)
+        best_key, best_mask = step_best, _lex_smallest(ties)
+    best_set = tuple(v for v in range(n) if best_mask >> v & 1)
+    size = len(best_set)
+    return Fraction(best_key // (scale // size), size), best_set
 
 
 def log_config_prob(delta: int, n: int, svec, svec_prime) -> float:

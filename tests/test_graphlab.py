@@ -11,6 +11,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from array import array
 from collections import defaultdict
@@ -255,6 +256,51 @@ def test_from_partner_validation():
     for partner in bad:
         with pytest.raises(ValueError):
             RegularMultigraph._from_partner(1, 4, partner)
+    # the first offending point is named, whichever check it fails
+    messages = [
+        (array("q", [1, 0]), "pairing must cover every point exactly once"),
+        (array("q", [1, 0, 3, 4]), "point 2 appears in two pairs"),
+        (array("q", [1, 0, -1, 2]), "point 2 has partner -1, out of range"),
+        (array("q", [1, 0, 2, 3]), "point 2 appears in two pairs"),
+        (array("q", [1, 2, 3, 0]), "point 0 appears in two pairs"),
+        (array("q", [4, 0, 3, 2]), "point 0 has partner 4, out of range"),
+    ]
+    for partner, message in messages:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RegularMultigraph._from_partner(1, 4, partner)
+    # bad points past the first chunk of rows (65,536 points) are found too
+    delta, n = 10, 14_000
+    good = sample_pairing(delta, n, seed=5)._partner
+    # a point in the third chunk (rows of 6,553 vertices, so from point
+    # 131,060 on) matched with a higher one, so that breaking its entry
+    # breaks no lower point
+    q = next(q for q in range(131_101, delta * n) if good[q] > q)
+    p = good[q]
+    for value, message in [
+        (delta * n, f"point {q} has partner {delta * n}, out of range"),
+        (q, f"point {q} appears in two pairs"),
+    ]:
+        partner = array("q", good)
+        partner[q] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RegularMultigraph._from_partner(delta, n, partner)
+    # swapping two partners breaks the involution first at the lower point
+    partner = array("q", good)
+    partner[q], partner[q + 1] = good[q + 1], p
+    first = min(q, q + 1, good[q], good[q + 1])
+    with pytest.raises(ValueError, match=f"^point {first} appears in two pairs$"):
+        RegularMultigraph._from_partner(delta, n, partner)
+
+
+@pytest.mark.parametrize("delta,n", [(10, 14_000), (7, 20_000)])
+def test_layout_matches_reference_across_chunks(delta, n):
+    # 140,000 points: graph construction works in three chunks of rows, and
+    # 7 does not divide the 65,536-point chunk size
+    g = sample_pairing(delta, n, seed=derive_seed(65536, delta))
+    canon, mult, nloops, items = _reference_adjacency(delta, n, g.pairing)
+    assert tuple(g.loops(v) for v in range(n)) == nloops
+    assert tuple(g.neighbor_items(v) for v in range(n)) == items
+    assert g.pairing == canon
 
 
 def test_graphs_copy_and_pickle():
@@ -596,6 +642,100 @@ def test_brute_force_known_graphs(petersen):
         brute_force_expansion(RegularMultigraph(2, 1, ((0, 1),)))
     with pytest.raises(ValueError):
         brute_force_expansion(sample_pairing(1, 28, seed=0))
+
+
+def _reference_brute_force(graph: RegularMultigraph) -> tuple[Fraction, tuple[int, ...]]:
+    """Reference: the oracle as a Python loop over all subsets in Gray-code
+    order, with O(delta) incremental cut updates and ratios compared by
+    cross-multiplication; ties go to the lexicographically smallest set."""
+    n = graph.n
+    rows = [graph.neighbor_items(v) for v in range(n)]
+    spans = [graph.delta - 2 * graph.loops(v) for v in range(n)]
+    member = [False] * n
+    cut = size = 0
+    best_cut = best_size = 0
+    best_set: tuple[int, ...] | None = None
+    for k in range(1, 1 << n):
+        w = (k & -k).bit_length() - 1
+        side = member[w]
+        crossing = sum(m for x, m in rows[w] if member[x] != side)
+        cut += spans[w] - 2 * crossing
+        member[w] = not member[w]
+        size += 1 if member[w] else -1
+        if not 1 <= size <= n // 2:
+            continue
+        cand = tuple(v for v in range(n) if member[v])
+        if (
+            best_set is None
+            or cut * best_size < best_cut * size
+            or (cut * best_size == best_cut * size and cand < best_set)
+        ):
+            best_cut, best_size, best_set = cut, size, cand
+    return Fraction(best_cut, best_size), best_set
+
+
+def test_brute_force_matches_reference_on_multigraphs():
+    rng = random.Random(20261018)
+    seen_loops = seen_parallel = 0
+    for delta in range(1, 7):
+        for _ in range(8):
+            n = rng.randint(2, 12)
+            n += (delta * n) % 2
+            g = sample_pairing(delta, n, seed=rng.randrange(1 << 32))
+            seen_loops += any(g.loops(v) for v in range(n))
+            seen_parallel += any(m > 1 for v in range(n) for _, m in g.neighbor_items(v))
+            assert brute_force_expansion(g) == _reference_brute_force(g), (delta, n)
+    assert seen_loops > 10 and seen_parallel > 10
+
+
+def test_brute_force_matches_reference_on_simple_graphs(petersen):
+    graphs = [petersen, RegularMultigraph.from_edges(3, 8, CUBE_EDGES)]
+    graphs += [sample_pairing(3, n, seed=n, simple_only=True) for n in (6, 10, 14)]
+    graphs += [sample_pairing(4, n, seed=n, simple_only=True) for n in (7, 11)]
+    for g in graphs:
+        assert g.is_simple
+        assert brute_force_expansion(g) == _reference_brute_force(g)
+
+
+def test_brute_force_ties():
+    two_k4 = RegularMultigraph.from_edges(
+        3, 8, K4_EDGES + [(u + 4, v + 4) for u, v in K4_EDGES]
+    )
+    # C3 + C4 + C5: every cycle is a component with cut 0
+    cycles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+    cycles += [(7 + i, 7 + (i + 1) % 5) for i in range(5)]
+    cycle_union = RegularMultigraph.from_edges(2, 12, cycles)
+    all_loops = RegularMultigraph.from_edges(2, 9, [(v, v) for v in range(9)])
+    double_loops = RegularMultigraph.from_edges(4, 6, [(v, v) for v in range(6)] * 2)
+    for g in (two_k4, cycle_union, all_loops, double_loops):
+        assert brute_force_expansion(g) == _reference_brute_force(g)
+    assert brute_force_expansion(two_k4) == (Fraction(0), (0, 1, 2, 3))
+    assert brute_force_expansion(cycle_union) == (Fraction(0), (0, 1, 2))
+    assert brute_force_expansion(all_loops) == (Fraction(0), (0,))
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_brute_force_matches_reference_around_the_block_width(n):
+    # the oracle enumerates the low 16 vertices as one block and walks the
+    # rest one vertex at a time: n = 15, 16 have no high vertex, 17, 18 do
+    delta = 4 if n % 2 else 3
+    g = sample_pairing(delta, n, seed=derive_seed(1016, n))
+    assert brute_force_expansion(g) == _reference_brute_force(g)
+
+
+def test_brute_force_at_its_limit():
+    n = 26
+    g = sample_pairing(3, n, seed=derive_seed(2626, 0))
+    value, argmin = brute_force_expansion(g)
+    assert 1 <= len(argmin) <= n // 2
+    assert cut_state(g, set(argmin)).expansion == value
+    # no single-vertex move, in or out, lowers the ratio
+    for v in range(n):
+        moved = set(argmin) ^ {v}
+        if 1 <= len(moved) <= n // 2:
+            assert cut_state(g, moved).expansion >= value
+    with pytest.raises(ValueError, match="exceeds the exhaustive limit 26"):
+        brute_force_expansion(sample_pairing(2, 27, seed=0))
 
 
 def _descend_all_starts(g: RegularMultigraph) -> Fraction:

@@ -104,3 +104,11 @@ def test_bench_scripts_run():
     done = _run_script("scripts/bench_sampler.py", "--help")
     assert done.returncode == 0, done.stderr
     assert "--parent" in done.stdout
+
+    done = _run_script("scripts/bench_sampler.py", "--row", "oracle")
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    row = json.loads(line)
+    assert row["brute_force_s"] > 0
+    value, argmin = graphlab.brute_force_expansion(graphlab.sample_pairing(3, 20, 1))
+    assert row["fingerprint"] == f"{value} {argmin}"
