@@ -18,7 +18,10 @@ goes first, and the row reports the median of the per-round change/parent
 ratios. These paired rows are
 - `tiny`: `sample_pairing(3, 2)` in microseconds per call, blocks of 2000;
 - `simple`: `sample_pairing(5, 1000, simple_only=True)`, which rejects
-  1,113 pairings.
+  1,113 pairings;
+- `cut_small`: `cut_state` in microseconds per call, over every subset of
+  at most 7 vertices of `sample_pairing(3, 14, 1, simple_only=True)` given
+  as a set, the per-call shape of criterion 10's descents.
 
 Every row also records a fingerprint of its output, so the file shows
 whether both checkouts computed the same thing. Every per-process row runs
@@ -51,7 +54,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "criterion_08")
-PAIRED_ROWS = {"tiny": 15, "simple": 7}  # row: rounds
+PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11}  # row: rounds
 RUNS = 5  # repetitions of every per-process row per checkout
 PAIRS = 10  # parent/change pairs per perfbench workload
 SECONDS = 20  # perfbench --seconds
@@ -140,6 +143,14 @@ def paired_block(lab, name: str) -> tuple[float, str]:
         graph = lab.sample_pairing(5, 1000, 1, simple_only=True)
         seconds = time.perf_counter() - t0
         return seconds, sha256(array("q", itertools.chain.from_iterable(graph.pairing)).tobytes())
+    if name == "cut_small":
+        graph = lab.sample_pairing(3, 14, 1, simple_only=True)
+        subsets = [set(c) for k in range(8) for c in itertools.combinations(range(14), k)]
+        t0 = time.perf_counter()
+        states = [lab.cut_state(graph, s) for s in subsets]
+        seconds = (time.perf_counter() - t0) / len(subsets)
+        return seconds, sha256(repr([(st.cut, st.hist_s.counts, st.hist_comp.counts)
+                                     for st in states]))
     raise ValueError(f"unknown paired row {name!r}")
 
 
@@ -157,7 +168,7 @@ def paired_row(sides: dict[str, Path], name: str) -> dict:
             seconds[side].append(took)
             prints[side].add(fingerprint)
     ratios = [c / p for c, p in zip(seconds["change"], seconds["parent"])]
-    unit, scale = ("us_per_call", 1e6) if name == "tiny" else ("s", 1.0)
+    unit, scale = ("s", 1.0) if name == "simple" else ("us_per_call", 1e6)
     return {
         "rounds": PAIRED_ROWS[name],
         "unit": unit,

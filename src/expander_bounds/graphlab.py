@@ -18,6 +18,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
+from itertools import compress
+from operator import not_
 
 import numpy as np
 
@@ -305,12 +307,12 @@ def _row_runs(
 
 
 # `_raw_matching` keeps its pool in lists up to this many points and in
-# arrays above. Timed per point on a 2-core host (CPython 3.11), lists run
-# 20-50% faster from 2 to 32,768 points, since reading an array entry makes
-# a new int, the two are even at 65,536, and arrays run 10-15% faster from
-# 262,144 up while holding a point in 8 bytes instead of about 36. Arrays
-# throughout would slow the 5,000-point matchings that rejection sampling
-# repeats by about 40%.
+# arrays above. Per point on a 2-core host (CPython 3.11, median array/list
+# time ratio of interleaved rounds): 2.3 at 8 points, 1.4 at 4,096 and 1.1
+# at 32,768, since reading an array entry makes a new int; about 1.0 at
+# 49,152, 0.92 at 65,536 and 0.72-0.82 from 131,072 up, where an array
+# holds a point in 8 bytes instead of about 36. The switch stays at 65,536,
+# within 10% of the crossover on either side.
 _LIST_POOL_POINTS = 1 << 16
 
 
@@ -322,15 +324,24 @@ def _raw_matching(rng: random.Random, num_points: int) -> array:
     a point leaves the pool by moving the last entry into its slot. The
     partner array doubles as the record of which points are matched.
     `pool` and `where` are lists up to _LIST_POOL_POINTS points and arrays
-    beyond, whichever is faster at that size.
+    beyond, whichever is faster at that size; an array pool is filled by a
+    cumulative sum in place. An index below m is drawn as `rng.randrange(m)`
+    draws it (`Random._randbelow_with_getrandbits`): `getrandbits(k)` with
+    k = m.bit_length(), repeated while the result is m or more. The calls
+    are the same, so the matching and the generator's state afterwards are
+    identical, without randrange's argument handling.
     """
     if num_points <= _LIST_POOL_POINTS:
         pool = list(range(num_points))
     else:
-        pool = array("q", range(num_points))
+        pool = array("q", [1]) * num_points
+        view = np.frombuffer(pool, dtype=np.int64)
+        view[0] = 0
+        np.cumsum(view, out=view)
+        del view  # an exported buffer would block pool.pop
     where = pool[:]
     partner = array("q", [-1]) * num_points
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     pop = pool.pop
     for low in range(num_points):
         if partner[low] >= 0:
@@ -340,7 +351,11 @@ def _raw_matching(rng: random.Random, num_points: int) -> array:
             i = where[low]
             pool[i] = last
             where[last] = i
-        j = randrange(len(pool))
+        m = len(pool)
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
         p = pool[j]
         last = pop()
         if last != p:
@@ -462,13 +477,13 @@ def _histograms(
 
 
 def _state_from_arrays(
-    graph: RegularMultigraph, member: list[bool], out: list[int], cut: int
+    graph: RegularMultigraph, member: list[bool], out: list[int], cut: int, size_s: int
 ) -> CutState:
     hist_s, hist_c = _histograms(graph, member, out)
     return CutState(
         graph=graph,
         membership=tuple(member),
-        size_s=sum(member),
+        size_s=size_s,
         cut=cut,
         hist_s=hist_s,
         hist_comp=hist_c,
@@ -481,20 +496,27 @@ def cut_state(graph: RegularMultigraph, membership) -> CutState:
 
     membership is a length-n boolean sequence or a set of vertex ids. A
     crossing edge is a pairing pair whose endpoints' vertices sit on opposite
-    sides; loops never cross. Walks the partner array once.
+    sides; loops never cross. Every crossing pair has one point on each
+    side, so only the points of the smaller side's vertices are walked.
     """
     member = _normalize_membership(graph, membership)
     delta = graph.delta
-    out = [0] * graph.n
+    partner = graph._partner
+    n = graph.n
+    size_s = sum(member)
+    side = 2 * size_s <= n  # True: walk S; False: walk its complement
+    out = [0] * n
     cut = 0
-    for a, b in enumerate(graph._partner):
-        if a < b:
-            va, vb = a // delta, b // delta
-            if member[va] != member[vb]:
-                cut += 1
-                out[va] += 1
-                out[vb] += 1
-    return _state_from_arrays(graph, member, out, cut)
+    for v in compress(range(n), member if side else map(not_, member)):
+        k = 0
+        for b in partner[v * delta : v * delta + delta]:
+            w = b // delta
+            if member[w] is not side:
+                k += 1
+                out[w] += 1
+        out[v] = k
+        cut += k
+    return _state_from_arrays(graph, member, out, cut, size_s)
 
 
 _Buckets = tuple[list[list[int]], list[list[int]]]
@@ -702,7 +724,7 @@ def local_descent(
         cut += dc
         if trace is not None:
             trace.append(cut)
-    return _state_from_arrays(graph, member, out, cut)
+    return _state_from_arrays(graph, member, out, cut, state.size_s)
 
 
 def _no_improving_swap(state: CutState) -> bool:

@@ -336,6 +336,44 @@ def test_sample_pairing_stream_is_pinned(delta, n, seed, simple_only):
     assert hashlib.sha256(flat).hexdigest() == PAIRING_SHA[delta, n, seed, simple_only]
 
 
+def _reference_raw_matching(rng: random.Random, num_points: int) -> array:
+    """Reference: the matching loop with `rng.randrange` draws, in lists at
+    every size (the pool's container does not change the pairs drawn)."""
+    pool = list(range(num_points))
+    where = pool[:]
+    partner = array("q", [-1]) * num_points
+    for low in range(num_points):
+        if partner[low] >= 0:
+            continue
+        last = pool.pop()
+        if last != low:
+            i = where[low]
+            pool[i] = last
+            where[last] = i
+        j = rng.randrange(len(pool))
+        p = pool[j]
+        last = pool.pop()
+        if last != p:
+            pool[j] = last
+            where[last] = j
+        partner[low] = p
+        partner[p] = low
+    return partner
+
+
+@pytest.mark.parametrize("num_points", [2, 4, 6, 8, 5000, 65_536, 65_538, 200_000])
+def test_raw_matching_matches_randrange_reference(num_points):
+    # the inlined draws make the same getrandbits calls as randrange, on
+    # both sides of the list/array switch and over consecutive calls on one
+    # generator, as rejection sampling and criterion 08 make them
+    assert 8 <= graphlab._LIST_POOL_POINTS < 200_000  # the sizes reach both sides
+    seed = derive_seed(20261018, num_points)
+    fast, ref = random.Random(seed), random.Random(seed)
+    for _ in range(3 if num_points > 10_000 else 50):
+        assert graphlab._raw_matching(fast, num_points) == _reference_raw_matching(ref, num_points)
+        assert fast.getstate() == ref.getstate()
+
+
 def test_sample_pairing_memory_per_point():
     # The graph and its construction stay within 64 bytes per point; the
     # tuple-and-dict layout took about 300.
@@ -428,6 +466,46 @@ def test_cut_state_on_the_cycle():
         cut_state(g, {0, 9})
     with pytest.raises(ValueError):
         cut_state(g, set()).expansion
+
+
+def _reference_cut_state(graph: RegularMultigraph, membership) -> CutState:
+    """Reference: one walk over every pair of the partner array."""
+    member = graphlab._normalize_membership(graph, membership)
+    delta = graph.delta
+    out = [0] * graph.n
+    cut = 0
+    for a, b in enumerate(graph._partner):
+        if a < b:
+            va, vb = a // delta, b // delta
+            if member[va] != member[vb]:
+                cut += 1
+                out[va] += 1
+                out[vb] += 1
+    return graphlab._state_from_arrays(graph, member, out, cut, sum(member))
+
+
+def test_cut_state_matches_reference_on_multigraphs():
+    rng = random.Random(20261019)
+    seen_loops = seen_parallel = 0
+    for delta in range(1, 7):
+        for _ in range(8):
+            n = rng.randint(2, 40)
+            n += (delta * n) % 2
+            g = sample_pairing(delta, n, seed=rng.randrange(1 << 32))
+            seen_loops += any(g.loops(v) for v in range(n))
+            seen_parallel += any(m > 1 for v in range(n) for _, m in g.neighbor_items(v))
+            order = list(range(n))
+            rng.shuffle(order)
+            # empty, below n/2, n/2 (or just under it), above n/2, everything
+            for size in (0, 1, n // 3, n // 2, n // 2 + 1, n - 1, n):
+                s = set(order[:size])
+                as_list = [v in s for v in range(n)]
+                ref = _reference_cut_state(g, s)
+                for membership in (s, as_list):
+                    got = cut_state(g, membership)
+                    for field in CutState.__dataclass_fields__:
+                        assert getattr(got, field) == getattr(ref, field), (delta, n, size, field)
+    assert seen_loops > 10 and seen_parallel > 10
 
 
 def test_swap_delta_known_values():

@@ -1,6 +1,8 @@
 """What the repository ships beside the library's behaviour: the package's
 public names and the bench scripts under `scripts/`."""
 
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -112,3 +114,17 @@ def test_bench_scripts_run():
     assert row["brute_force_s"] > 0
     value, argmin = graphlab.brute_force_expansion(graphlab.sample_pairing(3, 20, 1))
     assert row["fingerprint"] == f"{value} {argmin}"
+
+    # a paired row, with both sides the same checkout
+    done = _run_script("scripts/bench_sampler.py", "--paired-row", "cut_small",
+                       "--parent", str(ROOT), "--change", str(ROOT))
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    row = json.loads(line)
+    assert row["unit"] == "us_per_call" and len(row["parent"]["values"]) == row["rounds"]
+    g = graphlab.sample_pairing(3, 14, 1, simple_only=True)
+    states = [graphlab.cut_state(g, set(c))
+              for k in range(8) for c in itertools.combinations(range(14), k)]
+    digest = hashlib.sha256(repr([(st.cut, st.hist_s.counts, st.hist_comp.counts)
+                                  for st in states]).encode()).hexdigest()
+    assert row["fingerprints"] == {"parent": [digest], "change": [digest]}
