@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the pairing sampler and the lab routines on two checkouts; write BENCH_<label>.json.
+"""Time the sampler, lab routines and eta search on two checkouts; write BENCH_<label>.json.
 
 Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 `src/`, and repetitions alternate which checkout goes first. The rows are:
@@ -9,7 +9,10 @@ Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 - `brute_force_expansion` on `sample_pairing(3, 20)`;
 - `local_descent` at delta 3, n = 1e5, under both tie rules (the rows of
   `bench_descent.py`);
-- the wall time of criterion 08's three tallies (1e6 draws each).
+- the wall time of criterion 08's three tallies (1e6 draws each);
+- `min_eta` over degrees 4..60 at margin 1e-6 (the paper's table) and over
+  100, 200 and 400 at margin 1e-3, each fingerprinted by its certificates'
+  JSON.
 
 Rows that resolve a few percent, where separate processes spread more than
 that, run both checkouts in one child instead: the two packages are imported
@@ -53,7 +56,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 
-ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "criterion_08")
+ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "criterion_08",
+        "eta_table", "eta_large")
+ETA_ROWS = {"eta_table": (range(4, 61), 1e-6), "eta_large": ((100, 200, 400), 1e-3)}
 PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11}  # row: rounds
 RUNS = 5  # repetitions of every per-process row per checkout
 PAIRS = 10  # parent/change pairs per perfbench workload
@@ -108,6 +113,15 @@ def row(name: str) -> dict:
                 delta, n, n // 2, 10**6, seed=lab.derive_seed(20240801, ci))
             digests.append(sha256(repr(sorted(tally.items())))[:16])
         return {"criterion_08_s": time.perf_counter() - t0, "fingerprint": " ".join(digests)}
+    if name in ETA_ROWS:
+        from expander_bounds import certificate_to_json, min_eta
+
+        degrees, margin = ETA_ROWS[name]
+        t0 = time.perf_counter()
+        certs = [min_eta(delta, margin) for delta in degrees]
+        seconds = time.perf_counter() - t0
+        return {f"min_eta_{name[4:]}_s": seconds,
+                "fingerprint": sha256("".join(map(certificate_to_json, certs)))}
     raise ValueError(f"unknown row {name!r}")
 
 

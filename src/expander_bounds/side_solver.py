@@ -212,14 +212,33 @@ def _solve_log_gamma(delta: int, cap: int, eta: float) -> tuple[float, float]:
     return x, log_s0_at[x]
 
 
+def _solve_witness(delta: int, cap: int, eta: float) -> tuple[float, float]:
+    """``(ln beta, gamma)`` for one side: :func:`_solve_log_gamma` and the
+    underflow test of :func:`solve_side`, without residuals or validation.
+
+    Raises BetaUnderflow when ``beta = 1 / S0`` underflows a double.
+    """
+    x, log_s0 = _solve_log_gamma(delta, cap, eta)
+    log_beta = -log_s0
+    if math.exp(log_beta) == 0.0:
+        # S0 past the double range: the caller gets a diagnosis instead of a
+        # zero-beta witness.
+        raise BetaUnderflow(
+            f"beta underflows for delta={delta}, cap={cap}, eta={eta}: "
+            f"log beta = {log_beta:.1f}"
+        )
+    return log_beta, math.exp(x)
+
+
 def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
     """Solve the mass and mean constraints for one side at out-degree cap ``cap``.
 
     Solves ``mean(gamma) = target_mean(delta, eta)`` in ``x = ln gamma`` with
     :func:`_solve_log_gamma` (five to seven moment evaluations on average
     over the paper's table and the large-degree trend), and takes ``beta``
-    from the evaluation at the returned gamma. The whole procedure is
-    deterministic: identical inputs give bit-identical outputs.
+    from the evaluation at the returned gamma (:func:`_solve_witness`). The
+    whole procedure is deterministic: identical inputs give bit-identical
+    outputs.
 
     Raises
     ------
@@ -236,18 +255,8 @@ def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
         raise ValueError("cap must be an integer in [1, delta]")
     if not isinstance(eta, (int, float)) or not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
-    x, log_s0 = _solve_log_gamma(delta, cap, eta)
-    gamma = math.exp(x)
-
-    log_beta = -log_s0
+    log_beta, gamma = _solve_witness(delta, cap, eta)
     beta = math.exp(log_beta)
-    if beta == 0.0:
-        # S0 past the double range: the caller gets a diagnosis instead of a
-        # zero-beta witness.
-        raise BetaUnderflow(
-            f"beta underflows for delta={delta}, cap={cap}, eta={eta}: "
-            f"log beta = {log_beta:.1f}"
-        )
     residual_mass, residual_mean = profile_residuals(delta, cap, eta, beta, gamma)
     return SideSolution(
         delta=delta,

@@ -5,12 +5,14 @@ from __future__ import annotations
 import copy
 import json
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expander_bounds import (
+    BetaUnderflow,
     CertificateFormatError,
     NoBound,
     all_pairs,
@@ -24,6 +26,8 @@ from expander_bounds import (
     certifier,
     feasible_pairs,
     min_eta,
+    target_mean,
+    truncated_log_moments,
     verify_certificate,
 )
 
@@ -67,6 +71,89 @@ def _full_search_eta(delta: int, margin: float, precision: int = 3) -> float:
 def test_early_stop_matches_full_search(margin):
     for delta in [*range(3, 21), 400]:
         assert min_eta(delta, margin=margin).eta == _full_search_eta(delta, margin), delta
+
+
+def _unscreened_satisfied(delta: int, eta: float, margin: float) -> bool:
+    """Reference search condition: every feasible pair solved in full."""
+    try:
+        return certifier._certifies(certifier.evaluate_pairs(delta, eta), margin)
+    except BetaUnderflow:
+        return False
+
+
+# Degrees past the paper's table: 308 needs the bump, 400-406 cross the
+# underflow band, and 1010 is the last degree with a screened pair (the guard
+# edge).
+AGREEMENT_DEGREES = [
+    *((delta, margin) for margin in (1e-3, TIGHT) for delta in range(3, 61)),
+    *((delta, 1e-3) for delta in (100, 400, 402, 406, 800, 1009, 1010)),
+    (308, TIGHT),
+]
+
+
+def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
+    # Every eta min_eta probes, plus seeded random ones, gets the verdict
+    # that solving every pair gives.
+    probes = []
+    screened = certifier._satisfied
+
+    def record(delta, eta, margin):
+        verdict = screened(delta, eta, margin)
+        probes.append((delta, eta, margin, verdict))
+        return verdict
+
+    monkeypatch.setattr(certifier, "_satisfied", record)
+    for delta, margin in AGREEMENT_DEGREES:
+        try:
+            min_eta(delta, margin=margin)
+        except NoBound:  # delta = 1009 uses up its bumps
+            pass
+    monkeypatch.undo()
+    rng = random.Random(20261018)
+    for _ in range(200):
+        delta = rng.randint(3, 80)
+        eta, margin = rng.uniform(0.0, 1.0 - 1e-9), 10.0 ** rng.uniform(-9.0, -2.0)
+        probes.append((delta, eta, margin, screened(delta, eta, margin)))
+    # Margins a hair either side of the worst solved exponent, at eta where
+    # the caps barely bind and the screen's value is close to the solved one.
+    for delta in (4, 9, 30, 60, 400):
+        for eta in (0.9, 0.99, 1.0 - 1e-6):
+            worst = max(pb.rhs for pb in certifier.evaluate_pairs(delta, eta) if not pb.vacuous)
+            for margin in (-worst - 1e-9, -worst + 1e-9):
+                probes.append((delta, eta, margin, screened(delta, eta, margin)))
+    assert len(probes) > 1500
+    assert any(verdict for *_, verdict in probes)
+    assert any(not verdict for *_, verdict in probes)
+    for delta, eta, margin, verdict in probes:
+        assert verdict == _unscreened_satisfied(delta, eta, margin), (delta, eta, margin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta=st.integers(3, 120),
+    data=st.data(),
+    log_gammas=st.tuples(*[st.one_of(st.none(), st.floats(-25.0, 25.0))] * 2),
+)
+def test_any_witness_bounds_the_solved_exponent(delta, data, log_gammas):
+    # The exponent at any gamma > 0 (None stands for the uncapped binomial
+    # root the search screens at) is at least the solved one: the witnesses
+    # minimise it, so a screened pass can never hide a failing pair.
+    d = data.draw(st.integers(1, delta // 2), label="d")
+    dp = delta - d
+    eta = data.draw(
+        st.floats(max(0.0, 1.0 - 2.0 * d / delta), 1.0 - 1e-9, exclude_min=True), label="eta"
+    )
+    t = target_mean(delta, eta)
+    assume(t < d)  # eta rounds onto the boundary of feasibility
+    try:
+        solved = bound_rhs(delta, d, dp, eta)
+    except BetaUnderflow:  # cap pinned at the mean: no solved value to compare
+        assume(False)
+    gamma0 = t / (delta - t)
+    g, gp = (gamma0 if x is None else math.exp(x) for x in log_gammas)
+    log_s0, log_s0_p = (truncated_log_moments(delta, d, g)[0],
+                        truncated_log_moments(delta, dp, gp)[0])
+    assert certifier._rhs(delta, eta, -log_s0, g, -log_s0_p, gp) >= solved - 1e-12
 
 
 def test_min_eta_400_crosses_the_underflow_band():

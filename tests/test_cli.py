@@ -378,6 +378,17 @@ FINGERPRINTS = {
 }
 
 
+# sha256 of the paper's table as JSON, as printed when every probe of the
+# eta search solved every cap pair. Screening probes must not move a byte.
+PAPER_TABLE_ARGV = "table --delta-min 4 --delta-max 60 --margin 1e-6 --format json"
+PAPER_TABLE_SHA256 = "bb6087b3c8558a6214bcf7fa3450cbe884276d3bd247fd216bebd4ef31f74685"
+
+
+def test_paper_table_bytes_are_pinned(capsys):
+    assert main(PAPER_TABLE_ARGV.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PAPER_TABLE_SHA256
+
+
 def _write_certificates(directory):
     text = certificate_to_json(min_eta(5))
     (directory / "pass.json").write_text(text, encoding="utf-8")

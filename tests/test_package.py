@@ -115,6 +115,15 @@ def test_bench_scripts_run():
     value, argmin = graphlab.brute_force_expansion(graphlab.sample_pairing(3, 20, 1))
     assert row["fingerprint"] == f"{value} {argmin}"
 
+    done = _run_script("scripts/bench_sampler.py", "--row", "eta_large")
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    row = json.loads(line)
+    assert row["min_eta_large_s"] > 0
+    certs = [certifier.min_eta(delta, 1e-3) for delta in (100, 200, 400)]
+    text = "".join(map(certifier.certificate_to_json, certs))
+    assert row["fingerprint"] == hashlib.sha256(text.encode()).hexdigest()
+
     # a paired row, with both sides the same checkout
     done = _run_script("scripts/bench_sampler.py", "--paired-row", "cut_small",
                        "--parent", str(ROOT), "--change", str(ROOT))
