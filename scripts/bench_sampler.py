@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the sampler, lab routines and eta search on two checkouts; write BENCH_<label>.json.
+"""Time the sampler, lab routines, eta search and one-sided solver on two checkouts;
+write BENCH_<label>.json.
 
 Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 `src/`, and repetitions alternate which checkout goes first. The rows are:
@@ -12,7 +13,10 @@ Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 - the wall time of criterion 08's three tallies (1e6 draws each);
 - `min_eta` over degrees 4..60 at margin 1e-6 (the paper's table) and over
   100, 200 and 400 at margin 1e-3, each fingerprinted by its certificates'
-  JSON.
+  JSON;
+- `one_sided`: `solve_one_sided` on perfbench's large-degree grid (8 evenly
+  spaced eta in [1e-3, 2 sqrt(ln 2)/sqrt(delta)] for delta 1600 and 6400),
+  fingerprinted by the sha256 of repr() of the solved points.
 
 Rows that resolve a few percent, where separate processes spread more than
 that, run both checkouts in one child instead: the two packages are imported
@@ -24,7 +28,10 @@ ratios. These paired rows are
   1,113 pairings;
 - `cut_small`: `cut_state` in microseconds per call, over every subset of
   at most 7 vertices of `sample_pairing(3, 14, 1, simple_only=True)` given
-  as a set, the per-call shape of criterion 10's descents.
+  as a set, the per-call shape of criterion 10's descents;
+- `moments`: `truncated_log_moments(delta, cap, 0.8)` in microseconds per
+  call, over every cap 0..delta of every degree 4..60 (the shapes of the
+  paper table's search), ten times per block.
 
 Every row also records a fingerprint of its output, so the file shows
 whether both checkouts computed the same thing. Every per-process row runs
@@ -44,6 +51,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import math
 import os
 import platform
 import random
@@ -57,9 +65,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "criterion_08",
-        "eta_table", "eta_large")
+        "eta_table", "eta_large", "one_sided")
 ETA_ROWS = {"eta_table": (range(4, 61), 1e-6), "eta_large": ((100, 200, 400), 1e-3)}
-PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11}  # row: rounds
+PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11, "moments": 15}  # row: rounds
 RUNS = 5  # repetitions of every per-process row per checkout
 PAIRS = 10  # parent/change pairs per perfbench workload
 SECONDS = 20  # perfbench --seconds
@@ -122,7 +130,23 @@ def row(name: str) -> dict:
         seconds = time.perf_counter() - t0
         return {f"min_eta_{name[4:]}_s": seconds,
                 "fingerprint": sha256("".join(map(certificate_to_json, certs)))}
+    if name == "one_sided":
+        from expander_bounds import solve_one_sided
+
+        t0 = time.perf_counter()
+        points = [solve_one_sided(delta, eta) for delta, eta in one_sided_grid()]
+        return {"one_sided_s": time.perf_counter() - t0, "fingerprint": sha256(repr(points))}
     raise ValueError(f"unknown row {name!r}")
+
+
+def one_sided_grid() -> list[tuple[int, float]]:
+    """perfbench's large-degree grid: 8 evenly spaced eta per delta, both ends included."""
+    grid = []
+    for delta in (1600, 6400):
+        hi = 2.0 * math.sqrt(math.log(2.0)) / math.sqrt(delta)
+        step = (hi - 1e-3) / 7
+        grid += [(delta, 1e-3 + k * step) for k in range(8)]
+    return grid
 
 
 def child(root: Path, name: str) -> dict:
@@ -143,10 +167,11 @@ def load_package(root: Path, alias: str):
     return module
 
 
-def paired_block(lab, name: str) -> tuple[float, str]:
+def paired_block(pkg, name: str) -> tuple[float, str]:
     """Seconds for one block of a paired row, and its output's fingerprint."""
     from array import array
 
+    lab = pkg.graphlab
     if name == "tiny":
         t0 = time.perf_counter()
         for i in range(2000):
@@ -165,20 +190,26 @@ def paired_block(lab, name: str) -> tuple[float, str]:
         seconds = (time.perf_counter() - t0) / len(subsets)
         return seconds, sha256(repr([(st.cut, st.hist_s.counts, st.hist_comp.counts)
                                      for st in states]))
+    if name == "moments":
+        moments = pkg.combinatorics.truncated_log_moments
+        shapes = [(delta, cap) for delta in range(4, 61) for cap in range(delta + 1)] * 10
+        t0 = time.perf_counter()
+        values = [moments(delta, cap, 0.8) for delta, cap in shapes]
+        return (time.perf_counter() - t0) / len(shapes), sha256(repr(values))
     raise ValueError(f"unknown paired row {name!r}")
 
 
 def paired_row(sides: dict[str, Path], name: str) -> dict:
     """Run in the child: time both checkouts, one block each per round."""
-    labs = {side: load_package(root, f"bench_{side}_expander_bounds").graphlab
+    pkgs = {side: load_package(root, f"bench_{side}_expander_bounds")
             for side, root in sides.items()}
-    for lab in labs.values():
-        paired_block(lab, name)  # warm-up
+    for pkg in pkgs.values():
+        paired_block(pkg, name)  # warm-up
     seconds: dict[str, list[float]] = {side: [] for side in sides}
     prints: dict[str, set[str]] = {side: set() for side in sides}
     for rnd in range(PAIRED_ROWS[name]):
         for side in (("parent", "change") if rnd % 2 == 0 else ("change", "parent")):
-            took, fingerprint = paired_block(labs[side], name)
+            took, fingerprint = paired_block(pkgs[side], name)
             seconds[side].append(took)
             prints[side].add(fingerprint)
     ratios = [c / p for c, p in zip(seconds["change"], seconds["parent"])]
@@ -258,11 +289,12 @@ def main() -> int:
     ap.add_argument("--workloads", nargs="*", default=[], help="perfbench workloads to pair")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--out", type=Path, default=HERE.parent / "BENCH_sampler.json")
-    ap.add_argument("--row", help=SUPPRESS)
+    ap.add_argument("--row", nargs="+", help=SUPPRESS)
     ap.add_argument("--paired-row", help=SUPPRESS)
     args = ap.parse_args()
     if args.row:
-        print(json.dumps(row(args.row)))
+        for name in args.row:
+            print(json.dumps(row(name)))
         return 0
     if args.parent is None:
         ap.error("--parent is required")

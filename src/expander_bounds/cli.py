@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .asymptotics import TWO_SQRT_LN2, alpha_trend
 from .certifier import (
@@ -195,7 +194,9 @@ def _cmd_certify(args: argparse.Namespace) -> _Result:
     except CertificateFormatError as exc:
         return 1, None, None, [f"malformed certificate: {exc}", "verdict: FAIL"]
     report = verify_certificate(cert)
-    doc = {"passed": report.passed, "checks": [asdict(c) for c in report.checks]}
+    doc = {"passed": report.passed,
+           "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                      for c in report.checks]}
     rows = [["name", "passed", "detail"]]
     lines = [
         f"# certificate delta={cert.delta} eta={cert.eta:.6g} "

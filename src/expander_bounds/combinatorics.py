@@ -6,7 +6,18 @@ astronomically large or small numbers directly. Base-2 quantities are a
 presentation concern of the certifying layer, not of this module.
 
 All functions are pure; cached rows are read-only, so concurrent callers are
-safe.
+safe. Two arrays are cached per degree: the row ln C(delta, i) and the index
+0..delta as float64 (`_index`), which the moment and tail kernels slice
+instead of building an arange on every call.
+
+The sums build their terms in numpy and finish them in Python, and they
+return the same bits as a term-by-term Python loop. Each int-to-float
+conversion is exact (every integer below 2**53 is a double), and int/int
+division, like numpy's elementwise +, -, * and /, is one correctly rounded
+IEEE operation; numpy does not fuse a multiply and an add. So an array
+expression written in the loop's order yields the loop's doubles. The
+transcendental step still goes through `math.exp` / `math.log` term by term,
+and `math.fsum` rounds the exact sum once, whatever the order of its input.
 """
 
 from __future__ import annotations
@@ -53,7 +64,10 @@ def log_binomial(n: int, k: int) -> float:
     if m == 0:
         return 0.0
     if m <= _DIRECT_SUM_MAX:
-        return math.fsum(math.log((n - m + j) / j) for j in range(1, m + 1))
+        # for n below 2**53, n - m + j is exact as a double, so each ratio
+        # is rounded once, as int/int division rounds it
+        j = np.arange(1.0, m + 1.0)
+        return math.fsum(map(math.log, ((n - m + j) / j).tolist()))
     return math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1))
 
 
@@ -63,26 +77,37 @@ def binomial_log_row(n: int) -> np.ndarray:
 
     Built as compensated (Neumaier) prefix sums of ln((n-i+1)/i) up to the
     middle, then mirrored, so the row is exactly symmetric and each entry is
-    accurate to a few ulp.
+    accurate to a few ulp. The ratios come from one numpy division and the
+    logs from `math.log`; the compensated loop runs over Python floats, so
+    the row is the one a loop computing every term in Python would build.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a non-negative integer")
-    row = np.zeros(n + 1)
+    i = np.arange(1.0, n // 2 + 1.0)
+    prefix = []
     total = 0.0
     comp = 0.0
-    for i in range(1, n // 2 + 1):
-        term = math.log((n - i + 1) / i)
+    for term in map(math.log, ((n + 1.0 - i) / i).tolist()):
         t = total + term
         if abs(total) >= abs(term):
             comp += (total - t) + term
         else:
             comp += (term - t) + total
         total = t
-        row[i] = total + comp
-    for i in range(n // 2 + 1, n + 1):
-        row[i] = row[n - i]
+        prefix.append(total + comp)
+    row = np.zeros(n + 1)
+    row[1 : n // 2 + 1] = prefix
+    row[n // 2 + 1 :] = row[: n - n // 2][::-1]
     row.flags.writeable = False
     return row
+
+
+@lru_cache(maxsize=None)
+def _index(n: int) -> np.ndarray:
+    """0.0, 1.0, ..., n as a read-only float64 array, cached per n."""
+    idx = np.arange(n + 1.0)
+    idx.flags.writeable = False
+    return idx
 
 
 def log_odd_double_factorial(m: int) -> float:
@@ -98,7 +123,7 @@ def log_odd_double_factorial(m: int) -> float:
         raise ValueError("m must be an even non-negative integer")
     k = m // 2
     if k <= _DIRECT_SUM_MAX:
-        return math.fsum(math.log(2 * j - 1) for j in range(1, k + 1))
+        return math.fsum(map(math.log, np.arange(1.0, 2.0 * k, 2.0).tolist()))
     # 1 * 3 * ... * (2k - 1) = (2k)! / (2^k * k!)
     return math.lgamma(2 * k + 1) - k * _LN2 - math.lgamma(k + 1)
 
@@ -122,12 +147,12 @@ def truncated_log_moments(delta: int, cap: int, gamma: float) -> tuple[float, fl
     """
     _check_profile(delta, cap, gamma)
     row = binomial_log_row(delta)
-    idx = np.arange(cap + 1)
+    idx = _index(delta)[: cap + 1]
     logterms = row[: cap + 1] + idx * math.log(gamma)
     peak = float(logterms.max())
     scaled = np.exp(logterms - peak)
     w0 = float(scaled.sum())
-    w1 = float(np.dot(idx, scaled))
+    w1 = float(idx.dot(scaled))
     log_s0 = peak + math.log(w0)
     log_s1 = peak + math.log(w1) if w1 > 0.0 else NEG_INF
     return log_s0, log_s1, w1 / w0
@@ -149,8 +174,10 @@ def binomial_pmf(delta: int, p: float, k: int) -> float:
 def binomial_tail(delta: int, p: float, cap: int) -> float:
     """P[Binomial(delta, p) <= cap], by exact summation of the mass function.
 
-    Terms are evaluated in log space and combined with fsum; the result is
-    clamped to [0, 1] against last-ulp overshoot.
+    The log terms ln C(delta, k) + k ln p + (delta - k) ln(1 - p) are built
+    as one numpy array, added in that order, exponentiated with `math.exp`
+    and combined with fsum; the result is clamped to [0, 1] against last-ulp
+    overshoot.
     """
     if not isinstance(delta, int) or delta < 1:
         raise ValueError("delta must be a positive integer")
@@ -158,10 +185,7 @@ def binomial_tail(delta: int, p: float, cap: int) -> float:
         raise ValueError("p must lie strictly inside (0, 1)")
     if not isinstance(cap, int) or cap < 0 or cap > delta:
         raise ValueError("cap must be an integer in [0, delta]")
-    row = binomial_log_row(delta)
-    lp = math.log(p)
-    lq = math.log1p(-p)
-    total = math.fsum(
-        math.exp(row[k] + k * lp + (delta - k) * lq) for k in range(cap + 1)
-    )
+    k = _index(delta)[: cap + 1]
+    args = binomial_log_row(delta)[: cap + 1] + k * math.log(p) + (delta - k) * math.log1p(-p)
+    total = math.fsum(map(math.exp, args.tolist()))
     return min(1.0, max(0.0, total))

@@ -1,5 +1,6 @@
 """Tests for the one-sided-cap system: exact oracles, identity, spot values."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -213,3 +214,19 @@ def test_alpha_trend_validation():
         alpha_trend([5])
     with pytest.raises(ValueError):
         alpha_trend([2])
+
+
+# sha256 of repr() of every solved point on the large-degree grid: 8 evenly
+# spaced eta in [1e-3, 2 sqrt(ln 2)/sqrt(delta)] for delta 1600 and 6400.
+# Pins p1, p2, p3 and theta to the bit, which checks on gamma alone miss.
+ONE_SIDED_GRID_SHA256 = "d88061cbe45baf85a18ec3078fcec26184d686f3466a588aec502c1ca42c42b3"
+
+
+def test_one_sided_grid_bytes_are_pinned():
+    grid = []
+    for delta in (1600, 6400):
+        hi = TWO_SQRT_LN2 / math.sqrt(delta)
+        step = (hi - 1e-3) / 7
+        grid += [(delta, 1e-3 + k * step) for k in range(8)]
+    points = [solve_one_sided(delta, eta) for delta, eta in grid]
+    assert hashlib.sha256(repr(points).encode()).hexdigest() == ONE_SIDED_GRID_SHA256

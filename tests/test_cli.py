@@ -341,6 +341,9 @@ FINGERPRINTS = {
         (0, "d6eeddb08e12e693", EMPTY),
     "trend --deltas 8 --margin 1e-6 --precision 4 --format json":
         (0, "9a7f44441a086120", EMPTY),
+    "trend --deltas 100 200 400": (0, "180f604e54f0598f", EMPTY),
+    "trend --deltas 100 200 400 --format csv": (0, "07597ca6065225ea", EMPTY),
+    "trend --deltas 100 200 400 --format json": (0, "c7710a22ce1b8c1e", EMPTY),
     "trend --deltas 7": (2, EMPTY, "9b0e2ad2323eb223"),
     "trend --deltas 6 --margin -1 --format csv": (2, EMPTY, "e7c36e7988d7a6d4"),
     "trend --deltas 6 --precision 0": (2, EMPTY, "12ba52bd19840fba"),

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,3 +206,111 @@ def test_binomial_tail_bounds_and_monotonicity(delta, p, data):
     assert 0.0 <= t <= 1.0
     if cap < delta:
         assert t <= binomial_tail(delta, p, cap + 1)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with term-by-term Python loops. The library builds its terms
+# in numpy; these references compute every term in Python, as the library
+# once did, and each pair must agree to the last bit.
+
+
+def _ref_log_binomial(n, k):
+    if k < 0 or k > n:
+        return NEG_INF
+    m = min(k, n - k)
+    if m == 0:
+        return 0.0
+    if m <= 4096:
+        return math.fsum(math.log((n - m + j) / j) for j in range(1, m + 1))
+    return math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1))
+
+
+def _ref_binomial_log_row(n):
+    row = np.zeros(n + 1)
+    total = 0.0
+    comp = 0.0
+    for i in range(1, n // 2 + 1):
+        term = math.log((n - i + 1) / i)
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+        row[i] = total + comp
+    for i in range(n // 2 + 1, n + 1):
+        row[i] = row[n - i]
+    return row
+
+
+def _ref_log_odd_double_factorial(m):
+    k = m // 2
+    if k <= 4096:
+        return math.fsum(math.log(2 * j - 1) for j in range(1, k + 1))
+    return math.lgamma(2 * k + 1) - k * math.log(2.0) - math.lgamma(k + 1)
+
+
+def _ref_truncated_log_moments(delta, cap, gamma):
+    row = binomial_log_row(delta)
+    idx = np.arange(cap + 1)
+    logterms = row[: cap + 1] + idx * math.log(gamma)
+    peak = float(logterms.max())
+    scaled = np.exp(logterms - peak)
+    w0 = float(scaled.sum())
+    w1 = float(np.dot(idx, scaled))
+    log_s0 = peak + math.log(w0)
+    log_s1 = peak + math.log(w1) if w1 > 0.0 else NEG_INF
+    return log_s0, log_s1, w1 / w0
+
+
+def _ref_binomial_tail(delta, p, cap):
+    row = binomial_log_row(delta)
+    lp = math.log(p)
+    lq = math.log1p(-p)
+    total = math.fsum(
+        math.exp(row[k] + k * lp + (delta - k) * lq) for k in range(cap + 1)
+    )
+    return min(1.0, max(0.0, total))
+
+
+def _seeded_degrees(rng, count):
+    return [rng.choice([rng.randrange(1, 80), rng.randrange(1, 7001)]) for _ in range(count)]
+
+
+def test_binomial_log_row_is_bit_identical_to_the_loop():
+    rng = random.Random(11)
+    for n in [0, 1, 2, 3, 4, 5, 8191, 8192] + _seeded_degrees(rng, 30):
+        assert binomial_log_row(n).tobytes() == _ref_binomial_log_row(n).tobytes(), n
+
+
+def test_log_binomial_is_bit_identical_to_the_loop():
+    rng = random.Random(12)
+    cases = [(n, k) for n in (0, 1, 2) for k in range(-1, n + 2)]
+    # m = min(k, n - k) on both sides of the switch to lgamma at 4096
+    cases += [(n, k) for n in (8192, 8193, 10_000) for k in (4095, 4096, 4097, n - 4096, n - 4097)]
+    for _ in range(1500):
+        n = rng.randrange(0, 10_001)
+        cases.append((n, rng.randrange(0, n + 1)))
+    for n, k in cases:
+        assert log_binomial(n, k) == _ref_log_binomial(n, k), (n, k)
+
+
+def test_log_odd_double_factorial_is_bit_identical_to_the_loop():
+    rng = random.Random(13)
+    ms = [0, 2, 4, 8190, 8192, 8194] + [2 * rng.randrange(0, 5000) for _ in range(200)]
+    for m in ms:
+        assert log_odd_double_factorial(m) == _ref_log_odd_double_factorial(m), m
+
+
+def test_sums_are_bit_identical_to_the_loops():
+    rng = random.Random(14)
+    cases = []
+    for delta in [1, 2, 60, 6400] + _seeded_degrees(rng, 60):
+        for cap in (0, delta, rng.randrange(0, delta + 1)):
+            for p in (1e-12, 1.0 - 1e-12, rng.uniform(1e-300, 1e-10), rng.random()):
+                cases.append((delta, cap, p, math.exp(rng.uniform(-14.0, 14.0))))
+    for delta, cap, p, gamma in cases:
+        assert binomial_tail(delta, p, cap) == _ref_binomial_tail(delta, p, cap)
+        assert truncated_log_moments(delta, cap, gamma) == _ref_truncated_log_moments(
+            delta, cap, gamma
+        )

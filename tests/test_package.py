@@ -11,6 +11,7 @@ from pathlib import Path
 
 import expander_bounds
 from expander_bounds import asymptotics, certifier, combinatorics, graphlab, side_solver
+from test_asymptotics import ONE_SIDED_GRID_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -115,14 +116,18 @@ def test_bench_scripts_run():
     value, argmin = graphlab.brute_force_expansion(graphlab.sample_pairing(3, 20, 1))
     assert row["fingerprint"] == f"{value} {argmin}"
 
-    done = _run_script("scripts/bench_sampler.py", "--row", "eta_large")
+    # two rows in one child, one output line each
+    done = _run_script("scripts/bench_sampler.py", "--row", "eta_large", "one_sided")
     assert done.returncode == 0, done.stderr
-    (line,) = done.stdout.splitlines()
-    row = json.loads(line)
+    eta_line, one_sided_line = done.stdout.splitlines()
+    row = json.loads(eta_line)
     assert row["min_eta_large_s"] > 0
     certs = [certifier.min_eta(delta, 1e-3) for delta in (100, 200, 400)]
     text = "".join(map(certifier.certificate_to_json, certs))
     assert row["fingerprint"] == hashlib.sha256(text.encode()).hexdigest()
+    row = json.loads(one_sided_line)
+    assert row["one_sided_s"] > 0
+    assert row["fingerprint"] == ONE_SIDED_GRID_SHA256
 
     # a paired row, with both sides the same checkout
     done = _run_script("scripts/bench_sampler.py", "--paired-row", "cut_small",
