@@ -16,13 +16,19 @@ Most rows run in a fresh child process whose PYTHONPATH is one checkout's
   JSON;
 - `one_sided`: `solve_one_sided` on perfbench's large-degree grid (8 evenly
   spaced eta in [1e-3, 2 sqrt(ln 2)/sqrt(delta)] for delta 1600 and 6400),
-  fingerprinted by the sha256 of repr() of the solved points.
+  fingerprinted by the sha256 of repr() of the solved points;
+- `certify_table`: `verify_certificate` over the 57 certificates of the
+  paper's table, each read back with `certificate_from_json` before the
+  clock starts, fingerprinted by every check's (name, passed, detail).
 
 Rows that resolve a few percent, where separate processes spread more than
 that, run both checkouts in one child instead: the two packages are imported
 under different names, each round times one block of each, alternating which
 goes first, and the row reports the median of the per-round change/parent
-ratios. These paired rows are
+ratios. It keeps each side's per-round values but summarises only the
+ratios: on a shared host a block of a few tens of milliseconds drifts with
+the host's load, so per-side medians can disagree in sign with the rounds
+they come from. These paired rows are
 - `tiny`: `sample_pairing(3, 2)` in microseconds per call, blocks of 2000;
 - `simple`: `sample_pairing(5, 1000, simple_only=True)`, which rejects
   1,113 pairings;
@@ -65,7 +71,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "criterion_08",
-        "eta_table", "eta_large", "one_sided")
+        "eta_table", "eta_large", "one_sided", "certify_table")
 ETA_ROWS = {"eta_table": (range(4, 61), 1e-6), "eta_large": ((100, 200, 400), 1e-3)}
 PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11, "moments": 15}  # row: rounds
 RUNS = 5  # repetitions of every per-process row per checkout
@@ -130,6 +136,18 @@ def row(name: str) -> dict:
         seconds = time.perf_counter() - t0
         return {f"min_eta_{name[4:]}_s": seconds,
                 "fingerprint": sha256("".join(map(certificate_to_json, certs)))}
+    if name == "certify_table":
+        from expander_bounds import (certificate_from_json, certificate_to_json, min_eta,
+                                     verify_certificate)
+
+        degrees, margin = ETA_ROWS["eta_table"]
+        certs = [certificate_from_json(certificate_to_json(min_eta(delta, margin)))
+                 for delta in degrees]
+        t0 = time.perf_counter()
+        reports = [verify_certificate(cert) for cert in certs]
+        seconds = time.perf_counter() - t0
+        checks = [[(c.name, c.passed, c.detail) for c in r.checks] for r in reports]
+        return {"verify_table_s": seconds, "fingerprint": sha256(repr(checks))}
     if name == "one_sided":
         from expander_bounds import solve_one_sided
 
@@ -217,7 +235,7 @@ def paired_row(sides: dict[str, Path], name: str) -> dict:
     return {
         "rounds": PAIRED_ROWS[name],
         "unit": unit,
-        **{side: stats([scale * t for t in seconds[side]]) for side in sides},
+        **{side: {"values": [round(scale * t, 6) for t in seconds[side]]} for side in sides},
         "change_over_parent": stats(ratios),
         "change_faster_rounds": sum(r < 1 for r in ratios),
         "fingerprints": {side: sorted(fp) for side, fp in prints.items()},

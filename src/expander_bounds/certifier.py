@@ -32,7 +32,9 @@ solved. ``_SLACK`` covers the rounding of both evaluations, and the screen
 is used only on caps whose solve provably cannot underflow
 (:func:`_underflow_guard`), so every probe's verdict is the one the full
 solve gives. Certificates are still built from full side solutions
-(:func:`evaluate_pairs`).
+(:func:`evaluate_pairs`), but checking one needs no solve: by the same
+bound, :func:`verify_certificate` evaluates each pair's exponent at the
+stored witnesses, and a pass there implies a pass at the solved minimum.
 """
 
 from __future__ import annotations
@@ -521,9 +523,19 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
     """Recheck a certificate from scratch, trusting nothing derived.
 
     Residuals are recomputed by direct summation from the stored (beta,
-    gamma); growth exponents are recomputed by re-solving both sides from
-    (delta, d, eta); vacuity witnesses, the expansion bound identity, the
-    baseline, and exhaustiveness of the pair enumeration are all rechecked.
+    gamma). Each feasible pair's growth exponent is evaluated at its stored
+    witnesses: ``ln S0`` of each side comes from one moment evaluation at
+    that side's ``gamma`` and cap, and the stored ``beta`` is not used.
+    Nothing is solved. That is sound because any witness is (module
+    docstring): the exponent at a ``gamma > 0`` bounds the pair's solved
+    exponent from above, so a pair that clears the margin at its witnesses
+    clears it at the solved ones. For a certificate built by :func:`min_eta`
+    the value is the solved exponent itself, bit for bit, since the side
+    solver stores ``gamma = exp(x)`` and ``ln beta = -ln S0`` at that same
+    double, and ``.16e`` round-trips it. A ``gamma`` that is not finite and
+    positive fails ``rhs-recomputable``. Vacuity witnesses, the expansion
+    bound identity, the baseline, and exhaustiveness of the pair enumeration
+    are all rechecked.
     """
     checks: list[CheckResult] = []
     _check(checks, "delta-valid", isinstance(cert.delta, int) and cert.delta >= 3, f"delta={cert.delta}")
@@ -563,11 +575,14 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
         _check(checks, f"{label}-feasible-witness", tm < pb.d, f"target_mean={tm!r} d={pb.d}")
         _verify_side(checks, f"{label}-side", cert, pb.d, pb.side)
         _verify_side(checks, f"{label}-side-prime", cert, pb.d_prime, pb.side_prime)
+        gamma, gamma_p = pb.side.gamma, pb.side_prime.gamma
         try:
-            fresh = bound_rhs(cert.delta, pb.d, pb.d_prime, cert.eta)
+            log_s0 = truncated_log_moments(cert.delta, pb.d, gamma)[0]
+            log_s0_p = truncated_log_moments(cert.delta, pb.d_prime, gamma_p)[0]
         except ValueError as exc:
             _check(checks, f"{label}-rhs-recomputable", False, str(exc))
             continue
+        fresh = _rhs(cert.delta, cert.eta, -log_s0, gamma, -log_s0_p, gamma_p)
         _check(
             checks,
             f"{label}-rhs-negative-with-margin",

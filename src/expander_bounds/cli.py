@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .asymptotics import TWO_SQRT_LN2, alpha_trend
 from .certifier import (
@@ -42,7 +43,14 @@ from .graphlab import (
 __all__ = ["main"]
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, shared by every in-process `main` call.
+
+    Sharing it is safe: `parse_args` leaves the parser as it was and puts
+    every default into a fresh namespace, and help and error text read
+    `COLUMNS` when they are formatted, not when the parser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="expander-cert",
         description=(

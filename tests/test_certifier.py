@@ -26,6 +26,7 @@ from expander_bounds import (
     certifier,
     feasible_pairs,
     min_eta,
+    side_solver,
     target_mean,
     truncated_log_moments,
     verify_certificate,
@@ -307,6 +308,71 @@ def test_verify_accepts_fresh_certificates():
         assert "improves-on-baseline" in names
 
 
+# The paper's table at its margin and the trend's degrees at the default.
+VERIFIED_CASES = [(delta, TIGHT) for delta in range(4, 61)] + [
+    (delta, 1e-3) for delta in (100, 200, 400)
+]
+
+
+@pytest.fixture(scope="module")
+def loaded_certs(cert_cache):
+    """The VERIFIED_CASES certificates, as read back from JSON."""
+    return [
+        certificate_from_json(certificate_to_json(cert_cache.get(delta, margin)))
+        for delta, margin in VERIFIED_CASES
+    ]
+
+
+def _no_solver(*args, **kwargs):
+    raise AssertionError("the verifier called the side solver")
+
+
+def test_verifier_makes_no_solver_call(loaded_certs, monkeypatch):
+    monkeypatch.setattr(certifier, "solve_side", _no_solver)
+    monkeypatch.setattr(certifier, "bound_rhs", _no_solver)
+    monkeypatch.setattr(side_solver, "_solve_log_gamma", _no_solver)
+    for cert in loaded_certs:
+        report = verify_certificate(cert)
+        assert report.passed, (cert.delta, [c.name for c in report.failures()])
+
+
+def test_verifier_exponents_are_the_solved_ones_bit_for_bit(loaded_certs):
+    # Evaluated at the stored witnesses, each exponent is the one re-solving
+    # both sides gives, so every detail string reads as it did.
+    for cert in loaded_certs:
+        details = {c.name: c.detail for c in verify_certificate(cert).checks}
+        for pb in cert.pair_bounds:
+            if pb.vacuous:
+                continue
+            label = f"pair-{pb.d}-{pb.d_prime}"
+            fresh = bound_rhs(cert.delta, pb.d, pb.d_prime, cert.eta)
+            assert details[f"{label}-rhs-negative-with-margin"] == (
+                f"rhs={fresh!r} margin={cert.margin!r}"
+            )
+            assert details[f"{label}-rhs-matches"] == f"stored={pb.rhs!r} recomputed={fresh!r}"
+
+
+# Failing checks of certificates min_eta returns at margin 1e-3 and its own
+# verifier rejects, as they read while the verifier re-solved every pair:
+# beta goes subnormal on one side at 402 and 1000, and 406 and 1000 certify
+# above the baseline.
+REJECTED = {
+    402: ["pair-185-217-side-mass-residual", "pair-185-217-side-mean-residual"],
+    406: ["improves-on-baseline"],
+    1000: [
+        "pair-376-624-side-mass-residual",
+        "pair-376-624-side-mean-residual",
+        "improves-on-baseline",
+    ],
+}
+
+
+@pytest.mark.parametrize("delta", sorted(REJECTED))
+def test_rejected_certificates_keep_their_failures(delta, cert_cache):
+    report = verify_certificate(cert_cache.get(delta, 1e-3))
+    assert [c.name for c in report.failures()] == REJECTED[delta]
+
+
 def test_json_round_trip_is_byte_identical():
     cert = min_eta(8, margin=TIGHT)
     text = certificate_to_json(cert)
@@ -404,6 +470,15 @@ def test_dropping_a_pair_is_caught():
     report = _reverify(doc)
     assert not report.passed
     assert any("pairs-exhaustive" == c.name for c in report.failures())
+
+
+@pytest.mark.parametrize("gamma", ["0.0000000000000000e+00", "-2.0000000000000000e-01", "inf", "nan"])
+def test_unusable_witness_fails_rhs_recomputable(gamma):
+    doc = _doc(min_eta(6, margin=TIGHT))
+    report = _reverify(_bump(doc, ("pair_bounds", 1, "side_prime", "gamma"), gamma))
+    failed = {c.name: c.detail for c in report.failures()}
+    assert "pair-2-4-side-prime-parameters-in-range" in failed
+    assert failed["pair-2-4-rhs-recomputable"] == "gamma must be a finite positive real"
 
 
 MALFORMED = [

@@ -8,6 +8,7 @@ import pytest
 from expander_bounds import (
     bollobas_eta,
     certificate_to_json,
+    cli,
     graphlab,
     min_eta,
 )
@@ -274,6 +275,38 @@ def test_missing_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--delta", "3", "--n", "12"])
     assert exc.value.code == 2
+
+
+def test_shared_parser_formats_errors_at_call_time(monkeypatch, capsys):
+    # The parser is built once per process; an argparse error must still be
+    # wrapped to the COLUMNS of the call, as a fresh parser would wrap it.
+    argv = ["table", "--delta-min", "4"]
+
+    def error_text(fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = error_text(fresh=True)
+    monkeypatch.setenv("COLUMNS", "80")
+    shared = error_text(fresh=False)
+    assert shared == error_text(fresh=True)
+    assert shared != narrow
+
+
+def test_options_do_not_leak_into_the_next_call(capsys):
+    assert main(["table", "--delta-min", "10", "--delta-max", "10", "--margin", "1e-6",
+                 "--precision", "4"]) == 0
+    assert "margin=1.0e-06 precision=4" in capsys.readouterr().out
+    assert main(["table", "--delta-min", "10", "--delta-max", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# bounds table delta=10..10 margin=1.0e-03 precision=3"
+    # the default margin certifies 0.508 at delta = 10, the tight one 0.507
+    assert lines[1].startswith("delta=10 eta=0.508 ")
 
 
 # Byte fingerprints of every command in every format, and of the error paths:

@@ -14,6 +14,9 @@ from expander_bounds import asymptotics, certifier, combinatorics, graphlab, sid
 from test_asymptotics import ONE_SIDED_GRID_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
+# The certify_table row's fingerprint, every check's (name, passed, detail) on
+# the paper's table, as printed while the verifier re-solved each pair.
+CERTIFY_TABLE_SHA256 = "d8cdddc367610e8453117816be88d259c19579a68c1170580592d09caca40c2d"
 
 PUBLIC_NAMES = [
     "AsymptoticPoint",
@@ -116,10 +119,11 @@ def test_bench_scripts_run():
     value, argmin = graphlab.brute_force_expansion(graphlab.sample_pairing(3, 20, 1))
     assert row["fingerprint"] == f"{value} {argmin}"
 
-    # two rows in one child, one output line each
-    done = _run_script("scripts/bench_sampler.py", "--row", "eta_large", "one_sided")
+    # three rows in one child, one output line each
+    done = _run_script("scripts/bench_sampler.py", "--row", "eta_large", "one_sided",
+                       "certify_table")
     assert done.returncode == 0, done.stderr
-    eta_line, one_sided_line = done.stdout.splitlines()
+    eta_line, one_sided_line, certify_line = done.stdout.splitlines()
     row = json.loads(eta_line)
     assert row["min_eta_large_s"] > 0
     certs = [certifier.min_eta(delta, 1e-3) for delta in (100, 200, 400)]
@@ -128,6 +132,9 @@ def test_bench_scripts_run():
     row = json.loads(one_sided_line)
     assert row["one_sided_s"] > 0
     assert row["fingerprint"] == ONE_SIDED_GRID_SHA256
+    row = json.loads(certify_line)
+    assert row["verify_table_s"] > 0
+    assert row["fingerprint"] == CERTIFY_TABLE_SHA256
 
     # a paired row, with both sides the same checkout
     done = _run_script("scripts/bench_sampler.py", "--paired-row", "cut_small",
