@@ -38,6 +38,12 @@ they come from. These paired rows are
 - `moments`: `truncated_log_moments(delta, cap, 0.8)` in microseconds per
   call, over every cap 0..delta of every degree 4..60 (the shapes of the
   paper table's search), ten times per block.
+- `matching_N`: the uniform matching `graphlab._raw_matching` on N points
+  in microseconds per point, consecutive calls on one generator seeded N
+  for about 2^19 points per block, fingerprinted by the partner arrays'
+  bytes and the generator's state afterwards. The sizes straddle the
+  switch between the sequential and the blocked walk (MATCHING_SIZES) and
+  reach 2^18 + 2 and 10^6 points.
 
 Every row also records a fingerprint of its output, so the file shows
 whether both checkouts computed the same thing. Every per-process row runs
@@ -74,6 +80,8 @@ ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "cri
         "eta_table", "eta_large", "one_sided", "certify_table")
 ETA_ROWS = {"eta_table": (range(4, 61), 1e-6), "eta_large": ((100, 200, 400), 1e-3)}
 PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11, "moments": 15}  # row: rounds
+MATCHING_SIZES = (16_386, 24_578, 32_770, 49_154, 65_538, 131_074, 2**18 + 2, 10**6)
+PAIRED_ROWS.update({f"matching_{n}": 11 for n in MATCHING_SIZES})
 RUNS = 5  # repetitions of every per-process row per checkout
 PAIRS = 10  # parent/change pairs per perfbench workload
 SECONDS = 20  # perfbench --seconds
@@ -214,6 +222,17 @@ def paired_block(pkg, name: str) -> tuple[float, str]:
         t0 = time.perf_counter()
         values = [moments(delta, cap, 0.8) for delta, cap in shapes]
         return (time.perf_counter() - t0) / len(shapes), sha256(repr(values))
+    if name.startswith("matching_"):
+        n = int(name.removeprefix("matching_"))
+        rng, digest = random.Random(n), hashlib.sha256()
+        calls = max(1, 2**19 // n)
+        t0 = time.perf_counter()
+        partners = [lab._raw_matching(rng, n) for _ in range(calls)]
+        seconds = (time.perf_counter() - t0) / (calls * n)
+        for partner in partners:
+            digest.update(partner.tobytes())
+        digest.update(repr(rng.getstate()).encode())
+        return seconds, digest.hexdigest()
     raise ValueError(f"unknown paired row {name!r}")
 
 
@@ -232,6 +251,8 @@ def paired_row(sides: dict[str, Path], name: str) -> dict:
             prints[side].add(fingerprint)
     ratios = [c / p for c, p in zip(seconds["change"], seconds["parent"])]
     unit, scale = ("s", 1.0) if name == "simple" else ("us_per_call", 1e6)
+    if name.startswith("matching_"):
+        unit = "us_per_point"
     return {
         "rounds": PAIRED_ROWS[name],
         "unit": unit,

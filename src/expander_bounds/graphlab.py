@@ -23,6 +23,7 @@ from operator import not_
 
 import numpy as np
 
+from ._matching import _LIST_POOL_POINTS, _raw_matching  # the tests read the switch here
 from .combinatorics import log_binomial, log_odd_double_factorial
 
 __all__ = [
@@ -306,66 +307,6 @@ def _row_runs(
     return row, own, start
 
 
-# `_raw_matching` keeps its pool in lists up to this many points and in
-# arrays above. Per point on a 2-core host (CPython 3.11, median array/list
-# time ratio of interleaved rounds): 2.3 at 8 points, 1.4 at 4,096 and 1.1
-# at 32,768, since reading an array entry makes a new int; about 1.0 at
-# 49,152, 0.92 at 65,536 and 0.72-0.82 from 131,072 up, where an array
-# holds a point in 8 bytes instead of about 36. The switch stays at 65,536,
-# within 10% of the crossover on either side.
-_LIST_POOL_POINTS = 1 << 16
-
-
-def _raw_matching(rng: random.Random, num_points: int) -> array:
-    """Uniform perfect matching as a partner-of-point array: repeatedly pair
-    the lowest unmatched point with a uniformly random other unmatched point.
-
-    `pool` holds the unmatched points and `where[p]` the index of p in it;
-    a point leaves the pool by moving the last entry into its slot. The
-    partner array doubles as the record of which points are matched.
-    `pool` and `where` are lists up to _LIST_POOL_POINTS points and arrays
-    beyond, whichever is faster at that size; an array pool is filled by a
-    cumulative sum in place. An index below m is drawn as `rng.randrange(m)`
-    draws it (`Random._randbelow_with_getrandbits`): `getrandbits(k)` with
-    k = m.bit_length(), repeated while the result is m or more. The calls
-    are the same, so the matching and the generator's state afterwards are
-    identical, without randrange's argument handling.
-    """
-    if num_points <= _LIST_POOL_POINTS:
-        pool = list(range(num_points))
-    else:
-        pool = array("q", [1]) * num_points
-        view = np.frombuffer(pool, dtype=np.int64)
-        view[0] = 0
-        np.cumsum(view, out=view)
-        del view  # an exported buffer would block pool.pop
-    where = pool[:]
-    partner = array("q", [-1]) * num_points
-    getrandbits = rng.getrandbits
-    pop = pool.pop
-    for low in range(num_points):
-        if partner[low] >= 0:
-            continue
-        last = pop()
-        if last != low:
-            i = where[low]
-            pool[i] = last
-            where[last] = i
-        m = len(pool)
-        k = m.bit_length()
-        j = getrandbits(k)
-        while j >= m:
-            j = getrandbits(k)
-        p = pool[j]
-        last = pop()
-        if last != p:
-            pool[j] = last
-            where[last] = j
-        partner[low] = p
-        partner[p] = low
-    return partner
-
-
 def _rows_simple(delta: int, n: int, partner: array) -> bool:
     """True iff no vertex's row of delta partner vertices holds the vertex
     itself (a loop) or a repeat (a parallel edge). Stops at the first bad
@@ -376,6 +317,14 @@ def _rows_simple(delta: int, n: int, partner: array) -> bool:
         if len(row) < delta or v in row:
             return False
     return True
+
+
+def _seeded(seed: int) -> random.Random:
+    """`random.Random(seed)` for a seed of 0 or more. A negative seed is
+    refused: Random seeds with its absolute value, so -s would repeat s."""
+    if seed < 0:
+        raise ValueError(f"seed must be 0 or more; {seed} would repeat seed {-seed}")
+    return random.Random(seed)
 
 
 _SIMPLE_ATTEMPT_LIMIT = 100_000
@@ -393,6 +342,7 @@ def sample_pairing(
     and delta >= 8, where a pairing is simple with probability about
     exp(-(delta^2 - 1)/4) as n grows (Bender-Canfield 1978; Bollobas 1980),
     less at finite n, so the 100,000 attempts would almost surely run out.
+    A negative seed raises ValueError too: it would repeat its absolute value.
     """
     num_points = _num_points(delta, n)
     if simple_only and delta > n - 1:
@@ -405,7 +355,7 @@ def sample_pairing(
             f"exp(-(delta^2 - 1)/4) = {math.exp(-(delta * delta - 1) / 4):.1e}, too rare "
             f"for {_SIMPLE_ATTEMPT_LIMIT} rejection attempts"
         )
-    rng = random.Random(seed)
+    rng = _seeded(seed)
     for _ in range(_SIMPLE_ATTEMPT_LIMIT):
         partner = _raw_matching(rng, num_points)
         if not simple_only or _rows_simple(delta, n, partner):
@@ -931,7 +881,7 @@ def sample_out_degree_configurations(
         raise ValueError("size_s must lie in [0, n]")
     if (delta * n) % 2 != 0:
         raise ValueError("delta * n must be even")
-    rng = random.Random(seed)
+    rng = _seeded(seed)
     boundary = size_s * delta
     num_points = delta * n
     by_out: dict[tuple[int, ...], int] = {}

@@ -235,6 +235,18 @@ def test_oracle_refuses_impossible_simple_graph(capsys):
     assert err.startswith("error: no simple 4-regular graph has 4 vertices")
 
 
+def test_oracle_refuses_negative_seed(capsys):
+    # random.Random(-1) seeds as random.Random(1): the oracle would print
+    # seed 1's graph under seed=-1
+    code, out, err = run(capsys, "oracle", "--delta", "3", "--n", "4", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: seed must be 0 or more; -1 would repeat seed 1")
+    # simulate derives a distinct seed per trial, negative seeds included
+    code, out, err = run(capsys, "simulate", "--delta", "3", "--n", "10", "--trials", "1",
+                         "--seed", "-1")
+    assert code == 0 and err == "" and " seed=-1 " in out
+
+
 def test_simulate_refuses_hopeless_simple_request(monkeypatch, capsys):
     # a 10-regular pairing is simple with probability about 2e-11: refused
     # before sampling instead of after 100,000 rejected attempts

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from expander_bounds import graphlab
+from expander_bounds import _matching, graphlab
 from expander_bounds.cli import main
 from expander_bounds.graphlab import (
     BEST_IMPROVEMENT,
@@ -372,6 +372,63 @@ def test_raw_matching_matches_randrange_reference(num_points):
     for _ in range(3 if num_points > 10_000 else 50):
         assert graphlab._raw_matching(fast, num_points) == _reference_raw_matching(ref, num_points)
         assert fast.getstate() == ref.getstate()
+
+
+def test_blocked_matching_matches_reference_to_the_last_step(monkeypatch):
+    # With the switch at 0, every pool is walked in blocks down to its last
+    # pair. That late phase is where lows have left their home slots and a
+    # step's slots coincide (the low's slot is the first tail, j is the
+    # second tail or the low's slot); each case comes up over a thousand
+    # times in these calls. Three consecutive calls per generator, every
+    # even size from 2 to 400.
+    monkeypatch.setattr(_matching, "_LIST_POOL_POINTS", 0)
+    for seed in range(200):
+        fast, ref = random.Random(seed), random.Random(seed)
+        for k in (1, 7, 13):
+            num_points = 2 + 2 * ((seed + 1) * k % 200)
+            assert graphlab._raw_matching(fast, num_points) == _reference_raw_matching(
+                ref, num_points)
+            assert fast.getstate() == ref.getstate()
+
+
+def test_matching_interleaves_list_and_blocked_pools(monkeypatch):
+    # rejection sampling calls the matching again and again on one
+    # generator; here the calls alternate between the two paths, first
+    # around a lowered switch, then around the real one
+    real = _matching._LIST_POOL_POINTS
+    fast, ref = random.Random(8), random.Random(8)
+    with monkeypatch.context() as m:
+        m.setattr(_matching, "_LIST_POOL_POINTS", 64)
+        for num_points in (66, 64, 400, 2, 130, 64, 66, 1000, 8, 66) * 3:
+            assert graphlab._raw_matching(fast, num_points) == _reference_raw_matching(
+                ref, num_points)
+            assert fast.getstate() == ref.getstate()
+    for num_points in (real + 2, 10, real, real + 2):
+        assert graphlab._raw_matching(fast, num_points) == _reference_raw_matching(
+            ref, num_points)
+        assert fast.getstate() == ref.getstate()
+
+
+def test_pools_past_2_32_points_stay_sequential(monkeypatch):
+    # getrandbits(k) reads two 32-bit words per call once k > 32, which the
+    # blocked draws do not model; the stand-ins keep any pool from being built
+    monkeypatch.setattr(_matching, "_blocked_matching", lambda rng, num_points: "blocked")
+    monkeypatch.setattr(_matching, "_list_matching", lambda rng, num_points: "list")
+    switch = _matching._LIST_POOL_POINTS
+    sizes = (switch, switch + 2, 2**32, 2**32 + 2)
+    assert [graphlab._raw_matching(None, n) for n in sizes] == [
+        "list", "blocked", "blocked", "list"]
+
+
+def test_negative_seeds_are_refused():
+    # random.Random(-s) seeds exactly as random.Random(s), so seed -1 would
+    # silently repeat seed 1's graph
+    assert random.Random(-1).random() == random.Random(1).random()
+    with pytest.raises(ValueError, match="-1 would repeat seed 1"):
+        sample_pairing(3, 4, seed=-1)
+    with pytest.raises(ValueError, match="-5 would repeat seed 5"):
+        sample_out_degree_configurations(3, 4, 2, 10, seed=-5)
+    assert sample_pairing(3, 4, seed=0).n == 4
 
 
 def test_sample_pairing_memory_per_point():
