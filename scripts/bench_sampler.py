@@ -11,9 +11,10 @@ Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 - `local_descent` at delta 3, n = 1e5, under both tie rules (the rows of
   `bench_descent.py`);
 - the wall time of criterion 08's three tallies (1e6 draws each);
-- `min_eta` over degrees 4..60 at margin 1e-6 (the paper's table) and over
-  100, 200 and 400 at margin 1e-3, each fingerprinted by its certificates'
-  JSON;
+- `min_eta` over degrees 4..60 at margin 1e-6 (the paper's table), over
+  100, 200 and 400 at margin 1e-3, and over 1000 and 2000 at margin 1e-3
+  (`eta_wide`, where only the screen's root bound applies above 1010), each
+  fingerprinted by the sha256 of its certificates' JSON;
 - `one_sided`: `solve_one_sided` on perfbench's large-degree grid (8 evenly
   spaced eta in [1e-3, 2 sqrt(ln 2)/sqrt(delta)] for delta 1600 and 6400),
   fingerprinted by the sha256 of repr() of the solved points;
@@ -77,8 +78,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "criterion_08",
-        "eta_table", "eta_large", "one_sided", "certify_table")
-ETA_ROWS = {"eta_table": (range(4, 61), 1e-6), "eta_large": ((100, 200, 400), 1e-3)}
+        "eta_table", "eta_large", "eta_wide", "one_sided", "certify_table")
+ETA_ROWS = {"eta_table": (range(4, 61), 1e-6), "eta_large": ((100, 200, 400), 1e-3),
+            "eta_wide": ((1000, 2000), 1e-3)}
 PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11, "moments": 15}  # row: rounds
 MATCHING_SIZES = (16_386, 24_578, 32_770, 49_154, 65_538, 131_074, 2**18 + 2, 10**6)
 PAIRED_ROWS.update({f"matching_{n}": 11 for n in MATCHING_SIZES})

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .certifier import DEFAULT_MARGIN, DEFAULT_PRECISION, min_eta
+from .certifier import DEFAULT_MARGIN, DEFAULT_PRECISION, NoBound, min_eta, verify_certificate
 from .combinatorics import (
     binomial_log_row,
     binomial_pmf,
@@ -155,11 +155,17 @@ def alpha_trend(
     Each entry runs the full certification search and then solves the
     one-sided system at the certified eta, so the returned points carry the
     binomial diagnostics alongside alpha. Compare alpha against TWO_SQRT_LN2.
+    Raises NoBound when the verifier rejects a degree's certificate, naming
+    the degree and the failed checks.
     """
     points = []
     for delta in delta_list:
         if not isinstance(delta, int) or delta < 4 or delta % 2 != 0:
             raise ValueError("alpha_trend requires even degrees >= 4")
         cert = min_eta(delta, margin, precision)
+        failures = verify_certificate(cert).failures()
+        if failures:
+            names = ", ".join(f.name for f in failures)
+            raise NoBound(f"certificate for delta={delta} fails {names}")
         points.append(solve_one_sided(delta, cert.eta))
     return points

@@ -26,12 +26,15 @@ side solver's root. So the solved exponent is the minimum over witnesses,
 and ``rhs`` at any ``gamma > 0`` bounds it from above: any witness is sound.
 A probe (:func:`_satisfied`) therefore first evaluates each feasible pair at
 the uncapped binomial root ``gamma0 = t / (delta - t)``, where the side
-solver's bracket starts, with one moment evaluation per cap. A pair whose
-value there is at most ``-margin - _SLACK`` passes; only the others are
-solved. ``_SLACK`` covers the rounding of both evaluations, and the screen
-is used only on caps whose solve provably cannot underflow
-(:func:`_underflow_guard`), so every probe's verdict is the one the full
-solve gives. Certificates are still built from full side solutions
+solver's bracket starts. Every cap shares ``gamma0``, so one prefix sum over
+``ln C(delta, i) + i ln gamma0`` gives every cap's ``ln S0`` at once
+(:func:`_log_s0_prefix`). A pair whose value there is at most ``-margin -
+_SLACK`` passes; only the others are solved. ``_SLACK`` covers the rounding
+of both evaluations, and the screen is used only on caps whose solve
+provably cannot underflow (:func:`_screenable`: the root stays at ``x <=
+0`` below a cached ``gamma = 1`` bound, or a closed-form bound on the root
+keeps ``ln S0`` small), so every probe's verdict is the one the full solve
+gives. Certificates are still built from full side solutions
 (:func:`evaluate_pairs`), but checking one needs no solve: by the same
 bound, :func:`verify_certificate` evaluates each pair's exponent at the
 stored witnesses, and a pass there implies a pass at the solved minimum.
@@ -45,7 +48,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .combinatorics import truncated_log_moments
+import numpy as np
+
+from .combinatorics import _log_s0_prefix, binomial_log_row, truncated_log_moments
 from .side_solver import (
     BetaUnderflow,
     SideSolution,
@@ -93,8 +98,10 @@ _LN2 = math.log(2.0)
 # A probe passes a pair unsolved when its exponent at the uncapped binomial
 # root is at most -margin - _SLACK; _satisfied derives why 1e-9 is enough.
 _SLACK = 1e-9
-# A cap is screened only while ln S0 at gamma = 1 stays below this, which
-# keeps every witness the screen skips about 45 nats from beta's underflow.
+# A cap is screened only while a bound on ln S0 at its root (ln S0 at
+# gamma = 1, or the closed-form root bound of _screenable) stays below this,
+# which keeps every witness the screen skips about 45 nats from beta's
+# underflow.
 _GUARD_LOG_S0 = 700.0
 
 
@@ -251,19 +258,58 @@ def _certifies(pair_bounds: Iterable[PairBound], margin: float) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _underflow_guard(delta: int, cap: int) -> float:
-    """The largest target mean at which cap ``cap`` may be screened.
+def _guard_means(delta: int) -> tuple[float, ...]:
+    """Condition (a) of the screen for every cap: the profile's mean at
+    ``gamma = 1``, or ``-inf`` where ``ln S0(1) > _GUARD_LOG_S0``.
 
-    That is the mean of the profile at ``gamma = 1``, or ``-inf`` when
-    ``ln S0(1) > 700``. For a target ``t`` at most that mean the root has
-    ``x = ln gamma <= 0``, since the mean increases in ``x``; so its
-    ``ln S0 <= ln S0(1) <= 700`` (up to rounding), ``beta`` does not
-    underflow (that needs about 745), and the bracket reaches the root from
-    the uncapped one. ``ln S0(1) >= (delta - 1) ln 2`` for the larger cap of
-    a pair, so no pair is screened above delta = 1010.
+    Both come from prefix rows at ``x = 0``, since ``i C(delta, i) = delta
+    C(delta - 1, i - 1)`` makes ``S1`` of cap ``d`` equal to ``delta`` times
+    ``S0`` of cap ``d - 1`` at degree ``delta - 1``. Where ``ln C(delta,
+    delta // 2) > _GUARD_LOG_S0`` every cap is ``-inf``: there the larger
+    cap of each pair has ``ln S0(1) >= ln C(delta, delta // 2)`` and fails
+    (a) anyway, and only below that peak is every scaled prefix of the row
+    a normal double, so every entry is good to about ``1e-12``.
     """
-    log_s0, _, mean = truncated_log_moments(delta, cap, 1.0)
-    return mean if log_s0 <= _GUARD_LOG_S0 else -math.inf
+    if binomial_log_row(delta)[delta // 2] > _GUARD_LOG_S0:
+        return (-math.inf,) * (delta + 1)
+    log_s0 = _log_s0_prefix(delta, 0.0)
+    means = delta * np.exp(_log_s0_prefix(delta - 1, 0.0) - log_s0[1:])
+    return (-math.inf, *np.where(log_s0[1:] <= _GUARD_LOG_S0, means, -math.inf).tolist())
+
+
+def _root_x_bound(delta: int, cap: int, t: float) -> float:
+    """An upper bound ``x_u`` on the side solver's root ``x* = ln gamma``
+    at cap ``cap`` and target mean ``t < cap``.
+
+    The profile's terms satisfy ``T_{d-k} / T_d <= q^k`` with ``q = d e^-x /
+    (delta - d + 1)``, since each step down from the cap multiplies the
+    binomial by at most ``d / (delta - d + 1)``. So ``d - mean(x) <= q / (1 -
+    q)^2``, which is below ``s = d - t`` once ``q < q_s = 2s / (2s + 1 +
+    sqrt(4s + 1))``, the root of ``q / (1 - q)^2 = s`` written without
+    cancellation (it is positive for every ``s > 0``). The mean increases in
+    ``x``, so ``x* <= ln(d / (delta - d + 1)) - ln q_s``.
+    """
+    s = cap - t
+    q_s = 2.0 * s / (2.0 * s + 1.0 + math.sqrt(4.0 * s + 1.0))
+    return math.log(cap / (delta - cap + 1)) - math.log(q_s)
+
+
+def _screenable(delta: int, cap: int, t: float, x0: float, log_s0_x0: float) -> bool:
+    """True when the side solve of cap ``cap`` at target ``t`` provably keeps
+    ``ln S0 <= _GUARD_LOG_S0`` at its root, so ``beta`` cannot underflow.
+
+    Either (a) ``t`` is at most the mean at ``gamma = 1``
+    (:func:`_guard_means`): the mean increases in ``x``, so the root has
+    ``x* <= 0`` and ``ln S0`` there is at most ``ln S0(1)``. Or (b) the root
+    bound: ``ln S0(x) - t x`` is convex and least at ``x*``, and ``x0 <= x*
+    <= x_u`` (:func:`_root_x_bound`), so ``ln S0(x*) <= ln S0(x0) + t max(0,
+    x_u - x0)``. Above delta = 1010 no pair's larger cap passes (a), so (b)
+    decides there; below it (a) screens many caps near the middle for which
+    (b) is loose.
+    """
+    if t <= _guard_means(delta)[cap]:
+        return True
+    return log_s0_x0 + t * max(0.0, _root_x_bound(delta, cap, t) - x0) <= _GUARD_LOG_S0
 
 
 def _satisfied(delta: int, eta: float, margin: float) -> bool:
@@ -273,40 +319,63 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     :func:`evaluate_pairs` (``False`` on BetaUnderflow), building no
     SideSolution.
 
-    A pair whose caps both pass :func:`_underflow_guard` is first screened:
-    its exponent at ``gamma0 = t / (delta - t)`` for both sides bounds the
-    solved one from above (module docstring), so a value of at most
-    ``-margin - _SLACK`` passes it. Every other pair is solved with
-    :func:`_solve_witness`, and a BetaUnderflow fails the probe.
+    Every cap shares ``t`` and so ``gamma0 = t / (delta - t)``, and one
+    prefix row (:func:`_log_s0_prefix`) gives ``ln S0(gamma0)`` for all of
+    them. A pair whose caps are both :func:`_screenable` is screened: its
+    exponent at ``gamma0`` on both sides bounds the solved one from above
+    (module docstring), so a value of at most ``-margin - _SLACK`` passes
+    it. Every other pair is solved with :func:`_solve_witness`, and a
+    BetaUnderflow fails the probe.
 
     Why ``_SLACK = 1e-9`` is enough. Let ``R`` be the exact exponent at a
     float witness, ``R*`` its minimum, ``r`` the float evaluation, ``e`` a
     bound on ``|r - R|`` and ``g`` the excess of ``R`` at the solved witness
     over ``R*``. Then ``r(solved) <= R* + g + e <= R(gamma0) + g + e <=
     r(gamma0) + g + 2e``, so a screened pass implies the solved pass when
-    ``g + 2e <= _SLACK``. On a screened pair delta <= 1010, both witnesses
-    have ``x`` in ``[-21.5, 0]`` (``gamma0 >= (1 - eta)/2 >= 5e-10`` because
-    the search keeps ``eta <= 1 - 1e-9``), ``ln C(delta, i) <= 700`` and
-    ``ln S0 <= 700``. With ``u = 2^-53``, each log term ``ln C(delta, i) +
-    i x`` is off by at most ``u (3500 + 3 i |x|) < 7e4 u``, and
-    :func:`truncated_log_moments` adds about ``2.5e3 u`` to ``ln S0``. The
-    pair formula sums seven terms, the largest ``(delta/4) (|log2 gamma| +
-    |log2 gamma'|) < 1.6e4``, adding under ``2e5 u``; with the ``ln S0``
-    errors that is ``e < 3.5e5 u < 4e-11``. The solved root lies within the
-    Brent tolerance (about 1e-13 in ``x``) of the float mean's root, and the
-    mean's rounding (relative ``7e4 u`` per term) moves that root by at most
-    ``7e4 u / sqrt(variance)``. ``R`` is quadratic there with curvature
-    ``variance / (2 ln 2)`` per side and ``variance <= delta^2 / 4``, so
-    ``g < 1e-18``. Hence ``g + 2e < 1e-10``, a tenth of ``_SLACK``.
+    ``g + 2e <= _SLACK``. With ``u = 2^-53``, on a screened pair:
+
+    - ``ln S0 <= 700`` at both witnesses (the guard), and ``gamma0 = (1 -
+      eta) / (1 + eta)`` lies in ``[5e-10, 1]`` because the search keeps
+      ``eta <= 1 - 1e-9``, so ``x0`` is in ``[-21.5, 0]``. The solved root
+      has ``x* >= x0`` and ``d x* <= ln S0(x*) <= 700``.
+    - Each log term ``L_i = ln C(delta, i) + i x`` is off by at most ``u (3
+      ln C + i + 2 i |x| + |L_i|) <= 68 delta u``, as ``ln C <= 0.7
+      delta``, ``i |x| <= 21.5 delta`` at ``x0`` and ``<= 700`` at ``x*``.
+    - The prefix adds ``(2 d + 24) u + 700 u`` (its docstring), and the
+      solver's :func:`truncated_log_moments`, a scaled sum of the same
+      terms, no more. So each ``ln S0`` is off by under ``(70 delta + 724)
+      u``. A logaddexp scan would instead round once per step at
+      ``|ln S0|``, up to ``700 delta u`` in all.
+    - The pair formula has seven terms. ``(1 - eta) |log2 gamma0| <= 1.07``
+      and ``t |x*| <= 700``, so their magnitudes sum to under ``2.2 delta +
+      2100``; rounding each a few times and summing costs under ``(22 delta
+      + 2.1e4) u``. The two ``ln S0`` enter halved and over ``ln 2``.
+
+    So ``e < (123 delta + 2.2e4) u``. For ``g``: by convexity each side's
+    excess is at most ``(x^ - x*) (mean(x^) - t) / (2 ln 2)`` at the solved
+    ``x^``, where the float mean is ``t``, so ``mean(x^) - t`` is at most the
+    float mean's error ``dm``. Where the root is well conditioned, ``x^ - x*
+    <= dm / v`` with ``v`` the variance, and since term errors (relative
+    ``rho``, the ``ln S0`` bound above) enter ``dm`` weighted by ``|i -
+    mean|``, ``dm`` is about ``rho sqrt(v)`` plus the sums' rounding and the
+    excess about ``rho^2 / ln 2``, far below 1e-10. A cap pinned against the
+    mean (``s = d - t`` comparable to ``dm``) can leave ``x^`` anywhere in
+    the 532-wide bracket, but there ``mean - t <= s``; only (b) screens it,
+    which needs ``t ln(1 / s) <= 700``, so ``d <= 25``, ``dm < 4e-14`` and
+    the excess is below ``768 dm < 3e-11``. Against exact arithmetic, 400
+    seeded screenable caps (delta <= 80, ``s`` from 1e-15 to 1e-3) gave
+    ``g <= 3.2e-16``. Hence ``g + 2e < _SLACK`` for delta up to 30,000.
     """
-    t = target_mean(delta, eta)
     pairs = feasible_pairs(delta, eta)
+    if not pairs:
+        return False
+    t = target_mean(delta, eta)
     gamma0 = t / (delta - t)
+    x0 = math.log(gamma0)
+    log_s0 = _log_s0_prefix(delta, x0).tolist()
     for d, dp in pairs:
-        if t <= _underflow_guard(delta, d) and t <= _underflow_guard(delta, dp):
-            log_s0 = truncated_log_moments(delta, d, gamma0)[0]
-            log_s0_p = log_s0 if dp == d else truncated_log_moments(delta, dp, gamma0)[0]
-            if _rhs(delta, eta, -log_s0, gamma0, -log_s0_p, gamma0) <= -margin - _SLACK:
+        if _screenable(delta, d, t, x0, log_s0[d]) and _screenable(delta, dp, t, x0, log_s0[dp]):
+            if _rhs(delta, eta, -log_s0[d], gamma0, -log_s0[dp], gamma0) <= -margin - _SLACK:
                 continue
         try:
             side = _solve_witness(delta, d, eta)
@@ -318,7 +387,7 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
             return False
         if _rhs(delta, eta, *side, *side_p) > -margin:
             return False
-    return bool(pairs)
+    return True
 
 
 def min_eta(
@@ -334,11 +403,12 @@ def min_eta(
     the certificate's pair bounds are evaluated once at the rounded value and
     checked against the same condition.
 
-    Each probe is :func:`_satisfied`: one moment evaluation per cap at the
-    uncapped binomial root clears the pairs with room to spare, and only the
-    rest are solved, with the verdict solving every pair would give. On the
-    paper's table (degrees 4..60, margin 1e-6) the searches solve 1,170 caps
-    where solving each probe's pairs up to the first failure took 5,843.
+    Each probe is :func:`_satisfied`: one prefix sum at the uncapped
+    binomial root gives every cap's ``ln S0`` there and clears the pairs with
+    room to spare, and only the rest are solved, with the verdict solving
+    every pair would give. On the paper's table (degrees 4..60, margin 1e-6)
+    the searches solve 652 caps where solving each probe's pairs up to the
+    first failure took 5,843.
     Only the certificate at the rounded eta is built from full side
     solutions with residuals (:func:`evaluate_pairs`).
 

@@ -8,8 +8,10 @@ rows (a malformed certificate) prints its text lines in every format.
 Exit codes carry the mathematical verdict so the tool works as a checker in
 shell pipelines: 0 = certified / verified / computed, 1 = the claim failed
 (non-negative exponent, failed verification, malformed certificate), 2 =
-usage or validation error. Identical invocations produce byte-identical
-output; every randomized command echoes its seed.
+usage or validation error. `table` checks every certificate it prints with
+the verifier and exits 1, naming the failed checks on stderr, when one is
+rejected. Identical invocations produce byte-identical output; every
+randomized command echoes its seed.
 """
 
 from __future__ import annotations
@@ -124,6 +126,15 @@ def _flag(b: bool) -> str:
 def _cmd_table(args: argparse.Namespace) -> _Result:
     prec = args.precision
     certs = build_table(args.delta_min, args.delta_max, args.margin, prec)
+    # Every printed certificate is checked; a rejected one still prints, so
+    # stdout keeps its bytes, and the exit code says the claim failed.
+    code = 0
+    for c in certs:
+        failures = verify_certificate(c).failures()
+        if failures:
+            names = ", ".join(f.name for f in failures)
+            print(f"rejected: delta={c.delta} fails {names}", file=sys.stderr)
+            code = 1
     docs = [certificate_to_dict(c) for c in certs]
     rows = [["delta", "eta", "bound", "baseline_eta", "baseline_bound", "d", "d_prime",
              "vacuous", "rhs", "beta", "gamma", "beta_prime", "gamma_prime"]]
@@ -156,7 +167,7 @@ def _cmd_table(args: argparse.Namespace) -> _Result:
                 f"  pair d={pb.d} d'={pb.d_prime} rhs={pb.rhs:.6e} beta={wit[0]} "
                 f"gamma={wit[1]} beta'={wit[2]} gamma'={wit[3]}"
             )
-    return 0, docs[0] if len(docs) == 1 else docs, rows, lines
+    return code, docs[0] if len(docs) == 1 else docs, rows, lines
 
 
 def _cmd_bound(args: argparse.Namespace) -> _Result:

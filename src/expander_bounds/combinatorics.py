@@ -158,6 +158,35 @@ def truncated_log_moments(delta: int, cap: int, gamma: float) -> tuple[float, fl
     return log_s0, log_s1, w1 / w0
 
 
+def _log_s0_prefix(delta: int, x: float) -> np.ndarray:
+    """ln S0 at ``gamma = e^x`` for every cap 0..delta, from one prefix sum.
+
+    Entry ``d`` is ``ln sum_{i <= d} C(delta, i) e^(i x)``: the log terms
+    ``L_i = ln C(delta, i) + i x`` are scaled by their largest value ``p``,
+    exponentiated, summed by one sequential ``cumsum`` and taken back to logs.
+
+    Error bound, with ``u = 2^-53``, numpy's ``exp``/``log`` within 4 ulp and
+    ``eps`` the largest error of a log term ``L_i`` (the same terms
+    :func:`truncated_log_moments` builds): at every cap ``d`` at or above the
+    row's mode, where the scaled prefix is at least 1,
+
+        |entry - ln S0_d| <= eps + (2 d + 24) u + u |ln S0_d|.
+
+    The prefix of ``d + 1`` positive terms is off by at most ``d u``
+    relative; scaling a term ``z = p - L_i`` below the peak costs it ``u z``
+    relative, and the weighted mean of ``z`` is at most ``ln(d + 1)``; the
+    ``exp``, ``log`` and final ``+ p`` add the rest. At ``gamma`` the mode is
+    at most ``ceil(delta gamma / (1 + gamma))``, so every cap above the
+    uncapped mean is covered. Below the mode the scaled prefix shrinks with
+    the cap and reads ``-inf`` once it underflows, about 745 nats below
+    ``p``.
+    """
+    logterms = binomial_log_row(delta) + _index(delta) * x
+    peak = logterms.max()
+    with np.errstate(divide="ignore"):
+        return peak + np.log(np.cumsum(np.exp(logterms - peak)))
+
+
 def binomial_pmf(delta: int, p: float, k: int) -> float:
     """P[Binomial(delta, p) = k], by direct evaluation in log space."""
     if not isinstance(delta, int) or delta < 1:

@@ -32,6 +32,9 @@ from expander_bounds import (
     verify_certificate,
 )
 
+from expander_bounds.combinatorics import _log_s0_prefix
+from test_combinatorics import U, log_term_error
+
 TIGHT = 1e-6  # search margin used throughout the regression tests
 
 
@@ -83,8 +86,8 @@ def _unscreened_satisfied(delta: int, eta: float, margin: float) -> bool:
 
 
 # Degrees past the paper's table: 308 needs the bump, 400-406 cross the
-# underflow band, and 1010 is the last degree with a screened pair (the guard
-# edge).
+# underflow band, and 1009-1010 are the last degrees where guard condition (a)
+# screens a pair; above them only the root bound (b) does.
 AGREEMENT_DEGREES = [
     *((delta, margin) for margin in (1e-3, TIGHT) for delta in range(3, 61)),
     *((delta, 1e-3) for delta in (100, 400, 402, 406, 800, 1009, 1010)),
@@ -127,6 +130,79 @@ def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
     assert any(not verdict for *_, verdict in probes)
     for delta, eta, margin, verdict in probes:
         assert verdict == _unscreened_satisfied(delta, eta, margin), (delta, eta, margin)
+
+
+def test_root_bound_screen_agrees_with_the_unscreened_condition(monkeypatch):
+    # Where the screen widened: at delta = 1200 and 2000 no pair passes guard
+    # condition (a), so every pair screened at high eta is screened by the
+    # root bound (b); at small degrees, eta just above 1 - 2d/delta leaves
+    # cap d feasible with the target mean pinned a hair below it.
+    rng = random.Random(20261019)
+    probes = [(delta, rng.uniform(0.9, 1.0 - 1e-9)) for delta in (1200, 2000)]
+    probes.append((2000, 0.97))
+    for _ in range(60):
+        delta = rng.randint(3, 60)
+        d = rng.randint(1, delta // 2)
+        probes.append((delta, 1.0 - 2.0 * d / delta + rng.choice((1e-12, 1e-10, 1e-7))))
+    solves = []
+    monkeypatch.setattr(certifier, "_solve_witness",
+                        lambda *args: solves.append(args) or side_solver._solve_witness(*args))
+    screened = 0
+    verdicts = set()
+    for delta, eta in probes:
+        try:
+            pair_bounds = list(certifier.evaluate_pairs(delta, eta))
+        except BetaUnderflow:
+            pair_bounds = None
+        margins = [1e-3, TIGHT]
+        if pair_bounds:
+            worst = max(pb.rhs for pb in pair_bounds if not pb.vacuous)
+            margins += [-worst - 1e-9, -worst + 1e-9]
+        for margin in margins:
+            expected = pair_bounds is not None and certifier._certifies(pair_bounds, margin)
+            solves.clear()
+            verdict = certifier._satisfied(delta, eta, margin)
+            assert verdict == expected, (delta, eta, margin)
+            verdicts.add(verdict)
+            if delta > 1010 and margin == 1e-3:
+                assert verdict
+                screened += len(feasible_pairs(delta, eta)) - len(solves) // 2
+    assert verdicts == {True, False}
+    assert screened > 500
+
+
+def test_root_bound_holds_at_the_solved_root():
+    # x_u bounds the root x* of mean(x) = t from above, and the screen's bound
+    # ln S0(x0) + t max(0, x_u - x0) bounds ln S0 there. Targets within 1e-9
+    # of the cap pin the float mean, whose root then moves by the mean's
+    # rounding over the variance; there the mean at x_u is checked instead,
+    # and ln S0 is allowed to grow by cap (its slope's bound) times the
+    # distance the float root lies past x_u.
+    rng = random.Random(20261019)
+    checked = pinned = 0
+    for k in range(600):
+        delta = rng.randint(3, 1010)
+        cap = rng.randint(1, delta)
+        t = cap - rng.choice((1e-9, 1e-10)) if k % 3 == 0 else rng.uniform(0.0, cap)
+        eta = 1.0 - 2.0 * t / delta
+        t = target_mean(delta, eta)
+        if not (0.0 <= eta < 1.0 and 0.0 < t < cap):
+            continue
+        x, log_s0 = side_solver._solve_log_gamma(delta, cap, eta)
+        x0 = math.log(t / (delta - t))
+        x_u = certifier._root_x_bound(delta, cap, t)
+        # the mean w1/w0 is off by at most twice the relative error of each sum
+        mean_err = 4.0 * cap * (log_term_error(delta, cap, x_u) + (2 * cap + 24) * U)
+        mean_u = truncated_log_moments(delta, cap, math.exp(x_u))[2]
+        assert mean_u >= t - mean_err, (delta, cap, t)
+        if mean_u > t + 2.0 * mean_err:
+            assert x <= x_u + 1e-12, (delta, cap, t)
+        else:
+            pinned += 1
+        bound = _log_s0_prefix(delta, x0)[cap] + t * max(0.0, x_u - x0)
+        assert log_s0 <= bound + cap * max(0.0, x - x_u) + 1e-9, (delta, cap, t)
+        checked += 1
+    assert checked > 400 and pinned > 50
 
 
 @settings(max_examples=300, deadline=None)

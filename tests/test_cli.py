@@ -123,6 +123,21 @@ def test_table_no_bound_exit(capsys):
     assert err.startswith("no bound:")
 
 
+def test_rejected_certificates_exit_1_and_name_their_failed_checks(capsys):
+    # Degrees whose certificate the verifier rejects (beta goes subnormal at
+    # delta = 402; delta = 406 certifies above its baseline): table still
+    # prints the certificate, byte for byte, and trend prints nothing.
+    code, out, err = run(capsys, "table", "--delta-min", "402", "--delta-max", "402")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "0ab723c35c7d073b"
+    assert err.startswith("rejected: delta=402 fails ")
+    assert "pair-185-217-side-mass-residual" in err.split(", ")[0]
+    code, out, err = run(capsys, "trend", "--deltas", "406")
+    assert code == 1 and out == ""
+    assert err.startswith("no bound: certificate for delta=406 fails ")
+    assert "improves-on-baseline" in err
+
+
 def test_certify_pass_tamper_and_malformed(tmp_path, capsys):
     path = tmp_path / "cert.json"
     text = certificate_to_json(min_eta(5))

@@ -19,7 +19,9 @@ from expander_bounds import (
     log_odd_double_factorial,
     truncated_log_moments,
 )
-from expander_bounds.combinatorics import NEG_INF
+from expander_bounds.combinatorics import NEG_INF, _log_s0_prefix
+
+U = 2.0**-53
 
 
 def test_log_binomial_matches_exact_counts():
@@ -142,6 +144,31 @@ def test_truncated_moments_survive_overflow():
         with pytest.raises(OverflowError):
             math.exp(log_s)
     assert 149.9 < mean < 150.0
+
+
+def log_term_error(delta: int, cap: int, x: float) -> float:
+    """The largest error of a log term ln C(delta, i) + i x, i <= cap, as the
+    prefix kernel's docstring counts it: u (3 ln C + i) for the row, u i |x|
+    twice (the product and x's own rounding) and u |L_i| for the sum."""
+    i = np.arange(cap + 1)
+    row = binomial_log_row(delta)[: cap + 1]
+    return float(np.max(U * (3.0 * row + i + 2.0 * i * abs(x) + np.abs(row + i * x))))
+
+
+@pytest.mark.parametrize("delta", [3, 4, 10, 60, 400, 1010])
+@pytest.mark.parametrize("gamma", [1e-9, 0.01, 0.3, 1.0, 7.0])
+def test_log_s0_prefix_matches_the_moment_kernel(delta, gamma):
+    # At every cap from the uncapped mean up, each of the two evaluations is
+    # within eps + (2d + 24) u + u |ln S0| of the exact value, so they are
+    # within twice that of each other.
+    x = math.log(gamma)
+    prefix = _log_s0_prefix(delta, x)
+    assert prefix.shape == (delta + 1,)
+    t = delta * gamma / (1.0 + gamma)
+    for cap in range(math.ceil(t), delta + 1):
+        log_s0 = truncated_log_moments(delta, cap, gamma)[0]
+        bound = log_term_error(delta, cap, x) + (2 * cap + 24) * U + U * abs(log_s0)
+        assert abs(prefix[cap] - log_s0) <= 2.0 * bound, (cap, prefix[cap], log_s0)
 
 
 @given(
