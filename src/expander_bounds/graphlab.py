@@ -18,8 +18,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
-from itertools import compress
-from operator import not_
+from itertools import zip_longest
+from operator import index, mul
 
 import numpy as np
 
@@ -86,31 +86,23 @@ class OutDegreeVector:
 class RegularMultigraph:
     """delta-regular multigraph on n vertices realized by a point pairing.
 
-    The pairing is held flat: `_partner[q]` is the point matched with point
-    q, and point q belongs to vertex q // delta. The adjacency is derived
-    from it once, in CSR form: vertex v's distinct neighbours other than v
-    are `_nbrs[_offsets[v]:_offsets[v + 1]]`, ascending, with their edge
-    multiplicities at the same positions of `_mults`, and `_loops[v]` counts
-    its loops. All of them are `array('q')`, since descent reads single
-    entries as Python ints.
+    `_partner[q]` is the point matched with point q (`_points` views it in
+    numpy), and point q belongs to vertex q // delta. Construction validates
+    it: points in range, none in two pairs, all covered, with the same error
+    for the same first offending point at any size. Vertex v owns points
+    v*delta .. v*delta + delta - 1, so every degree is delta.
 
-    Construction runs numpy kernels over chunks of rows of at most 65,536
-    points, viewing the partner array without copying it. Each chunk is
-    validated, its rows of delta partner vertices are sorted, the loops
-    counted and the other entries run-length encoded into neighbours and
-    multiplicities; a counting pass sizes the outputs exactly and a second
-    pass fills them. Temporaries stay a few MB whatever n is.
-
-    `pairing` is the canonical matching (pairs stored (low, high), sorted),
-    derived on demand from the partner array and not cached. Every
-    construction validates the pairing: points in range, none in two pairs,
-    every point covered, with the same error for the same first offending
-    point at any size. Vertex v owns the delta points v*delta ..
-    v*delta + delta - 1, so coverage makes every degree delta. Instances
-    are immutable.
+    The first neighbour, loop or multiplicity lookup builds the CSR
+    adjacency (`_index`): v's distinct neighbours other than v are
+    `_nbrs[_offsets[v]:_offsets[v + 1]]`, ascending, their multiplicities
+    at the same positions of `_mults`, and `_loops[v]` counts v's loops,
+    all `array('q')` as descent reads single entries. Equality, hashing,
+    copying, `pairing` (the sorted (low, high) pairs, rebuilt on each
+    access), `is_simple` and `cut_state` read only the partner array.
+    Instances are immutable.
     """
 
-    __slots__ = ("delta", "n", "_partner", "_loops", "_offsets", "_nbrs", "_mults")
+    __slots__ = ("delta", "n", "_partner", "_points", "_loops", "_offsets", "_nbrs", "_mults")
 
     def __init__(self, delta: int, n: int, pairing) -> None:
         """Graph of an explicit pairing, an iterable of (a, b) point pairs."""
@@ -125,27 +117,35 @@ class RegularMultigraph:
                 partner[q] = p
         if -1 in partner:
             raise ValueError("pairing must cover every point exactly once")
-        self._index(delta, n, partner)
+        self._set(delta, n, partner, np.frombuffer(partner, dtype=np.int64))
 
     @classmethod
     def _from_partner(cls, delta: int, n: int, partner: array) -> "RegularMultigraph":
         """Graph of a partner-of-point array, validated as a fixed-point-free
-        involution on the delta * n points."""
+        involution on the delta * n points, in chunks of _CHUNK_POINTS."""
         num_points = _num_points(delta, n)
         if len(partner) != num_points:
             raise ValueError("pairing must cover every point exactly once")
+        points = np.frombuffer(partner, dtype=np.int64)
+        for lo in range(0, num_points, _CHUNK_POINTS):
+            _check_involution(points, lo, min(num_points, lo + _CHUNK_POINTS))
         graph = cls.__new__(cls)
-        graph._index(delta, n, partner)
+        graph._set(delta, n, partner, points)
         return graph
 
-    def _index(self, delta: int, n: int, partner: array) -> None:
-        """Validate the partner array and build the CSR adjacency, in chunks
-        of rows of at most _CHUNK_POINTS points: a counting pass for the
-        loops and offsets, then a pass that fills the exact-size neighbour
-        and multiplicity arrays through numpy views of them. The fill pass
-        walks the chunks backwards, so the last chunk's runs carry over from
-        the counting pass instead of being sorted again."""
-        points = np.frombuffer(partner, dtype=np.int64)
+    def _set(self, *values) -> None:
+        """Set the slots in __slots__ order (__setattr__ refuses); the CSR
+        ones stay None until `_index` passes them."""
+        for name, value in zip_longest(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _index(self) -> None:
+        """Build the CSR slots from chunks of at most _CHUNK_POINTS points:
+        rows of delta partner vertices are sorted, loops counted and the
+        other entries run-length encoded. A counting pass sizes the outputs
+        and a backward pass fills them through numpy views, reusing the last
+        chunk's runs; temporaries stay a few MB whatever n is."""
+        delta, n, points = self.delta, self.n, self._points
         rows = max(1, _CHUNK_POINTS // delta)
         chunks = [(v0, min(n, v0 + rows)) for v0 in range(0, n, rows)]
         loops = array("q", [0]) * n
@@ -153,7 +153,6 @@ class RegularMultigraph:
         loop_counts = np.frombuffer(loops, dtype=np.int64)
         run_counts = np.frombuffer(offsets, dtype=np.int64)[1:]
         for v0, v1 in chunks:
-            _check_involution(points, v0 * delta, v1 * delta)
             row, own, start = _row_runs(points, delta, v0, v1)
             # both points of each loop are own
             np.floor_divide(own.sum(axis=1), 2, out=loop_counts[v0:v1])
@@ -176,14 +175,7 @@ class RegularMultigraph:
             length[:-1] = first[1:]
             length[-1:] = first_of_run.size
             length -= first
-        init = object.__setattr__
-        init(self, "delta", delta)
-        init(self, "n", n)
-        init(self, "_partner", partner)
-        init(self, "_loops", loops)
-        init(self, "_offsets", offsets)
-        init(self, "_nbrs", nbrs)
-        init(self, "_mults", mults)
+        self._set(delta, n, self._partner, points, loops, offsets, nbrs, mults)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -237,6 +229,8 @@ class RegularMultigraph:
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of u-v edges (loop count when u == v)."""
+        if self._offsets is None:
+            self._index()
         if u == v:
             return self._loops[u]
         hi = self._offsets[u + 1]
@@ -244,10 +238,14 @@ class RegularMultigraph:
         return self._mults[i] if i < hi and self._nbrs[i] == v else 0
 
     def loops(self, v: int) -> int:
+        if self._offsets is None:
+            self._index()
         return self._loops[v]
 
     def neighbor_items(self, v: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, multiplicity) pairs, neighbors distinct and != v, ascending."""
+        if self._offsets is None:
+            self._index()
         lo, hi = self._offsets[v], self._offsets[v + 1]
         return tuple(zip(self._nbrs[lo:hi], self._mults[lo:hi]))
 
@@ -266,8 +264,8 @@ def _num_points(delta: int, n: int) -> int:
     return delta * n
 
 
-# Graph construction works on rows of at most this many points at a time,
-# so its numpy temporaries stay a few MB whatever the graph's size.
+# Validation and the CSR build work on at most this many points at a time,
+# so their numpy temporaries stay a few MB whatever the graph's size.
 _CHUNK_POINTS = 1 << 16
 
 
@@ -310,7 +308,7 @@ def _row_runs(
 def _rows_simple(delta: int, n: int, partner: array) -> bool:
     """True iff no vertex's row of delta partner vertices holds the vertex
     itself (a loop) or a repeat (a parallel edge). Stops at the first bad
-    row, so a rejected pairing is not indexed."""
+    row."""
     for v in range(n):
         lo = v * delta
         row = {q // delta for q in partner[lo : lo + delta]}
@@ -403,10 +401,16 @@ class CutState:
 
 
 def _normalize_membership(graph: RegularMultigraph, membership) -> list[bool]:
+    """Whether each vertex is in S, from a set of integer vertex ids (numpy
+    integers included) or a length-n sequence of truth values."""
     if isinstance(membership, (set, frozenset)):
         member = [False] * graph.n
         for v in membership:
-            if not isinstance(v, int) or not 0 <= v < graph.n:
+            try:
+                v = index(v)
+            except TypeError:
+                raise ValueError(f"vertex {v!r} is a {type(v).__name__}, not an integer") from None
+            if not 0 <= v < graph.n:
                 raise ValueError(f"vertex {v} out of range")
             member[v] = True
         return member
@@ -416,57 +420,43 @@ def _normalize_membership(graph: RegularMultigraph, membership) -> list[bool]:
     return member
 
 
-def _histograms(
-    graph: RegularMultigraph, member: list[bool], out: list[int]
-) -> tuple[OutDegreeVector, OutDegreeVector]:
-    hist_s = [0] * (graph.delta + 1)
-    hist_c = [0] * (graph.delta + 1)
-    for v in range(graph.n):
-        (hist_s if member[v] else hist_c)[out[v]] += 1
-    return OutDegreeVector(tuple(hist_s)), OutDegreeVector(tuple(hist_c))
-
-
-def _state_from_arrays(
-    graph: RegularMultigraph, member: list[bool], out: list[int], cut: int, size_s: int
-) -> CutState:
-    hist_s, hist_c = _histograms(graph, member, out)
-    return CutState(
-        graph=graph,
-        membership=tuple(member),
-        size_s=size_s,
-        cut=cut,
-        hist_s=hist_s,
-        hist_comp=hist_c,
-        out_degrees=tuple(out),
-    )
+def _state(graph: RegularMultigraph, membership: tuple, out_degrees: tuple,
+           hist_s: tuple, hist_comp: tuple) -> CutState:
+    """A CutState of fields the library computed itself, set without the
+    dataclass constructors' checks. Every crossing edge has one end in S,
+    so the cut is S's out-degree total."""
+    new = object.__new__
+    s, c, state = new(OutDegreeVector), new(OutDegreeVector), new(CutState)
+    vars(s)["counts"], vars(c)["counts"] = hist_s, hist_comp
+    vars(state).update(graph=graph, membership=membership, size_s=sum(hist_s),
+                       cut=sum(map(mul, range(len(hist_s)), hist_s)), hist_s=s, hist_comp=c,
+                       out_degrees=out_degrees)
+    return state
 
 
 def cut_state(graph: RegularMultigraph, membership) -> CutState:
     """Cut size and out-degree histograms for a vertex set.
 
-    membership is a length-n boolean sequence or a set of vertex ids. A
-    crossing edge is a pairing pair whose endpoints' vertices sit on opposite
-    sides; loops never cross. Every crossing pair has one point on each
-    side, so only the points of the smaller side's vertices are walked.
+    membership is a length-n sequence of truth values or a set of integer
+    vertex ids. A crossing edge is a pairing pair whose endpoints' vertices
+    sit on opposite sides; loops never cross, parallel edges cross with
+    their multiplicity. One numpy pass over the partner array, with
+    temporaries of one byte per point: a point crosses when its partner's
+    side differs from its own, and a vertex's out-degree counts its delta
+    points that cross. The CSR adjacency is not touched.
     """
     member = _normalize_membership(graph, membership)
-    delta = graph.delta
-    partner = graph._partner
-    n = graph.n
-    size_s = sum(member)
-    side = 2 * size_s <= n  # True: walk S; False: walk its complement
-    out = [0] * n
-    cut = 0
-    for v in compress(range(n), member if side else map(not_, member)):
-        k = 0
-        for b in partner[v * delta : v * delta + delta]:
-            w = b // delta
-            if member[w] is not side:
-                k += 1
-                out[w] += 1
-        out[v] = k
-        cut += k
-    return _state_from_arrays(graph, member, out, cut, size_s)
+    mask = np.array(member, dtype=bool)
+    side = mask.repeat(graph.delta)  # the side of each point
+    crossing = side[graph._points]
+    crossing ^= side
+    out = np.add.reduce(crossing.reshape(graph.n, graph.delta), axis=1)
+    out_degrees = tuple(out.tolist())
+    # both histograms from one bincount: S's out-degrees move up by delta + 1
+    width = graph.delta + 1
+    np.add(out, width, out=out, where=mask)
+    hist = np.bincount(out, minlength=2 * width).tolist()
+    return _state(graph, tuple(member), out_degrees, tuple(hist[width:]), tuple(hist[:width]))
 
 
 _Buckets = tuple[list[list[int]], list[list[int]]]
@@ -489,12 +479,14 @@ def _apply_swap(
     graph: RegularMultigraph,
     member: list[bool],
     out: list[int],
+    hist: tuple[list[int], list[int]],
     buckets: _Buckets,
     u: int,
     v: int,
 ) -> None:
-    """Move u out of S and v into it, then update the out-degree and bucket
-    of the vertices that change (u, v and their neighbours).
+    """Move u out of S and v into it, then update the out-degree, bucket and
+    histogram entry (hist[side][out-degree]) of the vertices that change
+    (u, v and their neighbours).
 
     Every u-w and v-w edge with w outside {u, v} flips between crossing and
     internal, so w's out-degree moves by the edge's multiplicity. The u-v
@@ -522,6 +514,8 @@ def _apply_swap(
             group = buckets[side][old + loops[w]]
             del group[bisect_left(group, w)]
             insort(buckets[member[w]][out[w] + loops[w]], w)
+            hist[side][old] -= 1
+            hist[member[w]][out[w]] += 1
 
 
 def _first_non_neighbour(graph: RegularMultigraph, u: int, group: list[int]) -> int | None:
@@ -660,9 +654,12 @@ def local_descent(
     graph = state.graph
     if 2 * state.size_s > graph.n:
         raise ValueError("descent expects |S| <= n/2")
+    if graph._offsets is None:
+        graph._index()  # the helpers below read the CSR slots directly
     select = _select_best if tie_rule == BEST_IMPROVEMENT else _select_first
     member = list(state.membership)
     out = list(state.out_degrees)
+    hist = (list(state.hist_comp.counts), list(state.hist_s.counts))
     buckets = _buckets(graph, member, out)
     cut = state.cut
     while True:
@@ -670,11 +667,11 @@ def local_descent(
         if found is None:
             break
         u, v, dc = found
-        _apply_swap(graph, member, out, buckets, u, v)
+        _apply_swap(graph, member, out, hist, buckets, u, v)
         cut += dc
         if trace is not None:
             trace.append(cut)
-    return _state_from_arrays(graph, member, out, cut, state.size_s)
+    return _state(graph, tuple(member), tuple(out), tuple(hist[True]), tuple(hist[False]))
 
 
 def _no_improving_swap(state: CutState) -> bool:
@@ -691,7 +688,7 @@ def _no_improving_swap(state: CutState) -> bool:
     """
     graph = state.graph
     member = state.membership
-    score = [o + k for o, k in zip(state.out_degrees, graph._loops)]
+    score = [o + graph.loops(w) for w, o in enumerate(state.out_degrees)]
     at_least = [0] * (graph.delta + 2)  # outside vertices with score >= s
     for w in range(graph.n):
         if not member[w]:
@@ -896,14 +893,11 @@ def sample_out_degree_configurations(
         key = tuple(out)
         by_out[key] = by_out.get(key, 0) + 1
     tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    width = delta + 1
+    in_s = width * (np.arange(n) < size_s)  # S's counts land in the upper half
     for out, count in by_out.items():
-        hist_s = [0] * (delta + 1)
-        hist_c = [0] * (delta + 1)
-        for v in range(size_s):
-            hist_s[out[v]] += 1
-        for v in range(size_s, n):
-            hist_c[out[v]] += 1
-        key = (tuple(hist_s), tuple(hist_c))
+        hist = np.bincount(np.array(out) + in_s, minlength=2 * width).tolist()
+        key = (tuple(hist[width:]), tuple(hist[:width]))
         tally[key] = tally.get(key, 0) + count
     return tally
 

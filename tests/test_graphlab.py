@@ -9,6 +9,7 @@ import copy
 import hashlib
 import itertools
 import math
+import operator
 import pickle
 import random
 import re
@@ -17,6 +18,7 @@ from array import array
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from expander_bounds import _matching, graphlab
@@ -243,7 +245,13 @@ def test_layout_matches_reference_on_edge_lists(petersen):
     assert RegularMultigraph.from_edges(3, 2, [(0, 1)] * 3).neighbor_items(1) == ((0, 3),)
 
 
-def test_from_partner_validation():
+def test_from_partner_validation(monkeypatch):
+    # validation is eager and does not build the CSR adjacency: every
+    # malformed array below raises from _from_partner itself
+    def no_index(graph):
+        raise AssertionError("built the CSR adjacency")
+
+    monkeypatch.setattr(RegularMultigraph, "_index", no_index)
     good = array("q", [1, 0, 3, 2])
     assert RegularMultigraph._from_partner(1, 4, good).pairing == ((0, 1), (2, 3))
     bad = [
@@ -303,16 +311,51 @@ def test_layout_matches_reference_across_chunks(delta, n):
     assert g.pairing == canon
 
 
+def _clones(g: RegularMultigraph) -> list[RegularMultigraph]:
+    return [copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))]
+
+
 def test_graphs_copy_and_pickle():
     g = sample_pairing(4, 50, seed=3)
-    for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-        assert clone == g
-        assert [clone.neighbor_items(v) for v in range(50)] == [
-            g.neighbor_items(v) for v in range(50)
-        ]
+    # cut_state, equality, hashing, copying and pickling read only the
+    # partner array: none of them builds the CSR adjacency
     state = cut_state(g, set(range(25)))
+    early = _clones(g)
+    key = (hash(g), g.pairing, g.is_simple, repr(g))
+    assert g._offsets is None and all(clone._offsets is None for clone in early)
+    items = [g.neighbor_items(v) for v in range(50)]  # builds it
+    assert g._offsets is not None
+    assert (hash(g), g.pairing, g.is_simple, repr(g)) == key
+    # clones taken before and after the build agree with the graph and
+    # with each other, whether or not they have built theirs
+    for clone in early + _clones(g):
+        assert clone == g and hash(clone) == hash(g)
+        assert [clone.neighbor_items(v) for v in range(50)] == items
+    assert cut_state(g, set(range(25))) == state
     assert copy.deepcopy(state) == state
     assert pickle.loads(pickle.dumps(state)) == state
+
+
+def test_every_adjacency_reader_builds_the_csr():
+    # each reader, called first on a fresh graph, builds the CSR itself and
+    # reads the reference adjacency
+    built = sample_pairing(3, 12, seed=4)
+    canon, mult, nloops, items = _reference_adjacency(3, 12, built.pairing)
+    some = {0, 2, 5, 7}
+    readers = [
+        lambda g: [g.neighbor_items(v) for v in range(12)] == list(items),
+        lambda g: [g.loops(v) for v in range(12)] == list(nloops),
+        lambda g: g.multiplicity(0, items[0][0][0]) == items[0][0][1],
+        lambda g: _assert_matches_reference(cut_state(g, some), BEST_IMPROVEMENT) is not None,
+        lambda g: graphlab._no_improving_swap(cut_state(g, some))
+        == graphlab._no_improving_swap(cut_state(built, some)),
+        lambda g: brute_force_expansion(g) == _reference_brute_force(built),
+    ]
+    for read in readers:
+        g = sample_pairing(3, 12, seed=4)
+        assert g._offsets is None
+        assert read(g)
+        assert g._offsets is not None
 
 
 # sha256 of the flattened canonical pairing of
@@ -433,7 +476,8 @@ def test_negative_seeds_are_refused():
 
 def test_sample_pairing_memory_per_point():
     # The graph and its construction stay within 64 bytes per point; the
-    # tuple-and-dict layout took about 300.
+    # tuple-and-dict layout took about 300. The first neighbour access,
+    # which builds the CSR adjacency, is inside the window.
     delta, n = 10, 20_000
     started = not tracemalloc.is_tracing()
     if started:
@@ -441,7 +485,7 @@ def test_sample_pairing_memory_per_point():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        sample_pairing(delta, n, seed=1)
+        sample_pairing(delta, n, seed=1).neighbor_items(0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
@@ -526,19 +570,57 @@ def test_cut_state_on_the_cycle():
 
 
 def _reference_cut_state(graph: RegularMultigraph, membership) -> CutState:
-    """Reference: one walk over every pair of the partner array."""
-    member = graphlab._normalize_membership(graph, membership)
-    delta = graph.delta
-    out = [0] * graph.n
+    """Reference: the per-point walk cut_state once was. Every crossing pair
+    has one point on each side, so only the points of the smaller side's
+    vertices are walked; the histograms are tallied in Python and the state
+    goes through the validating public constructors."""
+    if isinstance(membership, (set, frozenset)):
+        member = [False] * graph.n
+        for v in membership:
+            member[v] = True
+    else:
+        member = [bool(x) for x in membership]
+    delta, n, partner = graph.delta, graph.n, graph._partner
+    size_s = sum(member)
+    side = 2 * size_s <= n  # True: walk S; False: walk its complement
+    out = [0] * n
     cut = 0
-    for a, b in enumerate(graph._partner):
-        if a < b:
-            va, vb = a // delta, b // delta
-            if member[va] != member[vb]:
-                cut += 1
-                out[va] += 1
-                out[vb] += 1
-    return graphlab._state_from_arrays(graph, member, out, cut, sum(member))
+    for v in itertools.compress(range(n), member if side else map(operator.not_, member)):
+        k = 0
+        for b in partner[v * delta : v * delta + delta]:
+            w = b // delta
+            if member[w] is not side:
+                k += 1
+                out[w] += 1
+        out[v] = k
+        cut += k
+    hist = {True: [0] * (delta + 1), False: [0] * (delta + 1)}
+    for v in range(n):
+        hist[member[v]][out[v]] += 1
+    return CutState(
+        graph=graph,
+        membership=tuple(member),
+        size_s=size_s,
+        cut=cut,
+        hist_s=OutDegreeVector(tuple(hist[True])),
+        hist_comp=OutDegreeVector(tuple(hist[False])),
+        out_degrees=tuple(out),
+    )
+
+
+def _assert_cut_state_matches_reference(g: RegularMultigraph, s: set) -> None:
+    """cut_state equals the reference field by field, with Python ints and
+    bools in its tuples, for s given as a set, a bool list and a numpy bool
+    array."""
+    ref = _reference_cut_state(g, s)
+    as_list = [v in s for v in range(g.n)]
+    for membership in (s, as_list, np.array(as_list, dtype=bool)):
+        got = cut_state(g, membership)
+        for field in CutState.__dataclass_fields__:
+            assert getattr(got, field) == getattr(ref, field), (g, len(s), field)
+        assert {type(x) for x in got.membership} <= {bool}
+        values = got.out_degrees + got.hist_s.counts + got.hist_comp.counts
+        assert {type(x) for x in values + (got.cut, got.size_s)} == {int}
 
 
 def test_cut_state_matches_reference_on_multigraphs():
@@ -555,14 +637,49 @@ def test_cut_state_matches_reference_on_multigraphs():
             rng.shuffle(order)
             # empty, below n/2, n/2 (or just under it), above n/2, everything
             for size in (0, 1, n // 3, n // 2, n // 2 + 1, n - 1, n):
-                s = set(order[:size])
-                as_list = [v in s for v in range(n)]
-                ref = _reference_cut_state(g, s)
-                for membership in (s, as_list):
-                    got = cut_state(g, membership)
-                    for field in CutState.__dataclass_fields__:
-                        assert getattr(got, field) == getattr(ref, field), (delta, n, size, field)
+                _assert_cut_state_matches_reference(g, set(order[:size]))
     assert seen_loops > 10 and seen_parallel > 10
+
+
+def test_cut_state_matches_reference_on_edge_lists(petersen):
+    # loops, double and triple edges, and vertices made only of loops
+    cases = [
+        (3, 2, DUMBBELL_EDGES),
+        (2, 2, [(0, 1), (0, 1)]),
+        (3, 2, [(0, 1)] * 3),
+        (4, 2, [(0, 0), (0, 1), (0, 1), (1, 1)]),
+        (4, 2, [(0, 0), (0, 0), (1, 1), (1, 1)]),
+        (4, 3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)]),
+        (4, 4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (2, 3), (1, 3)]),
+        (2, 1, [(0, 0)]),
+        (3, 8, CUBE_EDGES),
+    ]
+    graphs = [RegularMultigraph.from_edges(delta, n, edges) for delta, n, edges in cases]
+    for g in graphs + [petersen]:
+        for size in range(g.n + 1):
+            for s in itertools.combinations(range(g.n), size):
+                _assert_cut_state_matches_reference(g, set(s))
+
+
+def test_cut_state_membership_ids():
+    g = RegularMultigraph.from_edges(2, 8, C8_EDGES)
+    ref = cut_state(g, {0, 1, 2})
+    # numpy integers are vertex ids like Python ints
+    assert cut_state(g, set(np.arange(3))) == ref
+    assert cut_state(g, {np.int32(0), np.uint8(1), 2}) == ref
+    assert cut_state(g, frozenset(range(3))) == ref
+    # a non-integer is refused with its type named
+    for bad, name in [(1.0, "float"), (np.float64(1.0), "float64"), ("1", "str")]:
+        message = f"vertex {re.escape(repr(bad))} is a {name}, not an integer"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cut_state(g, {0, bad})
+    for ids, v in [({0, 8}, 8), ({-1}, -1), ({np.int64(9)}, 9), ({2**70}, 2**70)]:
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            cut_state(g, ids)
+    message = "membership length must equal the number of vertices"
+    for membership in ([True] * 7, np.ones(9, dtype=bool), []):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cut_state(g, membership)
 
 
 def test_swap_delta_known_values():
