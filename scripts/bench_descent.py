@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Time `local_descent` directly, one row per (n, tie rule), as JSON lines.
 
-Each row samples `sample_pairing(delta, n, seed)`, starts from a seeded random
-half and times one descent in a fresh child process, so a slow row can be cut
-at `--cap` seconds. Once a rule's row is cut, its larger sizes are skipped and
-reported with the same cap. Run it against any checkout by pointing
-PYTHONPATH at that checkout's `src/`:
+Each row samples `sample_pairing(delta, n, seed)`, builds its adjacency rows,
+starts from a seeded random half and times one descent alone, in a fresh
+child process, so a slow row can be cut at `--cap` seconds. Once a rule's row
+is cut, its larger sizes are skipped and reported with the same cap. Run it
+against any checkout by pointing PYTHONPATH at that checkout's `src/`:
 
     PYTHONPATH=src python3 scripts/bench_descent.py --sizes 1000 10000 --cap 300
 """
@@ -25,6 +25,7 @@ def row(delta: int, n: int, rule: str, seed: int) -> dict:
 
     graph = sample_pairing(delta, n, seed)
     start = cut_state(graph, set(random.Random(seed).sample(range(n), n // 2)))
+    graph.loops(0)  # builds the adjacency outside the timed descent
     trace: list[int] = []
     t0 = time.perf_counter()
     final = local_descent(start, tie_rule=rule, trace=trace)

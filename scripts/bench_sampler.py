@@ -6,9 +6,9 @@ Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 `src/`, and repetitions alternate which checkout goes first. The rows are:
 
 - `sample_pairing(10, 1e5)`: seconds, then `cut_state` on that graph from a
-  seeded half, then the first `neighbor_items` call, which builds the graph's
-  CSR adjacency if construction deferred it, and, in a separate child, the
-  `tracemalloc` peak per point of sampling alone;
+  seeded half drawn before its clock starts, then the first `neighbor_items`
+  call, which builds the graph's adjacency rows, and, in a separate child,
+  the `tracemalloc` peak per point of sampling alone;
 - `brute_force_expansion` on `sample_pairing(3, 20)`;
 - `local_descent` at delta 3, n = 1e5, under both tie rules (the rows of
   `bench_descent.py`);
@@ -105,12 +105,14 @@ def row(name: str) -> dict:
         t0 = time.perf_counter()
         graph = lab.sample_pairing(10, 100_000, 1)
         t1 = time.perf_counter()
-        state = lab.cut_state(graph, set(random.Random(1).sample(range(100_000), 50_000)))
+        half = set(random.Random(1).sample(range(100_000), 50_000))
         t2 = time.perf_counter()
-        first = graph.neighbor_items(0)
+        state = lab.cut_state(graph, half)
         t3 = time.perf_counter()
+        first = graph.neighbor_items(0)
+        t4 = time.perf_counter()
         flat = array("q", itertools.chain.from_iterable(graph.pairing)).tobytes()
-        return {"sample_pairing_s": t1 - t0, "cut_state_s": t2 - t1, "first_neighbour_s": t3 - t2,
+        return {"sample_pairing_s": t1 - t0, "cut_state_s": t3 - t2, "first_neighbour_s": t4 - t3,
                 "fingerprint": f"{sha256(flat)} cut={state.cut} S={state.hist_s.counts} "
                                f"N(0)={first}"}
     if name == "sample_peak":

@@ -92,32 +92,32 @@ class RegularMultigraph:
     for the same first offending point at any size. Vertex v owns points
     v*delta .. v*delta + delta - 1, so every degree is delta.
 
-    The first neighbour, loop or multiplicity lookup builds the CSR
-    adjacency (`_index`): v's distinct neighbours other than v are
-    `_nbrs[_offsets[v]:_offsets[v + 1]]`, ascending, their multiplicities
-    at the same positions of `_mults`, and `_loops[v]` counts v's loops,
-    all `array('q')` as descent reads single entries. Equality, hashing,
-    copying, `pairing` (the sorted (low, high) pairs, rebuilt on each
-    access), `is_simple` and `cut_state` read only the partner array.
-    Instances are immutable.
+    The first neighbour, loop or multiplicity lookup builds the adjacency
+    (`_index`): `_rows[q]` is the vertex of q's partner, so v's row
+    `_rows[v*delta:(v + 1)*delta]` lists its delta neighbours in point
+    order, a parallel edge once per edge and a loop twice, and `_loops[v]`
+    counts v's loops; both are `array('q')`, as descent reads single
+    entries. Equality, hashing, copying, `pairing` (the sorted (low, high)
+    pairs, rebuilt on each access), `is_simple` and `cut_state` read only
+    the partner array. Instances are immutable.
     """
 
-    __slots__ = ("delta", "n", "_partner", "_points", "_loops", "_offsets", "_nbrs", "_mults")
+    __slots__ = ("delta", "n", "_partner", "_points", "_rows", "_loops")
 
     def __init__(self, delta: int, n: int, pairing) -> None:
         """Graph of an explicit pairing, an iterable of (a, b) point pairs."""
         num_points = _num_points(delta, n)
         partner = array("q", [-1]) * num_points
+        pairs = 0
         for a, b in pairing:
             if not (0 <= a < num_points and 0 <= b < num_points):
                 raise ValueError(f"pair {(a, b)} has a point out of range")
-            for q, p in ((a, b), (b, a)):
-                if partner[q] >= 0:
-                    raise ValueError(f"point {q} appears in two pairs")
-                partner[q] = p
-        if -1 in partner:
+            partner[a], partner[b] = b, a
+            pairs += 1
+        # num_points / 2 pairs that reach every point cover each exactly once
+        if pairs != num_points // 2 or -1 in partner:
             raise ValueError("pairing must cover every point exactly once")
-        self._set(delta, n, partner, np.frombuffer(partner, dtype=np.int64))
+        self._set(delta, n, partner, self._from_partner(delta, n, partner)._points)
 
     @classmethod
     def _from_partner(cls, delta: int, n: int, partner: array) -> "RegularMultigraph":
@@ -134,48 +134,23 @@ class RegularMultigraph:
         return graph
 
     def _set(self, *values) -> None:
-        """Set the slots in __slots__ order (__setattr__ refuses); the CSR
-        ones stay None until `_index` passes them."""
+        """Set the slots in __slots__ order (__setattr__ refuses); the
+        adjacency ones stay None until `_index` passes them."""
         for name, value in zip_longest(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _index(self) -> None:
-        """Build the CSR slots from chunks of at most _CHUNK_POINTS points:
-        rows of delta partner vertices are sorted, loops counted and the
-        other entries run-length encoded. A counting pass sizes the outputs
-        and a backward pass fills them through numpy views, reusing the last
-        chunk's runs; temporaries stay a few MB whatever n is."""
+        """Build `_rows` and `_loops`, written in place through numpy views.
+        A loop puts v twice in v's row, so `_loops[v]` is half the count of
+        v in its own row."""
         delta, n, points = self.delta, self.n, self._points
-        rows = max(1, _CHUNK_POINTS // delta)
-        chunks = [(v0, min(n, v0 + rows)) for v0 in range(0, n, rows)]
+        rows = array("q", [0]) * (delta * n)
         loops = array("q", [0]) * n
-        offsets = array("q", [0]) * (n + 1)
-        loop_counts = np.frombuffer(loops, dtype=np.int64)
-        run_counts = np.frombuffer(offsets, dtype=np.int64)[1:]
-        for v0, v1 in chunks:
-            row, own, start = _row_runs(points, delta, v0, v1)
-            # both points of each loop are own
-            np.floor_divide(own.sum(axis=1), 2, out=loop_counts[v0:v1])
-            run_counts[v0:v1] = start.sum(axis=1)
-        np.add.accumulate(run_counts, out=run_counts)
-        nbrs = array("q", [0]) * offsets[n]
-        mults = array("q", [0]) * offsets[n]
-        nbr_view = np.frombuffer(nbrs, dtype=np.int64)
-        mult_view = np.frombuffer(mults, dtype=np.int64)
-        for v0, v1 in reversed(chunks):
-            if v1 < n:
-                row, own, start = _row_runs(points, delta, v0, v1)
-            kept = ~own
-            first_of_run = start[kept]
-            first = first_of_run.nonzero()[0]
-            lo, hi = offsets[v0], offsets[v1]
-            nbr_view[lo:hi] = row[kept][first]
-            # a run ends where the next one starts, the last at the chunk's end
-            length = mult_view[lo:hi]
-            length[:-1] = first[1:]
-            length[-1:] = first_of_run.size
-            length -= first
-        self._set(delta, n, self._partner, points, loops, offsets, nbrs, mults)
+        row_view = np.frombuffer(rows, dtype=np.int64)
+        np.floor_divide(points, delta, out=row_view)
+        own = row_view.reshape(n, delta) == np.arange(n)[:, None]
+        np.floor_divide(own.sum(axis=1), 2, out=np.frombuffer(loops, dtype=np.int64))
+        self._set(delta, n, self._partner, points, rows, loops)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -229,25 +204,23 @@ class RegularMultigraph:
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of u-v edges (loop count when u == v)."""
-        if self._offsets is None:
+        if self._rows is None:
             self._index()
         if u == v:
             return self._loops[u]
-        hi = self._offsets[u + 1]
-        i = bisect_left(self._nbrs, v, self._offsets[u], hi)
-        return self._mults[i] if i < hi and self._nbrs[i] == v else 0
+        return self._rows[u * self.delta : (u + 1) * self.delta].count(v)
 
     def loops(self, v: int) -> int:
-        if self._offsets is None:
+        if self._rows is None:
             self._index()
         return self._loops[v]
 
     def neighbor_items(self, v: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, multiplicity) pairs, neighbors distinct and != v, ascending."""
-        if self._offsets is None:
+        if self._rows is None:
             self._index()
-        lo, hi = self._offsets[v], self._offsets[v + 1]
-        return tuple(zip(self._nbrs[lo:hi], self._mults[lo:hi]))
+        row = self._rows[v * self.delta : (v + 1) * self.delta]
+        return tuple((w, row.count(w)) for w in sorted(set(row)) if w != v)
 
     @property
     def is_simple(self) -> bool:
@@ -264,8 +237,8 @@ def _num_points(delta: int, n: int) -> int:
     return delta * n
 
 
-# Validation and the CSR build work on at most this many points at a time,
-# so their numpy temporaries stay a few MB whatever the graph's size.
+# Validation works on at most this many points at a time, so its numpy
+# temporaries stay a few MB whatever the graph's size.
 _CHUNK_POINTS = 1 << 16
 
 
@@ -283,26 +256,6 @@ def _check_involution(points: np.ndarray, lo: int, hi: int) -> None:
         if out_of_range[i]:
             raise ValueError(f"point {lo + i} has partner {int(chunk[i])}, out of range")
         raise ValueError(f"point {lo + i} appears in two pairs")
-
-
-def _row_runs(
-    points: np.ndarray, delta: int, v0: int, v1: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows v0..v1-1 of partner vertices, each sorted ascending, with masks of
-    the entries equal to the row's own vertex (both points of each loop) and
-    of the other entries that start a run of equal vertices."""
-    # int32 vertex ids halve the sort's traffic; they overflow only past
-    # 2^31 vertices, whose partner array alone would take 16 GB
-    row = np.empty((v1 - v0, delta), dtype=np.int32)
-    np.floor_divide(points[v0 * delta : v1 * delta].reshape(row.shape), delta, out=row,
-                    casting="unsafe")
-    row.sort(axis=1)
-    own = row == np.arange(v0, v1, dtype=np.int32)[:, None]
-    start = np.empty_like(own)
-    start[:, 0] = True
-    np.not_equal(row[:, 1:], row[:, :-1], out=start[:, 1:])
-    np.greater(start, own, out=start)  # start and not own
-    return row, own, start
 
 
 def _rows_simple(delta: int, n: int, partner: array) -> bool:
@@ -443,7 +396,7 @@ def cut_state(graph: RegularMultigraph, membership) -> CutState:
     their multiplicity. One numpy pass over the partner array, with
     temporaries of one byte per point: a point crosses when its partner's
     side differs from its own, and a vertex's out-degree counts its delta
-    points that cross. The CSR adjacency is not touched.
+    points that cross. The adjacency slots are not touched.
     """
     member = _normalize_membership(graph, membership)
     mask = np.array(member, dtype=bool)
@@ -489,24 +442,24 @@ def _apply_swap(
     (u, v and their neighbours).
 
     Every u-w and v-w edge with w outside {u, v} flips between crossing and
-    internal, so w's out-degree moves by the edge's multiplicity. The u-v
-    edges cross before and after, and each of u's other non-loop edges
-    flips, so u's out-degree becomes delta - 2*loops(u) - out(u) +
-    mult(u, v); likewise for v. O(delta) work plus a bisect per moved vertex.
+    internal, so w's out-degree moves by 1 for each of its entries in x's
+    row (x = u or v), a parallel edge once per edge. The u-v edges cross
+    before and after, and each of u's other non-loop edges flips, so u's
+    out-degree becomes delta - 2*loops(u) - out(u) + mult(u, v); likewise
+    for v. O(delta) work plus a bisect per moved vertex.
     """
-    loops, offsets, nbrs, mults = graph._loops, graph._offsets, graph._nbrs, graph._mults
+    delta, loops, rows = graph.delta, graph._loops, graph._rows
     m_uv = graph.multiplicity(u, v)
     before = {u: (True, out[u]), v: (False, out[v])}
     for x, was in ((u, True), (v, False)):
-        lo, hi = offsets[x], offsets[x + 1]
-        for w, m in zip(nbrs[lo:hi], mults[lo:hi]):
+        for w in rows[x * delta : (x + 1) * delta]:
             if w == u or w == v:
                 continue
             if w not in before:
                 before[w] = (member[w], out[w])
             # internal before (w on x's old side) and crossing after, or back
-            out[w] += m if member[w] == was else -m
-        out[x] = graph.delta - 2 * loops[x] - out[x] + m_uv
+            out[w] += 1 if member[w] == was else -1
+        out[x] = delta - 2 * loops[x] - out[x] + m_uv
     member[u] = False
     member[v] = True
     for w, (side, old) in before.items():
@@ -611,7 +564,7 @@ def _select_first(
     call whatever n is.
     """
     delta = graph.delta
-    loops = graph._loops
+    loops, rows = graph._loops, graph._rows
     inside, outside = buckets[True], buckets[False]
     top = max((b for b in range(delta + 1) if outside[b]), default=0)
     for u in merge(*inside[delta + 1 - top :]):
@@ -621,12 +574,15 @@ def _select_first(
             v = _first_non_neighbour(graph, u, outside[b])
             if v is not None and (best is None or v < best[0]):
                 best = (v, 2 * (t - b))
-        for w, m in graph.neighbor_items(u):
-            if best is not None and w > best[0]:
-                break
-            if not member[w] and out[w] + loops[w] - m > t:
+        # u's row in point order: keep the smallest outside neighbour that
+        # qualifies (u itself is in S, so its loops are skipped)
+        row = rows[u * delta : (u + 1) * delta]
+        for w in row:
+            if member[w] or (best is not None and w >= best[0]):
+                continue
+            m = row.count(w)
+            if out[w] + loops[w] - m > t:
                 best = (w, 2 * (t - out[w] - loops[w] + m))
-                break
         if best is not None:
             return u, best[0], best[1]
     return None
@@ -654,8 +610,8 @@ def local_descent(
     graph = state.graph
     if 2 * state.size_s > graph.n:
         raise ValueError("descent expects |S| <= n/2")
-    if graph._offsets is None:
-        graph._index()  # the helpers below read the CSR slots directly
+    if graph._rows is None:
+        graph._index()  # the helpers below read the adjacency slots directly
     select = _select_best if tie_rule == BEST_IMPROVEMENT else _select_first
     member = list(state.membership)
     out = list(state.out_degrees)

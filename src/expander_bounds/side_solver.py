@@ -52,9 +52,10 @@ class BetaUnderflow(ValueError):
     large delta), which drives gamma and log S0 past what a double can carry
     as a plain beta.  The pair's growth exponent is still finite there, but
     no witness can be reported, so certifier probes treat the eta as failed.
-    That is conservative: it can only push the certified eta upward, and the
-    rounded eta that ends up in a certificate never lands this close to a
-    cap, so final re-verification is unaffected.
+    That is conservative: it can only push the certified eta upward. The
+    rounded eta can land on such a cap too (delta = 308 at margin 1e-6
+    rounds to 0.091, which underflows); `certifier.min_eta` then bumps it
+    up the grid, as its docstring describes.
     """
 
 

@@ -196,6 +196,25 @@ def test_construction_validation():
     assert g.pairing == ((0, 1), (2, 3))
 
 
+def test_explicit_pairing_messages():
+    # an explicit pairing is refused for a point out of range, for a point
+    # no pair covers and for a point in two pairs, including extra pairs
+    # whose last writes leave a valid partner array
+    cover = "pairing must cover every point exactly once"
+    cases = [
+        (((0, 1), (2, 5)), "pair (2, 5) has a point out of range"),
+        (((-1, 0), (1, 2)), "pair (-1, 0) has a point out of range"),
+        (((0, 1),), cover),
+        (((0, 1), (1, 2)), cover),
+        (((0, 0), (1, 2)), cover),
+        (((0, 1), (0, 1), (2, 3)), cover),
+        (((0, 1), (2, 3), (0, 2), (1, 3)), cover),
+    ]
+    for pairing, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RegularMultigraph(1, 4, pairing)
+
+
 def test_layout_matches_reference_on_sampled_graphs():
     rng = random.Random(20261018)
     simple = seen_loops = seen_parallel = 0
@@ -246,10 +265,10 @@ def test_layout_matches_reference_on_edge_lists(petersen):
 
 
 def test_from_partner_validation(monkeypatch):
-    # validation is eager and does not build the CSR adjacency: every
+    # validation is eager and does not build the adjacency: every
     # malformed array below raises from _from_partner itself
     def no_index(graph):
-        raise AssertionError("built the CSR adjacency")
+        raise AssertionError("built the adjacency")
 
     monkeypatch.setattr(RegularMultigraph, "_index", no_index)
     good = array("q", [1, 0, 3, 2])
@@ -302,8 +321,8 @@ def test_from_partner_validation(monkeypatch):
 
 @pytest.mark.parametrize("delta,n", [(10, 14_000), (7, 20_000)])
 def test_layout_matches_reference_across_chunks(delta, n):
-    # 140,000 points: graph construction works in three chunks of rows, and
-    # 7 does not divide the 65,536-point chunk size
+    # 140,000 points: validation works in three chunks of 65,536 points,
+    # and the adjacency built in one pass must agree with the reference
     g = sample_pairing(delta, n, seed=derive_seed(65536, delta))
     canon, mult, nloops, items = _reference_adjacency(delta, n, g.pairing)
     assert tuple(g.loops(v) for v in range(n)) == nloops
@@ -318,13 +337,13 @@ def _clones(g: RegularMultigraph) -> list[RegularMultigraph]:
 def test_graphs_copy_and_pickle():
     g = sample_pairing(4, 50, seed=3)
     # cut_state, equality, hashing, copying and pickling read only the
-    # partner array: none of them builds the CSR adjacency
+    # partner array: none of them builds the adjacency
     state = cut_state(g, set(range(25)))
     early = _clones(g)
     key = (hash(g), g.pairing, g.is_simple, repr(g))
-    assert g._offsets is None and all(clone._offsets is None for clone in early)
+    assert g._rows is None and all(clone._rows is None for clone in early)
     items = [g.neighbor_items(v) for v in range(50)]  # builds it
-    assert g._offsets is not None
+    assert g._rows is not None
     assert (hash(g), g.pairing, g.is_simple, repr(g)) == key
     # clones taken before and after the build agree with the graph and
     # with each other, whether or not they have built theirs
@@ -336,9 +355,9 @@ def test_graphs_copy_and_pickle():
     assert pickle.loads(pickle.dumps(state)) == state
 
 
-def test_every_adjacency_reader_builds_the_csr():
-    # each reader, called first on a fresh graph, builds the CSR itself and
-    # reads the reference adjacency
+def test_every_adjacency_reader_builds_the_rows():
+    # each reader, called first on a fresh graph, builds the adjacency rows
+    # itself and reads the reference adjacency
     built = sample_pairing(3, 12, seed=4)
     canon, mult, nloops, items = _reference_adjacency(3, 12, built.pairing)
     some = {0, 2, 5, 7}
@@ -353,9 +372,9 @@ def test_every_adjacency_reader_builds_the_csr():
     ]
     for read in readers:
         g = sample_pairing(3, 12, seed=4)
-        assert g._offsets is None
+        assert g._rows is None
         assert read(g)
-        assert g._offsets is not None
+        assert g._rows is not None
 
 
 # sha256 of the flattened canonical pairing of
@@ -477,7 +496,7 @@ def test_negative_seeds_are_refused():
 def test_sample_pairing_memory_per_point():
     # The graph and its construction stay within 64 bytes per point; the
     # tuple-and-dict layout took about 300. The first neighbour access,
-    # which builds the CSR adjacency, is inside the window.
+    # which builds the adjacency rows, is inside the window.
     delta, n = 10, 20_000
     started = not tracemalloc.is_tracing()
     if started:
