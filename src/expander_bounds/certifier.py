@@ -38,6 +38,8 @@ gives. Certificates are still built from full side solutions
 (:func:`evaluate_pairs`), but checking one needs no solve: by the same
 bound, :func:`verify_certificate` evaluates each pair's exponent at the
 stored witnesses, and a pass there implies a pass at the solved minimum.
+Builder and verifier share that evaluation (:func:`_pair_rhs`): a pair's
+exponent depends only on its caps and the two ``gamma``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -147,15 +149,30 @@ def _rhs(
     )
 
 
+def _pair_rhs(
+    delta: int, eta: float, d: int, gamma: float, d_prime: int, gamma_p: float
+) -> float:
+    """The exponent of caps ``(d, d')`` at witnesses ``gamma`` and
+    ``gamma'``, each side's ``ln S0`` from one moment evaluation at its cap:
+    the pair evaluation of both the builder and the verifier. For a solved
+    side this is the solver's own ``ln S0``, since it came from the same
+    call at the same double. Raises ValueError when a ``gamma`` is not
+    finite and positive.
+    """
+    log_s0 = truncated_log_moments(delta, d, gamma)[0]
+    log_s0_p = truncated_log_moments(delta, d_prime, gamma_p)[0]
+    return _rhs(delta, eta, -log_s0, gamma, -log_s0_p, gamma_p)
+
+
 def rhs_from_sides(
     delta: int, eta: float, side: SideSolution, side_prime: SideSolution
 ) -> float:
-    """Growth exponent (bits per vertex) from already-solved side parameters.
+    """Growth exponent (bits per vertex) at two solved sides' caps and ``gamma``.
 
     Negative means the expected number of bisections with these out-degree
     caps and cut (1 - eta) * delta * n / 4 decays exponentially in n.
     """
-    return _rhs(delta, eta, side.log_beta, side.gamma, side_prime.log_beta, side_prime.gamma)
+    return _pair_rhs(delta, eta, side.cap, side.gamma, side_prime.cap, side_prime.gamma)
 
 
 def bound_rhs(delta: int, d: int, d_prime: int, eta: float) -> float:
@@ -225,20 +242,19 @@ def evaluate_pairs(delta: int, eta: float) -> Iterator[PairBound]:
     """Yield a PairBound for every cap pair at crossing level eta, in all_pairs order.
 
     Feasible pairs come first (largest d first), each with its two side
-    solutions and growth exponent; every cap is solved once and shared by the
-    pairs that use it. Vacuous pairs follow with the target mean as witness.
-    Consumers that stop early skip the remaining solves. Raises BetaUnderflow
-    when a cap pins the mean.
+    solutions and the growth exponent :func:`rhs_from_sides` gives at their
+    witnesses, which is the value :func:`verify_certificate` recomputes.
+    Each cap is solved once: no two pairs share a cap, and the balanced pair
+    uses its one side twice. Vacuous pairs follow with the target mean as
+    witness. Consumers that stop early skip the remaining solves. Raises
+    BetaUnderflow when a cap pins the mean.
     """
     tm = target_mean(delta, eta)
     feasible = feasible_pairs(delta, eta)
-    sides: dict[int, SideSolution] = {}
     for d, dp in feasible:
-        for cap in (d, dp):
-            if cap not in sides:
-                sides[cap] = solve_side(delta, cap, eta)
-        rhs = rhs_from_sides(delta, eta, sides[d], sides[dp])
-        yield PairBound(d, dp, sides[d], sides[dp], rhs, tm)
+        side = solve_side(delta, d, eta)
+        side_p = side if dp == d else solve_side(delta, dp, eta)
+        yield PairBound(d, dp, side, side_p, rhs_from_sides(delta, eta, side, side_p), tm)
     # The feasible pairs are a prefix of all_pairs (d descending).
     for d, dp in all_pairs(delta)[len(feasible):]:
         yield PairBound(d, dp, None, None, None, tm)
@@ -521,7 +537,7 @@ def build_table(
     """Certificates for every degree in [delta_min, delta_max], in order.
 
     Each degree is independent of the others, so the rows may be computed in
-    any order (or concurrently); the output is always sorted by degree.
+    any order; the output is always sorted by degree.
     """
     if not isinstance(delta_min, int) or not isinstance(delta_max, int):
         raise ValueError("degree range bounds must be integers")
@@ -594,15 +610,15 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
 
     Residuals are recomputed by direct summation from the stored (beta,
     gamma). Each feasible pair's growth exponent is evaluated at its stored
-    witnesses: ``ln S0`` of each side comes from one moment evaluation at
-    that side's ``gamma`` and cap, and the stored ``beta`` is not used.
-    Nothing is solved. That is sound because any witness is (module
-    docstring): the exponent at a ``gamma > 0`` bounds the pair's solved
-    exponent from above, so a pair that clears the margin at its witnesses
-    clears it at the solved ones. For a certificate built by :func:`min_eta`
-    the value is the solved exponent itself, bit for bit, since the side
-    solver stores ``gamma = exp(x)`` and ``ln beta = -ln S0`` at that same
-    double, and ``.16e`` round-trips it. A ``gamma`` that is not finite and
+    witnesses by the builder's own pair evaluation (:func:`_pair_rhs`, one
+    moment evaluation per side at the pair's cap and the side's ``gamma``),
+    and the stored ``beta`` is not used. Nothing is solved. That is sound
+    because any witness is (module docstring): the exponent at a ``gamma >
+    0`` bounds the pair's solved exponent from above, so a pair that clears
+    the margin at its witnesses clears it at the solved ones. For a
+    certificate built by :func:`min_eta` the value is the stored ``rhs``
+    itself, bit for bit, since ``.16e`` round-trips each ``gamma`` and the
+    caps are the sides' own. A ``gamma`` that is not finite and
     positive fails ``rhs-recomputable``. Vacuity witnesses, the expansion
     bound identity, the baseline, and exhaustiveness of the pair enumeration
     are all rechecked.
@@ -645,14 +661,13 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
         _check(checks, f"{label}-feasible-witness", tm < pb.d, f"target_mean={tm!r} d={pb.d}")
         _verify_side(checks, f"{label}-side", cert, pb.d, pb.side)
         _verify_side(checks, f"{label}-side-prime", cert, pb.d_prime, pb.side_prime)
-        gamma, gamma_p = pb.side.gamma, pb.side_prime.gamma
         try:
-            log_s0 = truncated_log_moments(cert.delta, pb.d, gamma)[0]
-            log_s0_p = truncated_log_moments(cert.delta, pb.d_prime, gamma_p)[0]
+            fresh = _pair_rhs(
+                cert.delta, cert.eta, pb.d, pb.side.gamma, pb.d_prime, pb.side_prime.gamma
+            )
         except ValueError as exc:
             _check(checks, f"{label}-rhs-recomputable", False, str(exc))
             continue
-        fresh = _rhs(cert.delta, cert.eta, -log_s0, gamma, -log_s0_p, gamma_p)
         _check(
             checks,
             f"{label}-rhs-negative-with-margin",
@@ -700,15 +715,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
+# (name, type) of each field a cert-v1 side stores: SideSolution's fields, in order.
+_SIDE_FIELDS = tuple(get_type_hints(SideSolution).items())
+
+
 def _side_to_dict(side: SideSolution) -> dict:
     return {
-        "delta": side.delta,
-        "cap": side.cap,
-        "eta": _fmt(side.eta),
-        "beta": _fmt(side.beta),
-        "gamma": _fmt(side.gamma),
-        "residual_mass": _fmt(side.residual_mass),
-        "residual_mean": _fmt(side.residual_mean),
+        name: getattr(side, name) if kind is int else _fmt(getattr(side, name))
+        for name, kind in _SIDE_FIELDS
     }
 
 
@@ -766,17 +780,7 @@ def _need(doc: dict, key: str, kind, where: str):
 def _side_from_dict(doc: dict, where: str) -> SideSolution:
     if not isinstance(doc, dict):
         raise CertificateFormatError(f"{where} must be an object")
-    beta = _need(doc, "beta", float, where)
-    return SideSolution(
-        delta=_need(doc, "delta", int, where),
-        cap=_need(doc, "cap", int, where),
-        eta=_need(doc, "eta", float, where),
-        beta=beta,
-        gamma=_need(doc, "gamma", float, where),
-        residual_mass=_need(doc, "residual_mass", float, where),
-        residual_mean=_need(doc, "residual_mean", float, where),
-        log_beta=math.log(beta) if beta > 0.0 else -math.inf,
-    )
+    return SideSolution(**{name: _need(doc, name, kind, where) for name, kind in _SIDE_FIELDS})
 
 
 def certificate_from_json(text: str) -> BoundCertificate:

@@ -23,7 +23,7 @@ from operator import index, mul
 
 import numpy as np
 
-from ._matching import _LIST_POOL_POINTS, _raw_matching  # the tests read the switch here
+from ._matching import _raw_matching
 from .combinatorics import log_binomial, log_odd_double_factorial
 
 __all__ = [

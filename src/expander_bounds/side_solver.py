@@ -68,10 +68,9 @@ def target_mean(delta: int, eta: float) -> float:
 class SideSolution:
     """Solved (beta, gamma) for one side, with independently recheckable residuals.
 
-    ``log_beta`` carries the normalizer in natural-log form so it survives
-    even when ``beta`` itself underflows at very large delta. The residuals
-    are produced by the same direct summation an external verifier runs, so
-    they measure the artifact numbers, not internal solver state.
+    The fields are exactly those a ``cert-v1`` side stores. The residuals are
+    produced by the same direct summation an external verifier runs, so they
+    measure the artifact numbers, not internal solver state.
     """
 
     delta: int
@@ -81,7 +80,6 @@ class SideSolution:
     gamma: float
     residual_mass: float
     residual_mean: float
-    log_beta: float
 
 
 def profile_residuals(
@@ -267,6 +265,5 @@ def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
         gamma=gamma,
         residual_mass=residual_mass,
         residual_mean=residual_mean,
-        log_beta=log_beta,
     )
 

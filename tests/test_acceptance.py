@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import record_verdict
+from p1p3_identity import check_p1p3_identity
 from table_reference import BASELINE_BOUND, BOUND, ETA, PAIR_WITNESSES, VACUOUS_PAIRS
 
 from expander_bounds import (
@@ -42,7 +43,6 @@ from expander_bounds import (
     brute_force_expansion,
     certificate_from_json,
     certificate_to_json,
-    check_p1p3_identity,
     cut_state,
     derive_seed,
     local_descent,

@@ -13,10 +13,10 @@ from expander_bounds import (
     TWO_SQRT_LN2,
     InfeasibleTarget,
     alpha_trend,
-    check_p1p3_identity,
     solve_one_sided,
 )
 from expander_bounds.side_solver import solve_side
+from p1p3_identity import check_p1p3_identity
 
 
 def test_reference_constant():

@@ -428,7 +428,7 @@ def test_raw_matching_matches_randrange_reference(num_points):
     # the inlined draws make the same getrandbits calls as randrange, on
     # both sides of the list/array switch and over consecutive calls on one
     # generator, as rejection sampling and criterion 08 make them
-    assert 8 <= graphlab._LIST_POOL_POINTS < 200_000  # the sizes reach both sides
+    assert 8 <= _matching._LIST_POOL_POINTS < 200_000  # the sizes reach both sides
     seed = derive_seed(20261018, num_points)
     fast, ref = random.Random(seed), random.Random(seed)
     for _ in range(3 if num_points > 10_000 else 50):

@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "certificate_from_json",
     "certificate_to_dict",
     "certificate_to_json",
-    "check_p1p3_identity",
     "cut_state",
     "derive_seed",
     "evaluate_pairs",

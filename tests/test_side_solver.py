@@ -45,7 +45,7 @@ def test_solution_residuals_verified_exactly():
 def test_solution_fields_consistent():
     sol = solve_side(6, 3, 0.648)
     assert sol.delta == 6 and sol.cap == 3 and sol.eta == 0.648
-    assert sol.beta == math.exp(sol.log_beta)
+    assert sol.beta == math.exp(-truncated_log_moments(6, 3, sol.gamma)[0])
     assert 0.0 < sol.beta < 1.0
     assert sol.gamma > 0.0
 
