@@ -40,7 +40,12 @@ they come from. These paired rows are
   as a set, the per-call shape of criterion 10's descents;
 - `moments`: `truncated_log_moments(delta, cap, 0.8)` in microseconds per
   call, over every cap 0..delta of every degree 4..60 (the shapes of the
-  paper table's search), ten times per block.
+  paper table's search), ten times per block;
+- `tails`: `binomial_tail(delta, p, cap)` in microseconds per call, over the
+  two tails `solve_one_sided` sums at each point of the `one_sided` grid
+  (caps delta/2 at delta and delta/2 - 1 at delta - 1, p from the solved
+  gamma, solved before the clock starts), ten times per block,
+  fingerprinted by the returned doubles' bytes;
 - `matching_N`: the uniform matching `graphlab._raw_matching` on N points
   in microseconds per point, consecutive calls on one generator seeded N
   for about 2^19 points per block, fingerprinted by the partner arrays'
@@ -83,7 +88,8 @@ ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "cri
         "eta_table", "eta_large", "eta_wide", "one_sided", "certify_table")
 ETA_ROWS = {"eta_table": (range(4, 61), 1e-6), "eta_large": ((100, 200, 400), 1e-3),
             "eta_wide": ((1000, 2000), 1e-3)}
-PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11, "moments": 15}  # row: rounds
+PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11, "moments": 15,
+               "tails": 15}  # row: rounds
 MATCHING_SIZES = (16_386, 24_578, 32_770, 49_154, 65_538, 131_074, 2**18 + 2, 10**6)
 PAIRED_ROWS.update({f"matching_{n}": 11 for n in MATCHING_SIZES})
 RUNS = 5  # repetitions of every per-process row per checkout
@@ -231,6 +237,16 @@ def paired_block(pkg, name: str) -> tuple[float, str]:
         t0 = time.perf_counter()
         values = [moments(delta, cap, 0.8) for delta, cap in shapes]
         return (time.perf_counter() - t0) / len(shapes), sha256(repr(values))
+    if name == "tails":
+        tail = pkg.combinatorics.binomial_tail
+        shapes = []
+        for delta, eta in one_sided_grid():
+            p = pkg.solve_one_sided(delta, eta).p
+            shapes += [(delta, p, delta // 2), (delta - 1, p, delta // 2 - 1)]
+        shapes *= 10
+        t0 = time.perf_counter()
+        values = [tail(*shape) for shape in shapes]
+        return (time.perf_counter() - t0) / len(shapes), sha256(array("d", values).tobytes())
     if name.startswith("matching_"):
         n = int(name.removeprefix("matching_"))
         rng, digest = random.Random(n), hashlib.sha256()

@@ -18,6 +18,9 @@ IEEE operation; numpy does not fuse a multiply and an add. So an array
 expression written in the loop's order yields the loop's doubles. The
 transcendental step still goes through `math.exp` / `math.log` term by term,
 and `math.fsum` rounds the exact sum once, whatever the order of its input.
+Its time does depend on the order: the partials it carries (Shewchuk's
+algorithm) pile up when terms arrive smallest first across hundreds of
+binades, and stay few when they arrive largest first.
 """
 
 from __future__ import annotations
@@ -39,6 +42,14 @@ __all__ = [
 NEG_INF = float("-inf")
 
 _LN2 = math.log(2.0)
+
+# math.exp returns exactly 0.0 at and below this argument: e^-746 is less than
+# 0.21 of the smallest subnormal 2^-1074, so an exp whose error stays under
+# 0.79 ulp (glibc's is under 0.51) cannot round it up. A sum's terms with a
+# log at or below it add nothing, and leaving them out moves no bit. The cut
+# sits below ln(2^-1075) = -745.13..., where the true value crosses half the
+# smallest subnormal, so a term that rounds to 2^-1074 is always kept.
+_EXP_ZERO_LOG = -746.0
 
 # Up to this many factors, ln C(n, k) is accumulated term by term with fsum,
 # which keeps the error at a few ulp. Beyond it the lgamma route takes over;
@@ -204,9 +215,12 @@ def binomial_tail(delta: int, p: float, cap: int) -> float:
     """P[Binomial(delta, p) <= cap], by exact summation of the mass function.
 
     The log terms ln C(delta, k) + k ln p + (delta - k) ln(1 - p) are built
-    as one numpy array, added in that order, exponentiated with `math.exp`
-    and combined with fsum; the result is clamped to [0, 1] against last-ulp
-    overshoot.
+    as one numpy array, added in that order. Those whose `math.exp` is
+    exactly 0.0 (log at or below `_EXP_ZERO_LOG`) are left out, the rest are
+    sorted largest first, exponentiated with `math.exp` and combined with
+    fsum, which then keeps few partials; fsum's single rounding makes the
+    result the one an ascending loop over every term returns. The result is
+    clamped to [0, 1] against last-ulp overshoot.
     """
     if not isinstance(delta, int) or delta < 1:
         raise ValueError("delta must be a positive integer")
@@ -216,5 +230,6 @@ def binomial_tail(delta: int, p: float, cap: int) -> float:
         raise ValueError("cap must be an integer in [0, delta]")
     k = _index(delta)[: cap + 1]
     args = binomial_log_row(delta)[: cap + 1] + k * math.log(p) + (delta - k) * math.log1p(-p)
-    total = math.fsum(map(math.exp, args.tolist()))
+    largest_first = np.sort(args[args > _EXP_ZERO_LOG])[::-1]
+    total = math.fsum(map(math.exp, largest_first.tolist()))
     return min(1.0, max(0.0, total))

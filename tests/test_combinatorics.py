@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,10 @@ from expander_bounds import (
     binomial_tail,
     log_binomial,
     log_odd_double_factorial,
+    solve_one_sided,
     truncated_log_moments,
 )
-from expander_bounds.combinatorics import NEG_INF, _log_s0_prefix
+from expander_bounds.combinatorics import _EXP_ZERO_LOG, NEG_INF, _log_s0_prefix
 
 U = 2.0**-53
 
@@ -341,3 +343,64 @@ def test_sums_are_bit_identical_to_the_loops():
         assert truncated_log_moments(delta, cap, gamma) == _ref_truncated_log_moments(
             delta, cap, gamma
         )
+
+
+def _ref_log_terms(delta, p, cap):
+    row = binomial_log_row(delta)
+    lp = math.log(p)
+    lq = math.log1p(-p)
+    return [row[k] + k * lp + (delta - k) * lq for k in range(cap + 1)]
+
+
+def _p_with_log(target):
+    """A double p with math.log(p) == target exactly."""
+    p = math.exp(target)
+    for direction in (0.0, 1.0):
+        q = p
+        for _ in range(1000):
+            if math.log(q) == target:
+                return q
+            q = math.nextafter(q, direction)
+    raise AssertionError(f"no double p has log {target!r}")
+
+
+def test_largest_first_tails_are_bit_identical_to_the_loop():
+    """binomial_tail sorts its terms and drops exact zeros; the loop adds all in order."""
+    cases = []
+    # perfbench's one-sided grid: p from the solved gamma, caps delta/2 and delta/2 - 1
+    for delta in (1600, 6400):
+        hi = 2.0 * math.sqrt(math.log(2.0)) / math.sqrt(delta)
+        for j in range(8):
+            p = solve_one_sided(delta, 1e-3 + j * (hi - 1e-3) / 7).p
+            caps = (delta // 2 - 1, delta // 2)
+            cases += [(n, p, cap) for n in (delta - 1, delta) for cap in caps]
+    # caps above the mode, where the terms rise and then fall
+    for delta in (50, 777, 6400):
+        for p in (0.2, 0.5, 0.73):
+            mode = int((delta + 1) * p)
+            sd = math.isqrt(int(delta * p * (1 - p)))
+            cases += [(delta, p, cap) for cap in (mode + 1, mode + 3 * sd, delta - 1, delta)]
+    for delta, p, cap in cases:
+        assert binomial_tail(delta, p, cap) == _ref_binomial_tail(delta, p, cap), (delta, p, cap)
+
+    # every term underflows
+    assert max(_ref_log_terms(1000, 0.9, 10)) < _EXP_ZERO_LOG
+    assert binomial_tail(1000, 0.9, 10) == _ref_binomial_tail(1000, 0.9, 10) == 0.0
+
+    # the k = 2 term, 2 ln p, sits exactly at the cut, then one double above it
+    assert math.exp(_EXP_ZERO_LOG) == 0.0
+    for target in (_EXP_ZERO_LOG, math.nextafter(_EXP_ZERO_LOG, 0.0)):
+        p = _p_with_log(target / 2)
+        assert _ref_log_terms(2, p, 2)[2] == target
+        assert binomial_tail(2, p, 2) == _ref_binomial_tail(2, p, 2)
+
+    # a subnormal sum, so every term shows in it: one term has log -745.094, just
+    # above ln(2^-1075), and exps to 2^-1074; it must be kept and the terms at or
+    # below the cut dropped
+    delta, p, cap = 21500, 0.5, 7963
+    total = binomial_tail(delta, p, cap)
+    assert total == _ref_binomial_tail(delta, p, cap)
+    assert 0.0 < total < sys.float_info.min
+    logs = _ref_log_terms(delta, p, cap)
+    assert min(logs) <= _EXP_ZERO_LOG
+    assert any(-745.14 < x < -745.0 and math.exp(x) == 2.0**-1074 for x in logs)
