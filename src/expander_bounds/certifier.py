@@ -591,10 +591,16 @@ def _verify_side(
         and math.isfinite(side.gamma)
         and side.gamma > 0.0
     )
-    _check(checks, f"{label}-parameters-in-range", ok_params, f"beta={side.beta!r} gamma={side.gamma!r}")
+    detail = f"beta={side.beta!r} gamma={side.gamma!r}"
+    if ok_params:
+        try:
+            mass, mean = profile_residuals(cert.delta, cap, cert.eta, side.beta, side.gamma)
+        except ValueError as exc:
+            # a cap outside [0, delta]
+            ok_params, detail = False, f"{detail}: {exc}"
+    _check(checks, f"{label}-parameters-in-range", ok_params, detail)
     if not ok_params:
         return
-    mass, mean = profile_residuals(cert.delta, cap, cert.eta, side.beta, side.gamma)
     _check(checks, f"{label}-mass-residual", mass <= MASS_TOL, f"{mass:.3e}")
     _check(checks, f"{label}-mean-residual", mean <= MEAN_TOL, f"{mean:.3e}")
     _check(
@@ -619,7 +625,9 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
     certificate built by :func:`min_eta` the value is the stored ``rhs``
     itself, bit for bit, since ``.16e`` round-trips each ``gamma`` and the
     caps are the sides' own. A ``gamma`` that is not finite and
-    positive fails ``rhs-recomputable``. Vacuity witnesses, the expansion
+    positive fails ``rhs-recomputable``, and a cap outside ``[0, delta]``
+    fails its side's ``parameters-in-range`` and the pair's
+    ``rhs-recomputable`` rather than raising. Vacuity witnesses, the expansion
     bound identity, the baseline, and exhaustiveness of the pair enumeration
     are all rechecked.
     """

@@ -8,7 +8,11 @@ presentation concern of the certifying layer, not of this module.
 All functions are pure; cached rows are read-only, so concurrent callers are
 safe. Two arrays are cached per degree: the row ln C(delta, i) and the index
 0..delta as float64 (`_index`), which the moment and tail kernels slice
-instead of building an arange on every call.
+instead of building an arange on every call. The moment kernel and the
+side solver's residuals take both slices for a (delta, cap) pair from one
+cached view (`_profile_view`), which checks delta and cap once per pair. The
+direct sum behind `log_binomial` is cached per (n, min(k, n - k)), so a
+caller that needs ln C(delta, delta/2) on every call pays for its sum once.
 
 The sums build their terms in numpy and finish them in Python, and they
 return the same bits as a term-by-term Python loop. Each int-to-float
@@ -75,11 +79,21 @@ def log_binomial(n: int, k: int) -> float:
     if m == 0:
         return 0.0
     if m <= _DIRECT_SUM_MAX:
-        # for n below 2**53, n - m + j is exact as a double, so each ratio
-        # is rounded once, as int/int division rounds it
-        j = np.arange(1.0, m + 1.0)
-        return math.fsum(map(math.log, ((n - m + j) / j).tolist()))
+        return _log_binomial_direct(n, m)
     return math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1))
+
+
+@lru_cache(maxsize=None)
+def _log_binomial_direct(n: int, m: int) -> float:
+    """ln C(n, m) for 1 <= m <= min(n - m, _DIRECT_SUM_MAX), cached per (n, m).
+
+    Only :func:`log_binomial` calls it, after its checks, so the key is
+    always a pair of ints and a cached value is the one the sum returns.
+    """
+    # for n below 2**53, n - m + j is exact as a double, so each ratio
+    # is rounded once, as int/int division rounds it
+    j = np.arange(1.0, m + 1.0)
+    return math.fsum(map(math.log, ((n - m + j) / j).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -139,13 +153,19 @@ def log_odd_double_factorial(m: int) -> float:
     return math.lgamma(2 * k + 1) - k * _LN2 - math.lgamma(k + 1)
 
 
-def _check_profile(delta: int, cap: int, gamma: float) -> None:
+@lru_cache(maxsize=None, typed=True)
+def _profile_view(delta: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ln C(delta, i), float(i)) for i = 0..cap, read-only slices cached per (delta, cap).
+
+    Checks delta >= 1 and cap in [0, delta] when a view is first built. The
+    cache is typed, so a float or numpy-integer argument that hashes equal to
+    a cached int key still goes through the checks.
+    """
     if not isinstance(delta, int) or delta < 1:
         raise ValueError("delta must be a positive integer")
     if not isinstance(cap, int) or not 0 <= cap <= delta:
         raise ValueError("cap must be an integer in [0, delta]")
-    if not isinstance(gamma, (int, float)) or not math.isfinite(gamma) or gamma <= 0:
-        raise ValueError("gamma must be a finite positive real")
+    return binomial_log_row(delta)[: cap + 1], _index(delta)[: cap + 1]
 
 
 def truncated_log_moments(delta: int, cap: int, gamma: float) -> tuple[float, float, float]:
@@ -154,15 +174,17 @@ def truncated_log_moments(delta: int, cap: int, gamma: float) -> tuple[float, fl
     The sums run over i = 0..cap and are evaluated by scaling with the
     largest term, so the mean S1/S0 stays finite and accurate even when S0
     itself would overflow (gamma up to ~1e6, delta up to ~1e4). Inputs are
-    checked first: delta >= 1, cap in [0, delta], gamma finite and positive.
+    checked first: delta >= 1, cap in [0, delta] (once per pair, by
+    `_profile_view`), gamma finite and positive (on every call).
     """
-    _check_profile(delta, cap, gamma)
-    row = binomial_log_row(delta)
-    idx = _index(delta)[: cap + 1]
-    logterms = row[: cap + 1] + idx * math.log(gamma)
-    peak = float(logterms.max())
+    row, idx = _profile_view(delta, cap)
+    if not isinstance(gamma, (int, float)) or not math.isfinite(gamma) or gamma <= 0:
+        raise ValueError("gamma must be a finite positive real")
+    logterms = row + idx * math.log(gamma)
+    # the ufunc reductions that .max() and .sum() run, without the method dispatch
+    peak = float(np.maximum.reduce(logterms))
     scaled = np.exp(logterms - peak)
-    w0 = float(scaled.sum())
+    w0 = float(np.add.reduce(scaled))
     w1 = float(idx.dot(scaled))
     log_s0 = peak + math.log(w0)
     log_s1 = peak + math.log(w1) if w1 > 0.0 else NEG_INF

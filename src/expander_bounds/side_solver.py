@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import binomial_log_row, truncated_log_moments
+from .combinatorics import _profile_view, truncated_log_moments
 
 __all__ = [
     "BetaUnderflow",
@@ -91,18 +91,19 @@ def profile_residuals(
     ``w_i = beta * gamma^i * C(delta, i)``, summed directly over i = 0..cap,
     each plus an allowance for the rounding error of that float summation.
     So the residuals bound those of the exact sums at the given doubles
-    instead of understating them by a few ulp of ``ln beta``.
+    instead of understating them by a few ulp of ``ln beta``. Raises
+    ValueError unless beta and gamma are finite and positive, delta >= 1 and
+    cap lies in [0, delta].
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError("beta must be a finite positive real")
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError("gamma must be a finite positive real")
-    row = binomial_log_row(delta)[: cap + 1]
-    idx = np.arange(cap + 1)
+    row, idx = _profile_view(delta, cap)
     log_beta, log_gamma = math.log(beta), math.log(gamma)
     weights = np.exp(log_beta + idx * log_gamma + row)
-    mass = float(weights.sum())
-    weighted = float(np.dot(idx, weights))
+    mass = float(np.add.reduce(weights))
+    weighted = float(idx.dot(weights))
     # Relative error of each float weight plus its share of the summation
     # error, with log and exp within one ulp, ln C(delta, i) within
     # u * (i + 4 ln C(delta, i)) (i rounded terms, compensated sum), and each
@@ -112,8 +113,8 @@ def profile_residuals(
     )
     slack = weights * rel
     return (
-        abs(mass - 1.0) + float(slack.sum()),
-        abs(weighted - target_mean(delta, eta)) + float(np.dot(idx, slack)),
+        abs(mass - 1.0) + float(np.add.reduce(slack)),
+        abs(weighted - target_mean(delta, eta)) + float(idx.dot(slack)),
     )
 
 
@@ -233,9 +234,11 @@ def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
     """Solve the mass and mean constraints for one side at out-degree cap ``cap``.
 
     Solves ``mean(gamma) = target_mean(delta, eta)`` in ``x = ln gamma`` with
-    :func:`_solve_log_gamma` (five to seven moment evaluations on average
-    over the paper's table and the large-degree trend), and takes ``beta``
-    from the evaluation at the returned gamma (:func:`_solve_witness`). The
+    :func:`_solve_log_gamma`, and takes ``beta`` from the evaluation at the
+    returned gamma (:func:`_solve_witness`). That is about eight moment
+    evaluations per call: 7.8 on the paper's table (3,867 over 495 calls)
+    and 8.5 on the large-degree trend (621 over 73), and 7.7 over all of the
+    table search's root solves, witnesses included (8,829 over 1,147). The
     whole procedure is deterministic: identical inputs give bit-identical
     outputs.
 

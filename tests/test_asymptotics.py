@@ -15,6 +15,7 @@ from expander_bounds import (
     alpha_trend,
     solve_one_sided,
 )
+from expander_bounds.combinatorics import _log_binomial_direct
 from expander_bounds.side_solver import solve_side
 from p1p3_identity import check_p1p3_identity
 
@@ -230,3 +231,13 @@ def test_one_sided_grid_bytes_are_pinned():
         grid += [(delta, 1e-3 + k * step) for k in range(8)]
     points = [solve_one_sided(delta, eta) for delta, eta in grid]
     assert hashlib.sha256(repr(points).encode()).hexdigest() == ONE_SIDED_GRID_SHA256
+
+
+def test_one_sided_sums_the_central_binomial_once_per_degree():
+    """theta's ln C(6400, 3200) comes from one direct sum over the grid's 8 etas."""
+    hi = TWO_SQRT_LN2 / math.sqrt(6400)
+    _log_binomial_direct.cache_clear()
+    for k in range(8):
+        solve_one_sided(6400, 1e-3 + k * (hi - 1e-3) / 7)
+    info = _log_binomial_direct.cache_info()
+    assert (info.misses, info.hits) == (1, 7)

@@ -551,6 +551,22 @@ def test_unusable_witness_fails_rhs_recomputable(gamma):
     assert failed["pair-2-4-rhs-recomputable"] == "gamma must be a finite positive real"
 
 
+@pytest.mark.parametrize("cap", [9, -1])
+def test_cap_outside_the_degree_fails_instead_of_raising(cap):
+    # the pair's d and its side's cap moved together, so side-consistent holds
+    # and only the range of the cap is wrong
+    doc = _bump(_bump(_doc(min_eta(6)), ("pair_bounds", 0, "d"), cap),
+                ("pair_bounds", 0, "side", "cap"), cap)
+    report = _reverify(doc)
+    failed = {c.name: c.detail for c in report.failures()}
+    label = f"pair-{cap}-3"
+    assert failed[f"{label}-side-parameters-in-range"].endswith(
+        "cap must be an integer in [0, delta]")
+    assert failed[f"{label}-rhs-recomputable"] == "cap must be an integer in [0, delta]"
+    assert f"{label}-side-consistent" not in failed
+    assert not any(c.name.startswith(f"{label}-side-mass") for c in report.checks)
+
+
 MALFORMED = [
     ("not-json", "{"),
     ("top-level-list", "[]"),

@@ -167,6 +167,17 @@ def test_certify_pass_tamper_and_malformed(tmp_path, capsys):
     assert err.startswith("error: cannot read")
 
 
+def test_certify_fails_a_cap_above_the_degree(tmp_path, capsys):
+    doc = json.loads(certificate_to_json(min_eta(6)))
+    doc["pair_bounds"][0]["d"] = doc["pair_bounds"][0]["side"]["cap"] = 9
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "certify", "--file", str(path))
+    assert (code, err) == (1, "")
+    assert "FAIL pair-9-3-side-parameters-in-range" in out
+    assert out.splitlines()[-1] == "verdict: FAIL"
+
+
 def test_certify_csv_format(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(certificate_to_json(min_eta(4)), encoding="utf-8")

@@ -21,7 +21,13 @@ from expander_bounds import (
     solve_one_sided,
     truncated_log_moments,
 )
-from expander_bounds.combinatorics import _EXP_ZERO_LOG, NEG_INF, _log_s0_prefix
+from expander_bounds.combinatorics import (
+    _EXP_ZERO_LOG,
+    NEG_INF,
+    _log_binomial_direct,
+    _log_s0_prefix,
+    _profile_view,
+)
 
 U = 2.0**-53
 
@@ -104,6 +110,13 @@ def test_log_odd_double_factorial_rejects_bad_input():
 
 
 def test_profile_validation():
+    # (delta, cap) views are cached, typed: keys that hash equal to the cached
+    # (6, 3) are still checked, and the cached slices are read-only
+    row, idx = _profile_view(6, 3)
+    assert not row.flags.writeable and not idx.flags.writeable
+    for delta, cap in ((6.0, 3), (6, 3.0), (np.int64(6), 3), (6, np.int64(3))):
+        with pytest.raises(ValueError):
+            truncated_log_moments(delta, cap, 1.0)
     with pytest.raises(ValueError):
         truncated_log_moments(0, 0, 1.0)
     with pytest.raises(ValueError):
@@ -322,6 +335,26 @@ def test_log_binomial_is_bit_identical_to_the_loop():
         cases.append((n, rng.randrange(0, n + 1)))
     for n, k in cases:
         assert log_binomial(n, k) == _ref_log_binomial(n, k), (n, k)
+
+
+def test_log_binomial_memo_keeps_the_checks_and_the_bits():
+    """The direct sum is cached per (n, min(k, n - k)); the checks still run on every call."""
+    assert log_binomial(10, 5) == _ref_log_binomial(10, 5)
+    # these keys hash equal to the cached (10, 5), so only the checks can reject them
+    for n, k in ((10.0, 5), (np.int64(10), 5), (10, 5.0), (10, np.int64(5))):
+        with pytest.raises(TypeError):
+            log_binomial(n, k)
+    # the direct sum (m <= 4096) and lgamma (m > 4096), at k and n - k, twice
+    # each: the second call of a direct-sum case is a cache hit
+    cases = [(10, 5), (11, 3), (6400, 3200), (6400, 17), (8192, 4096), (9000, 4096)]
+    cases += [(8193, 4096), (8194, 4097), (10_000, 4500), (20_000, 9000)]
+    for n, m in cases:
+        for k in (m, n - m):
+            want = _ref_log_binomial(n, k).hex()
+            assert log_binomial(n, k).hex() == want, (n, k)
+            hits = _log_binomial_direct.cache_info().hits
+            assert log_binomial(n, k).hex() == want, (n, k)
+            assert _log_binomial_direct.cache_info().hits - hits == (min(k, n - k) <= 4096)
 
 
 def test_log_odd_double_factorial_is_bit_identical_to_the_loop():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,6 +216,11 @@ def test_profile_residuals_validation():
         profile_residuals(4, 2, 0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         profile_residuals(4, 2, 0.5, 0.5, -1.0)
+    # delta and cap are checked as truncated_log_moments checks them, floats
+    # and numpy integers included
+    for delta, cap in ((5, -1), (5, 6), (0, 0), (5.0, 2), (5, 2.0), (np.int64(5), 2)):
+        with pytest.raises(ValueError):
+            profile_residuals(delta, cap, 0.5, 1.0, 1.0)
 
 
 def log_F(svec) -> float:
