@@ -28,9 +28,15 @@ A probe (:func:`_satisfied`) therefore first evaluates each feasible pair at
 the uncapped binomial root ``gamma0 = t / (delta - t)``, where the side
 solver's bracket starts. Every cap shares ``gamma0``, so one prefix sum over
 ``ln C(delta, i) + i ln gamma0`` gives every cap's ``ln S0`` at once
-(:func:`_log_s0_prefix`). A pair whose value there is at most ``-margin -
-_SLACK`` passes; only the others are solved. ``_SLACK`` covers the rounding
-of both evaluations, and the screen is used only on caps whose solve
+(:func:`_log_s0_prefix`). So a probe runs screen, refine, solve on each
+pair, and the first step that decides the pair ends it. The screen passes a
+pair whose value at ``gamma0`` is at most ``-margin - _SLACK``. The refine
+(:func:`_refine`) takes a few secant steps per side from ``gamma0``: the
+exponent at its iterates bounds the solved one from above, and a tangent of
+each convex side part bounds it from below, so it passes or fails most of
+the pairs the screen leaves. Only the pairs it cannot decide within its
+evaluation cap are solved. ``_SLACK`` covers the rounding of the evaluations
+and the refine's tangents, and both steps are used only on caps whose solve
 provably cannot underflow (:func:`_screenable`: the root stays at ``x <=
 0`` below a cached ``gamma = 1`` bound, or a closed-form bound on the root
 keeps ``ln S0`` small), so every probe's verdict is the one the full solve
@@ -54,6 +60,7 @@ import numpy as np
 
 from .combinatorics import _log_s0_prefix, binomial_log_row, truncated_log_moments
 from .side_solver import (
+    _UNIT_ROUNDOFF,
     BetaUnderflow,
     SideSolution,
     _solve_witness,
@@ -98,13 +105,22 @@ MEAN_TOL = 1e-8
 _LN2 = math.log(2.0)
 
 # A probe passes a pair unsolved when its exponent at the uncapped binomial
-# root is at most -margin - _SLACK; _satisfied derives why 1e-9 is enough.
+# root or at a refine iterate is at most -margin - _SLACK, and fails it when a
+# refine lower bound exceeds -margin + _SLACK; _satisfied derives why 1e-9 is
+# enough.
 _SLACK = 1e-9
 # A cap is screened only while a bound on ln S0 at its root (ln S0 at
 # gamma = 1, or the closed-form root bound of _screenable) stays below this,
 # which keeps every witness the screen skips about 45 nats from beta's
 # underflow.
 _GUARD_LOG_S0 = 700.0
+# A pair the refine has not decided after this many moment evaluations goes
+# to the full solve.
+_REFINE_EVALS = 8
+# How far the refine's brackets and iterates in x = ln gamma may sit from
+# the exact values they stand for: the rounding of x0, of _root_x_bound and
+# of exp between an iterate and its witness.
+_X_ERR = 1e-13
 
 
 class NoBound(RuntimeError):
@@ -328,6 +344,93 @@ def _screenable(delta: int, cap: int, t: float, x0: float, log_s0_x0: float) -> 
     return log_s0_x0 + t * max(0.0, _root_x_bound(delta, cap, t) - x0) <= _GUARD_LOG_S0
 
 
+class _RefineSide:
+    """One side of a refine: a bracket ``[a, b]`` of the root in ``x = ln
+    gamma``, the bound ``dm`` on the float mean's error, and the latest
+    iterate ``x`` with its ``ln S0`` and slope ``f' = mean - t``."""
+
+    def __init__(self, delta: int, cap: int, t: float, x0: float):
+        self.delta, self.cap, self.t = delta, cap, t
+        self.a, self.b = x0, max(x0, _root_x_bound(delta, cap, t))
+        self.dm = cap * (70.0 * delta + 3000.0) * _UNIT_ROUNDOFF
+        self.x = self.log_s0 = self.slope = self.prev = None
+
+    def evaluate(self, x: float) -> bool:
+        """Move to ``x``, and move an end of the bracket there when the
+        slope's sign is certain. False when ``ln S0 > _GUARD_LOG_S0``."""
+        log_s0, _, mean = truncated_log_moments(self.delta, self.cap, math.exp(x))
+        if self.x is not None:
+            self.prev = self.x, self.slope
+        self.x, self.log_s0, self.slope = x, log_s0, mean - self.t
+        if self.slope < -self.dm:
+            self.a = x
+        elif self.slope > self.dm:
+            self.b = x
+        return log_s0 <= _GUARD_LOG_S0
+
+    def gap(self) -> float:
+        """``f(x)`` less the tangent lower bound on ``f`` at the root, plus
+        its allowance, in nats (:func:`_satisfied`)."""
+        if self.slope <= 0.0:
+            tangent = self.slope * (self.b - self.x)
+        else:
+            tangent = -self.slope * (self.x - self.a)
+        return self.dm * (self.b - self.a) + 2.0 * self.cap * _X_ERR - tangent
+
+    def next_x(self) -> float:
+        """A secant step on the slope (at the first iterate, Newton with the
+        uncapped binomial variance ``t (delta - t) / delta``), or the
+        bracket's midpoint when the step leaves the bracket."""
+        x, slope = self.x, self.slope
+        if self.prev is not None and self.prev[1] != slope:
+            step = slope * (x - self.prev[0]) / (self.prev[1] - slope)
+        else:
+            step = -slope * self.delta / (self.t * (self.delta - self.t))
+        nxt = x + step
+        return nxt if self.a < nxt < self.b else 0.5 * (self.a + self.b)
+
+
+def _refine(
+    delta: int, eta: float, t: float, x0: float, d: int, d_prime: int
+) -> Iterator[tuple[float, float]]:
+    """Bounds ``(upper, lower)`` on the solved exponent of a screenable pair,
+    one after each moment evaluation, each up to the evaluation error that
+    :func:`_satisfied` budgets for.
+
+    Both sides start at ``x0``. ``upper`` is the pair's exponent at the
+    latest iterates, and ``lower`` is ``upper`` less both sides' gaps
+    (:meth:`_RefineSide.gap`). Each step moves the side with the larger gap.
+    It stops after ``_REFINE_EVALS`` evaluations, when no side's slope has a
+    certain sign, or at an iterate with ``ln S0 > _GUARD_LOG_S0``.
+    """
+    side = _RefineSide(delta, d, t, x0)
+    side_p = side if d_prime == d else _RefineSide(delta, d_prime, t, x0)
+    sides = (side,) if side_p is side else (side, side_p)
+    if not all(s.evaluate(x0) for s in sides):
+        return
+    for evals in range(len(sides), _REFINE_EVALS + 1):
+        upper = _rhs(delta, eta, -side.log_s0, math.exp(side.x),
+                     -side_p.log_s0, math.exp(side_p.x))
+        yield upper, upper - (side.gap() + side_p.gap()) / (2.0 * _LN2)
+        live = [s for s in sides if abs(s.slope) > s.dm]
+        if not live or evals == _REFINE_EVALS:
+            return
+        s = max(live, key=_RefineSide.gap)
+        if not s.evaluate(s.next_x()):
+            return
+
+
+def _decide(bounds: Iterable[tuple[float, float]], margin: float) -> bool | None:
+    """True once an upper bound is at most ``-margin - _SLACK``, False once a
+    lower bound exceeds ``-margin + _SLACK``, None if the bounds run out."""
+    for upper, lower in bounds:
+        if upper <= -margin - _SLACK:
+            return True
+        if lower > -margin + _SLACK:
+            return False
+    return None
+
+
 def _satisfied(delta: int, eta: float, margin: float) -> bool:
     """The search condition at eta: at least one pair is feasible, and each
     feasible pair's solved exponent is at most ``-margin`` with no cap's
@@ -337,37 +440,48 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
 
     Every cap shares ``t`` and so ``gamma0 = t / (delta - t)``, and one
     prefix row (:func:`_log_s0_prefix`) gives ``ln S0(gamma0)`` for all of
-    them. A pair whose caps are both :func:`_screenable` is screened: its
-    exponent at ``gamma0`` on both sides bounds the solved one from above
-    (module docstring), so a value of at most ``-margin - _SLACK`` passes
-    it. Every other pair is solved with :func:`_solve_witness`, and a
-    BetaUnderflow fails the probe.
+    them. A pair whose caps are both :func:`_screenable` goes through three
+    steps, and stops at the first that decides it:
 
-    Why ``_SLACK = 1e-9`` is enough. Let ``R`` be the exact exponent at a
-    float witness, ``R*`` its minimum, ``r`` the float evaluation, ``e`` a
-    bound on ``|r - R|`` and ``g`` the excess of ``R`` at the solved witness
-    over ``R*``. Then ``r(solved) <= R* + g + e <= R(gamma0) + g + e <=
-    r(gamma0) + g + 2e``, so a screened pass implies the solved pass when
-    ``g + 2e <= _SLACK``. With ``u = 2^-53``, on a screened pair:
+    - screen: its exponent at ``gamma0`` on both sides bounds the solved one
+      from above (module docstring), so a value of at most ``-margin -
+      _SLACK`` passes it;
+    - refine (:func:`_refine`): a few secant iterates per side give upper
+      bounds (the exponent at the iterates, passing it by the same test) and
+      tangent lower bounds, and a lower bound above ``-margin + _SLACK``
+      fails the probe;
+    - solve: both caps with :func:`_solve_witness`, as every other pair.
+      A BetaUnderflow fails the probe.
 
-    - ``ln S0 <= 700`` at both witnesses (the guard), and ``gamma0 = (1 -
-      eta) / (1 + eta)`` lies in ``[5e-10, 1]`` because the search keeps
-      ``eta <= 1 - 1e-9``, so ``x0`` is in ``[-21.5, 0]``. The solved root
-      has ``x* >= x0`` and ``d x* <= ln S0(x*) <= 700``.
+    Why ``_SLACK = 1e-9`` is enough for a pass. Let ``R`` be the exact
+    exponent at a float witness, ``R*`` its minimum, ``r`` the float
+    evaluation, ``e`` a bound on ``|r - R|`` and ``g`` the excess of ``R``
+    at the solved witness over ``R*``. Then ``r(solved) <= R* + g + e <=
+    R(w) + g + e <= r(w) + g + 2e`` at any witness ``w``, so a pass at
+    ``gamma0`` or at a refine iterate implies the solved pass when ``g + 2e
+    <= _SLACK``. With ``u = 2^-53``, on a screenable pair:
+
+    - ``ln S0 <= 700`` at every witness evaluated: at the solved root by the
+      guard, and at each refine iterate because the refine gives up on one
+      with ``ln S0 > _GUARD_LOG_S0``. ``gamma0 = (1 - eta) / (1 + eta)``
+      lies in ``[5e-10, 1]`` because the search keeps ``eta <= 1 - 1e-9``,
+      so ``x0`` is in ``[-21.5, 0]``; the root and every iterate have ``x >=
+      x0``, and where ``x > 0``, ``d x <= ln S0(x) <= 700``.
     - Each log term ``L_i = ln C(delta, i) + i x`` is off by at most ``u (3
-      ln C + i + 2 i |x| + |L_i|) <= 68 delta u``, as ``ln C <= 0.7
-      delta``, ``i |x| <= 21.5 delta`` at ``x0`` and ``<= 700`` at ``x*``.
-    - The prefix adds ``(2 d + 24) u + 700 u`` (its docstring), and the
-      solver's :func:`truncated_log_moments`, a scaled sum of the same
-      terms, no more. So each ``ln S0`` is off by under ``(70 delta + 724)
-      u``. A logaddexp scan would instead round once per step at
-      ``|ln S0|``, up to ``700 delta u`` in all.
-    - The pair formula has seven terms. ``(1 - eta) |log2 gamma0| <= 1.07``
-      and ``t |x*| <= 700``, so their magnitudes sum to under ``2.2 delta +
-      2100``; rounding each a few times and summing costs under ``(22 delta
-      + 2.1e4) u``. The two ``ln S0`` enter halved and over ``ln 2``.
+      ln C + i + 2 i |x| + |L_i|) <= (68 delta + 2100) u``, as ``ln C <=
+      0.7 delta`` and ``i |x| <= max(21.5 delta, 700)``.
+    - The prefix adds ``(2 d + 24) u + 700 u`` (its docstring), and
+      :func:`truncated_log_moments`, a scaled sum of the same terms, no
+      more. So each ``ln S0`` is off by under ``(70 delta + 2824) u``. A
+      logaddexp scan would instead round once per step at ``|ln S0|``, up
+      to ``700 delta u`` in all.
+    - The pair formula has seven terms. ``(1 - eta) |log2 gamma| <= 1.07``
+      for ``x`` in ``[x0, 0]`` and ``t x <= 700`` above it, so their
+      magnitudes sum to under ``2.2 delta + 2100``; rounding each a few
+      times and summing costs under ``(22 delta + 2.1e4) u``. The two ``ln
+      S0`` enter halved and over ``ln 2``.
 
-    So ``e < (123 delta + 2.2e4) u``. For ``g``: by convexity each side's
+    So ``e < (123 delta + 2.6e4) u``. For ``g``: by convexity each side's
     excess is at most ``(x^ - x*) (mean(x^) - t) / (2 ln 2)`` at the solved
     ``x^``, where the float mean is ``t``, so ``mean(x^) - t`` is at most the
     float mean's error ``dm``. Where the root is well conditioned, ``x^ - x*
@@ -381,6 +495,32 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     the excess is below ``768 dm < 3e-11``. Against exact arithmetic, 400
     seeded screenable caps (delta <= 80, ``s`` from 1e-15 to 1e-3) gave
     ``g <= 3.2e-16``. Hence ``g + 2e < _SLACK`` for delta up to 30,000.
+
+    The refine's lower bound and its allowance. Let ``f = ln S0 - t x``, so
+    ``R = K + (f_d + f_d') / (2 ln 2)`` with ``K`` free of the witnesses.
+    At an iterate ``x`` (exactly, the log of its witness ``e^x``) convexity
+    gives ``f(x*) >= f(x) + f'(x) (x* - x)`` for the root ``x*``. The
+    bracket holds the root up to ``tau = _X_ERR``: ``a`` is ``x0`` or an
+    iterate whose float slope is below ``-dm``, so its exact slope is
+    negative, and ``b`` is ``x_u`` or an iterate whose float slope is above
+    ``dm``; ``tau`` covers the rounding of ``x0`` and ``x_u`` (a few ulp of
+    ``|x| <= 50``) and of ``exp`` between ``x`` and the witness. With the
+    float slope ``f'~`` within ``dm`` of ``f'(x)`` and ``|f'| < d``, ``f'(x)
+    (x* - x)`` is at least ``T - dm (b - a) - 2 d tau``, where ``T = f'~ (b
+    - x)`` when ``f'~ <= 0`` and ``-f'~ (x - a)`` otherwise. That is the
+    side's gap (:meth:`_RefineSide.gap`), ``-T`` plus its allowance. For
+    ``dm``: each scaled term of the moment kernel carries its log term's
+    error and ``u`` times its distance to the peak, at most 746 (farther
+    terms are 0.0 and move the mean by under ``d^2 e^-746``), so a relative
+    ``rho <= (68 delta + 2900) u``; weighted by ``|i - mean| <= d`` that
+    moves the mean by ``d rho``, and the two sums, the division and ``- t``
+    add ``(2 d + 4) d u``. So ``dm = d (70 delta + 3000) u``. Then ``R* >=
+    R(w) - (gap_d + gap_d') / (2 ln 2)``, and a fail at ``lower > -margin +
+    _SLACK`` implies the solved fail, ``r(solved) >= R* - e > -margin``,
+    once ``2e`` plus the rounding of ``lower`` is at most ``_SLACK``. That
+    rounding is under ``6 u (|upper| + |lower|) < 1e-10`` wherever ``margin
+    < delta``, and ``2e + 1e-10 < _SLACK``. A larger margin fails every pair
+    anyway, since ``f >= 0`` at the root makes ``R* >= 1 - delta``.
     """
     pairs = feasible_pairs(delta, eta)
     if not pairs:
@@ -393,6 +533,11 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
         if _screenable(delta, d, t, x0, log_s0[d]) and _screenable(delta, dp, t, x0, log_s0[dp]):
             if _rhs(delta, eta, -log_s0[d], gamma0, -log_s0[dp], gamma0) <= -margin - _SLACK:
                 continue
+            verdict = _decide(_refine(delta, eta, t, x0, d, dp), margin)
+            if verdict is not None:
+                if verdict:
+                    continue
+                return False
         try:
             side = _solve_witness(delta, d, eta)
             side_p = side if dp == d else _solve_witness(delta, dp, eta)
@@ -421,10 +566,12 @@ def min_eta(
 
     Each probe is :func:`_satisfied`: one prefix sum at the uncapped
     binomial root gives every cap's ``ln S0`` there and clears the pairs with
-    room to spare, and only the rest are solved, with the verdict solving
-    every pair would give. On the paper's table (degrees 4..60, margin 1e-6)
-    the searches solve 652 caps where solving each probe's pairs up to the
-    first failure took 5,843.
+    room to spare, a few secant steps decide most of the rest, and only what
+    is left is solved, with the verdict solving every pair would give. On
+    the paper's table (degrees 4..60, margin 1e-6) the refine decides 433
+    of 434 pairs with 1,572 moment evaluations and the searches solve 2
+    caps; the screen alone left 652 caps to solve, and solving each probe's
+    pairs up to the first failure took 5,843.
     Only the certificate at the rounded eta is built from full side
     solutions with residuals (:func:`evaluate_pairs`).
 

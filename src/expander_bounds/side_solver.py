@@ -101,7 +101,9 @@ def profile_residuals(
         raise ValueError("gamma must be a finite positive real")
     row, idx = _profile_view(delta, cap)
     log_beta, log_gamma = math.log(beta), math.log(gamma)
-    weights = np.exp(log_beta + idx * log_gamma + row)
+    # A huge gamma overflows weights to inf, which the residuals then report.
+    with np.errstate(over="ignore"):
+        weights = np.exp(log_beta + idx * log_gamma + row)
     mass = float(np.add.reduce(weights))
     weighted = float(idx.dot(weights))
     # Relative error of each float weight plus its share of the summation
@@ -237,10 +239,10 @@ def solve_side(delta: int, cap: int, eta: float) -> SideSolution:
     :func:`_solve_log_gamma`, and takes ``beta`` from the evaluation at the
     returned gamma (:func:`_solve_witness`). That is about eight moment
     evaluations per call: 7.8 on the paper's table (3,867 over 495 calls)
-    and 8.5 on the large-degree trend (621 over 73), and 7.7 over all of the
-    table search's root solves, witnesses included (8,829 over 1,147). The
-    whole procedure is deterministic: identical inputs give bit-identical
-    outputs.
+    and 8.5 on the large-degree trend (621 over 73). The ``eta`` search
+    itself solves almost no cap: ``certifier._satisfied`` decides nearly
+    every pair from bounds. The whole procedure is deterministic: identical
+    inputs give bit-identical outputs.
 
     Raises
     ------

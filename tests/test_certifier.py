@@ -120,11 +120,20 @@ def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
         probes.append((delta, eta, margin, screened(delta, eta, margin)))
     # Margins a hair either side of the worst solved exponent, at eta where
     # the caps barely bind and the screen's value is close to the solved one.
+    # At -worst + 1e-9 the worst pair fails by less than the refine's
+    # allowance, so the probe must reach the full solve. At -worst - 1e-9 the
+    # refine's iterates may pass it, being as good a witness as the solved one.
+    solves = []
+    monkeypatch.setattr(certifier, "_solve_witness",
+                        lambda *args: solves.append(args) or side_solver._solve_witness(*args))
     for delta in (4, 9, 30, 60, 400):
         for eta in (0.9, 0.99, 1.0 - 1e-6):
             worst = max(pb.rhs for pb in certifier.evaluate_pairs(delta, eta) if not pb.vacuous)
             for margin in (-worst - 1e-9, -worst + 1e-9):
+                solves.clear()
                 probes.append((delta, eta, margin, screened(delta, eta, margin)))
+                assert solves or margin < -worst, (delta, eta)
+    monkeypatch.undo()
     assert len(probes) > 1500
     assert any(verdict for *_, verdict in probes)
     assert any(not verdict for *_, verdict in probes)
@@ -203,6 +212,32 @@ def test_root_bound_holds_at_the_solved_root():
         assert log_s0 <= bound + cap * max(0.0, x - x_u) + 1e-9, (delta, cap, t)
         checked += 1
     assert checked > 400 and pinned > 50
+
+    # The refine's brackets start at [x0, x_u], and every bound it gives on a
+    # screenable pair holds at the fully solved witnesses: the upper one from
+    # above and the lower one, allowance included, from below. The tolerance
+    # is far inside the 1e-9 the search allows each side. Half the pairs pin
+    # their smaller cap against the mean.
+    bounds = pinned = 0
+    for k in range(400):
+        delta = rng.randint(3, 80)
+        d = rng.randint(1, delta // 2)
+        s = 10.0 ** rng.uniform(-15.0, -3.0) if k % 2 else rng.uniform(0.0, d)
+        eta = 1.0 - 2.0 * (d - s) / delta
+        t = target_mean(delta, eta)
+        if not (0.0 <= eta < 1.0 and 0.0 < t < d):
+            continue
+        x0 = math.log(t / (delta - t))
+        log_s0 = _log_s0_prefix(delta, x0)
+        if not all(certifier._screenable(delta, c, t, x0, log_s0[c]) for c in (d, delta - d)):
+            continue
+        side = side_solver._solve_witness(delta, d, eta)
+        solved = certifier._rhs(delta, eta, *side, *side_solver._solve_witness(delta, delta - d, eta))
+        for upper, lower in certifier._refine(delta, eta, t, x0, d, delta - d):
+            assert lower <= solved + 1e-12 and upper >= solved - 1e-12, (delta, d, eta)
+            bounds += 1
+        pinned += s < 1e-3
+    assert bounds > 1000 and pinned > 100
 
 
 @settings(max_examples=300, deadline=None)
@@ -327,6 +362,20 @@ def test_build_table():
         build_table(2, 6)
     with pytest.raises(ValueError):
         build_table(6, 4)
+
+
+# Caps the eta searches of the paper's table (degrees 4..60, margin 1e-6)
+# may solve: the refine leaves one pair, two caps. The screen alone left 652.
+TABLE_SEARCH_SOLVES = 2
+
+
+def test_table_search_solves_almost_no_cap(monkeypatch):
+    solves = []
+    monkeypatch.setattr(certifier, "_solve_witness",
+                        lambda *args: solves.append(args) or side_solver._solve_witness(*args))
+    certs = build_table(4, 60, margin=TIGHT)
+    assert len(certs) == 57
+    assert len(solves) <= TABLE_SEARCH_SOLVES
 
 
 def test_bound_rhs_closed_form_at_full_cap():

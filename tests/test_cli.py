@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -154,6 +155,24 @@ def test_certify_pass_tamper_and_malformed(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", "--file", str(path))
     assert code == 1
     assert "FAIL expansion-bound-consistent" in out
+    assert out.splitlines()[-1] == "verdict: FAIL"
+
+    # A huge gamma overflows the residual weights: the verdict names the
+    # failed checks, and numpy's overflow warning must not reach stderr.
+    doc = json.loads(certificate_to_json(min_eta(6)))
+    doc["pair_bounds"][0]["side"]["gamma"] = "1e308"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "certify", "--file", str(path))
+    assert (code, err) == (1, "")
+    assert [l.split(":")[0] for l in out.splitlines() if l.startswith("FAIL")] == [
+        "FAIL pair-3-3-side-mass-residual",
+        "FAIL pair-3-3-side-mean-residual",
+        "FAIL pair-3-3-side-residual-fields-match",
+        "FAIL pair-3-3-rhs-negative-with-margin",
+        "FAIL pair-3-3-rhs-matches",
+    ]
     assert out.splitlines()[-1] == "verdict: FAIL"
 
     path.write_text("{not json", encoding="utf-8")
