@@ -15,16 +15,15 @@ import numpy as np
 # Pools of at most this many points are matched by the sequential loop over
 # lists; larger pools are walked in blocks until this many points are left,
 # and the same loop finishes them on their arrays. Just above the switch the
-# blocks lose: they build three arrays of the pool's size, and the finishing
-# loop reads arrays, slower than lists at this size. Time per point, blocked
-# over all-sequential, in the paired matching rows of scripts/bench_sampler.py
-# (median of 11 rounds on a 2-core host, CPython 3.11, numpy 2.4): 1.08 at
-# 32,770 points, 0.85 at 49,154, 0.86 at 65,538, 0.51 at 2^18 + 2 and 0.38
-# at 10^6. With the switch at 49,152, 49,154 points took 1.13 times as long
-# instead. For 10^6 points it matters little where the blocks stop: anywhere
-# from 8,192 to 49,152 points left is within 3%, and 65,536 is 4-7% slower.
+# blocks lose: they build three arrays of the pool's size and widen one of
+# them at the end, and the finishing loop reads arrays, slower than lists at
+# this size. Time per point, blocked over all-sequential, in the paired
+# matching rows of scripts/bench_sampler.py (median of 11 rounds on a 2-core
+# host, CPython 3.11, numpy 2.4): 1.17 at 32,770 points, 1.08 at 49,154,
+# 0.97 at 65,538, 0.36 at 2^18 + 2 and 0.17 at 10^6. A higher switch only
+# moves that window: against the switch at 65,536 this one takes 0.92 of
+# the time at 65,538 points, 0.97 at 131,074 and 0.99-1.00 from 2^18 + 2 on.
 _LIST_POOL_POINTS = 1 << 15
-_FREE = 0x7FFF  # collision marker of a slot that no step of the block touches
 
 
 def _raw_matching(rng: random.Random, num_points: int) -> array:
@@ -59,6 +58,9 @@ def _raw_matching(rng: random.Random, num_points: int) -> array:
     is a later guessed low found it in that low's slot, which the later step
     touches too, so a wrong guess is never committed. Blocks have about
     sqrt(m)/2 steps and run until at most _LIST_POOL_POINTS points are left.
+    They hold about 14 bytes per point: the draws (uint32, about 2), `pool`
+    and `where` (uint32, 4 + 4) and a working partner array (int32 up to
+    2^31 points, 4, and int64 above), which also holds the clash codes.
     """
     if _LIST_POOL_POINTS < num_points <= 1 << 32:
         return _blocked_matching(rng, num_points)
@@ -133,16 +135,31 @@ def _draws(rng: random.Random, num_points: int, count: int) -> np.ndarray:
 
 
 def _blocked_matching(rng: random.Random, num_points: int) -> array:
-    """`_raw_matching` in blocks until _LIST_POOL_POINTS points are left."""
+    """`_raw_matching` in blocks until _LIST_POOL_POINTS points are left.
+
+    Four arrays of the pool's size are alive during the blocks: the draws
+    (uint32, about 2 bytes per point), `pool` and `where` (uint32, 4 + 4)
+    and the working partner array `matched`: about 14 bytes per point in
+    all. `matched` is int32 (4) up to 2^31 points, whose ids all fit in it, and
+    int64 (8) above. The draws are freed before the finishing walk, and
+    `pool` and `where` after it; only then is `matched` widened into the
+    graph's `array('q')`, so that copy also peaks at 12 bytes per point.
+
+    A block finds its clashes in the partner entries themselves. Every slot
+    it touches is below m, so it holds an unmatched point, whose entry is
+    -1. The block writes step s's first-touch code s - cap - 1 into those
+    points' entries with `np.minimum.at`, reads each step's smallest code
+    back, and resets them to -1 before it commits. The codes are below -1,
+    so no code reads as a partner or as unmatched, and none outlives the
+    block.
+    """
     count = (num_points - _LIST_POOL_POINTS + 1) // 2
     draws = _draws(rng, num_points, count)
-    partner = array("q", [-1]) * num_points
-    matched = np.frombuffer(partner, dtype=np.int64)
+    matched = np.full(num_points, -1, dtype=np.int32 if num_points <= 1 << 31 else np.int64)
     pool = np.arange(num_points, dtype=np.uint32)
     where = pool.copy()
-    marker = np.full(num_points, _FREE, dtype=np.int16)  # first step touching a slot
     cap = min(math.isqrt(num_points) // 2 + 1, 1 << 14)
-    steps = np.arange(cap, dtype=np.int16)
+    codes = np.arange(-cap - 1, -1, dtype=np.int32)  # step s's first-touch code
     twice = np.arange(0, 2 * cap, 2)
     t = low = 0
     m = num_points
@@ -158,20 +175,20 @@ def _blocked_matching(rng: random.Random, num_points: int) -> array:
         tail1 = (m - 1) - twice[:size]
         touched = np.concatenate((where[lows], draws[t : t + size], tail1, tail1 - 1),
                                  dtype=np.intp)
-        s = steps[:size]
-        np.minimum.at(marker, touched, np.concatenate((s, s, s, s)))
-        clash = np.flatnonzero(marker[touched].reshape(4, size).min(axis=0) < s)
-        marker[touched] = _FREE
+        points = pool[touched].astype(np.intp)
+        c = codes[:size]
+        np.minimum.at(matched, points, np.concatenate((c, c, c, c)))
+        clash = np.flatnonzero(matched[points].reshape(4, size).min(axis=0) < c)
+        matched[points] = -1
         done = int(clash[0]) if clash.size else size  # step 0 never clashes
-        rows = touched.reshape(4, size)[:, :done]
-        at, j, _, tail2 = rows
-        end1, end2 = pool[rows[2:]].astype(np.intp)
+        at, j, _, tail2 = touched.reshape(4, size)[:, :done]
+        _, picked, end1, end2 = points.reshape(4, size)[:, :done]
         lows = lows[:done]
         # the first swap puts the first tail's point in the low's slot: it is
         # the partner when j is that slot, and the second swap moves it into
         # j when the low sat in the second tail. Slots from a step's second
         # tail on are dead, and where j is the low's slot the later write wins.
-        p = np.where(j == at, end1, pool[j])
+        p = np.where(j == at, end1, picked)
         moved = np.where(tail2 == at, end1, end2)
         pool[at] = end1
         where[end1] = at
@@ -182,8 +199,13 @@ def _blocked_matching(rng: random.Random, num_points: int) -> array:
         t += done
         m -= 2 * done
         low = int(lows[-1]) + 1
+    del draws
     # a chunk of ints at a time: tens of thousands alive at once would leave
     # their memory behind in the interpreter's allocator
     rest = np.flatnonzero(matched[low:] < 0) + low
     lows = chain.from_iterable(rest[i : i + 1024].tolist() for i in range(0, rest.size, 1024))
-    return _walk(rng, memoryview(pool), memoryview(where), partner, lows, m)
+    _walk(rng, memoryview(pool), memoryview(where), memoryview(matched), lows, m)
+    del pool, where
+    partner = array("q", [0]) * num_points
+    np.frombuffer(partner, dtype=np.int64)[:] = matched
+    return partner

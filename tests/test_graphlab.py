@@ -482,6 +482,28 @@ def test_pools_past_2_32_points_stay_sequential(monkeypatch):
         "list", "blocked", "blocked", "list"]
 
 
+def test_blocked_matching_peak_memory():
+    # During the blocks the matching holds the draws, `pool`, `where` and an
+    # int32 partner array, about 14 bytes per point; an int64 partner array
+    # and a separate clash marker took about 20.5. Both paths still return
+    # `array('q')`, whose bytes the graph's hash and repr digest read.
+    num_points = 1 << 20
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        partner = graphlab._raw_matching(random.Random(derive_seed(20261019, 0)), num_points)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 16 * num_points
+    small = graphlab._raw_matching(random.Random(1), _matching._LIST_POOL_POINTS)
+    assert (partner.typecode, small.typecode) == ("q", "q")
+
+
 def test_negative_seeds_are_refused():
     # random.Random(-s) seeds exactly as random.Random(s), so seed -1 would
     # silently repeat seed 1's graph
