@@ -15,7 +15,8 @@ Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 - the wall time of criterion 08's three tallies (1e6 draws each);
 - `min_eta` over degrees 4..60 at margin 1e-6 (the paper's table), over
   100, 200 and 400 at margin 1e-3, and over 1000 and 2000 at margin 1e-3
-  (`eta_wide`, where only the screen's root bound applies above 1010), each
+  (`eta_wide`, where the screen's root bound leaves many caps to the
+  solve), each
   fingerprinted by the sha256 of its certificates' JSON;
 - `one_sided`: `solve_one_sided` on perfbench's large-degree grid (8 evenly
   spaced eta in [1e-3, 2 sqrt(ln 2)/sqrt(delta)] for delta 1600 and 6400),

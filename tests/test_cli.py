@@ -313,6 +313,11 @@ def test_margin_and_precision_validation(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "trend", "--deltas", "6", "--precision", "0")
     assert code == 2 and err.startswith("error:")
+    # a grid of 10**309 is not a double: a usage error, not a traceback
+    for argv in (("table", "--delta-min", "4", "--delta-max", "4"),
+                 ("trend", "--deltas", "6"), ("baseline", "--delta", "9")):
+        code, _, err = run(capsys, *argv, "--precision", "309")
+        assert code == 2 and err == "error: precision must be at most 308\n", argv
     # only table, trend and baseline read these; elsewhere they are not options
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--delta", "3", "--n", "8", "--margin", "1"])

@@ -46,7 +46,6 @@ PUBLIC_NAMES = [
     "binomial_tail",
     "bollobas_eta",
     "bollobas_threshold",
-    "bound_rhs",
     "brute_force_expansion",
     "build_table",
     "certificate_from_json",
@@ -63,7 +62,6 @@ PUBLIC_NAMES = [
     "log_odd_double_factorial",
     "min_eta",
     "profile_residuals",
-    "rhs_from_sides",
     "sample_out_degree_configurations",
     "sample_pairing",
     "solve_one_sided",
