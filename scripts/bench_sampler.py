@@ -43,10 +43,10 @@ they come from. These paired rows are
   call, over every cap 0..delta of every degree 4..60 (the shapes of the
   paper table's search), ten times per block;
 - `tails`: `binomial_tail(delta, p, cap)` in microseconds per call, over the
-  two tails `solve_one_sided` sums at each point of the `one_sided` grid
-  (caps delta/2 at delta and delta/2 - 1 at delta - 1, p from the solved
-  gamma, solved before the clock starts), ten times per block,
-  fingerprinted by the returned doubles' bytes;
+  two exact tails that `solve_one_sided`'s P1 and P2 stand for at each point
+  of the `one_sided` grid (caps delta/2 at delta and delta/2 - 1 at
+  delta - 1, p from the solved gamma, solved before the clock starts), ten
+  times per block, fingerprinted by the returned doubles' bytes;
 - `matching_N`: the uniform matching `graphlab._raw_matching` on N points
   in microseconds per point, consecutive calls on one generator seeded N
   for about 2^19 points per block, fingerprinted by the partner arrays'

@@ -14,9 +14,14 @@ capped mean is delta * p * (1 - theta), that fixed point is the per-side mean
 constraint at cap d, so gamma is found by the side solver's bracketed root
 solve in ln gamma; this module runs no iteration of its own.
 
-Everything here is computed with exact binomial sums; no normal
-approximations. The headline quantity is alpha = eta * sqrt(delta), compared
-against the classical constant 2*sqrt(ln 2).
+With beta = 1/S0, the solve's own normaliser, the first equation reads
+P1 = S0(gamma) / (1 + gamma)^delta, and P3 = C(delta, d) gamma^d /
+(1 + gamma)^delta, so P1 and P3 come from the solve's ln S0 and the
+per-degree ln C(delta, d), and the identity gives P2. No tail is summed and
+no normal approximation is made; `combinatorics.binomial_tail` and
+`binomial_pmf` are the exact references the tests hold these against. The
+headline quantity is alpha = eta * sqrt(delta), compared against the
+classical constant 2*sqrt(ln 2).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .certifier import DEFAULT_MARGIN, DEFAULT_PRECISION, NoBound, min_eta, verify_certificate
-from .combinatorics import binomial_pmf, binomial_tail, log_binomial
+from .combinatorics import log_binomial
 from .side_solver import _solve_log_gamma
 
 __all__ = [
@@ -44,9 +49,10 @@ class AsymptoticPoint:
 
     p is the binomial parameter gamma / (gamma + 1); p1, p2, p3 are the
     cumulative, shifted-cumulative, and point binomial probabilities at the
-    cap; theta = ((delta - d)/delta) * p3 / p1, evaluated in logs, is the
-    correction that separates the capped system from the closed-form
-    uncapped one; alpha is eta * sqrt(delta).
+    cap, read off the root solve (see :func:`solve_one_sided`); theta =
+    ((delta - d)/delta) * p3 / p1, evaluated in logs, is the correction that
+    separates the capped system from the closed-form uncapped one; alpha is
+    eta * sqrt(delta).
     """
 
     delta: int
@@ -77,6 +83,13 @@ def solve_one_sided(
     theta = ((delta - d)/delta) * C(delta, d) * gamma^d / S0(gamma) is then
     evaluated in logs, which stays finite where P1 underflows.
 
+    The probabilities take no further sum. With L = delta ln(1 + gamma),
+    P1 = exp(ln S0 - L) and P3 = exp(ln C(delta, d) + d ln gamma - L), each
+    clamped to at most 1, and P2 = P1 - ((delta - d)/delta) * P3, clamped to
+    at least 0. They agree with the exact tails and point mass to about
+    1e-12 relative for delta up to 6400 (1.5e-11 for P3 at delta = 10^4,
+    where ln C(delta, delta/2) comes from lgamma).
+
     Raises InfeasibleTarget (a ValueError) when the target mean is not below
     the cap d.
     """
@@ -90,23 +103,27 @@ def solve_one_sided(
         raise ValueError("need 1 <= d <= delta")
 
     if d == delta:
-        gamma, theta = (1.0 - eta) / (1.0 + eta), 0.0
+        # nothing is cut off, so S0 is the whole binomial sum (1 + gamma)^delta
+        gamma = (1.0 - eta) / (1.0 + eta)
+        x, log_s0 = math.log(gamma), delta * math.log1p(gamma)
     else:
         x, log_s0 = _solve_log_gamma(delta, d, eta)
         gamma = math.exp(x)
-        frac = (delta - d) / delta
-        theta = frac * math.exp(log_binomial(delta, d) + d * x - log_s0)
-
-    p = gamma / (gamma + 1.0)
+    frac = (delta - d) / delta
+    log_top = log_binomial(delta, d) + d * x
+    theta = frac * math.exp(log_top - log_s0)
+    log_all = delta * math.log1p(gamma)
+    p1 = min(1.0, math.exp(log_s0 - log_all))
+    p3 = min(1.0, math.exp(log_top - log_all))
     return AsymptoticPoint(
         delta=delta,
         d=d,
         eta=eta,
         gamma=gamma,
-        p=p,
-        p1=binomial_tail(delta, p, d),
-        p2=binomial_tail(delta - 1, p, d - 1),
-        p3=binomial_pmf(delta, p, d),
+        p=gamma / (gamma + 1.0),
+        p1=p1,
+        p2=max(0.0, p1 - frac * p3),
+        p3=p3,
         theta=theta,
         alpha=eta * math.sqrt(delta),
     )

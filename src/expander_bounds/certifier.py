@@ -716,10 +716,17 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
     bound identity, the baseline, and exhaustiveness of the pair enumeration
     are all rechecked. A certificate that does not list ``delta // 2`` pairs
     fails ``pairs-exhaustive`` and is checked no further, so its claimed
-    ``delta`` cannot cost more work than its own length.
+    ``delta`` cannot cost more work than its own length; a ``delta`` of
+    ``2**53`` or more fails ``delta-valid`` before any float arithmetic.
     """
     checks: list[CheckResult] = []
-    _check(checks, "delta-valid", isinstance(cert.delta, int) and cert.delta >= 3, f"delta={cert.delta}")
+    # the checks below compute with delta as a double, which holds it exactly below 2**53
+    _check(
+        checks,
+        "delta-valid",
+        isinstance(cert.delta, int) and 3 <= cert.delta < 2**53,
+        f"delta={cert.delta}",
+    )
     _check(checks, "eta-in-range", 0.0 <= cert.eta < 1.0, f"eta={cert.eta!r}")
     _check(checks, "margin-positive", cert.margin > 0.0, f"margin={cert.margin!r}")
     if not all(c.passed for c in checks):

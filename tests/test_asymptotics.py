@@ -15,7 +15,8 @@ from expander_bounds import (
     alpha_trend,
     solve_one_sided,
 )
-from expander_bounds.combinatorics import _log_binomial_direct
+from expander_bounds import combinatorics
+from expander_bounds.combinatorics import _log_binomial_direct, binomial_pmf, binomial_tail
 from expander_bounds.side_solver import solve_side
 from p1p3_identity import check_p1p3_identity
 
@@ -95,8 +96,47 @@ def test_point_internal_consistency():
         assert pt.gamma == pytest.approx(
             (1.0 - eta) / (1.0 + eta - 2.0 * pt.theta), rel=1e-9
         )
-        # the identity holds at the solved point too
-        assert abs(pt.p1 - pt.p2 - frac * pt.p3) <= 1e-12
+
+
+def _large_degree_grid() -> list[tuple[int, float]]:
+    """8 evenly spaced eta in [1e-3, 2 sqrt(ln 2)/sqrt(delta)] for delta 1600 and 6400."""
+    grid = []
+    for delta in (1600, 6400):
+        hi = TWO_SQRT_LN2 / math.sqrt(delta)
+        step = (hi - 1e-3) / 7
+        grid += [(delta, 1e-3 + k * step) for k in range(8)]
+    return grid
+
+
+EXACT_TAIL_CASES = [
+    (6, 0.648, None), (10, 0.507, None), (10, 0.507, 4), (40, 0.255, None),
+    (100, 0.165, None), (400, 0.03, None), (400, 0.05, None),
+] + [(delta, eta, None) for delta, eta in _large_degree_grid()]
+
+
+@pytest.mark.parametrize("delta,eta,d", EXACT_TAIL_CASES)
+def test_probabilities_match_the_exact_sums(delta, eta, d):
+    # P1, P2 and P3 come from the root solve's ln S0; the exact tails and the
+    # point mass, summed term by term at the solved p, are the reference
+    pt = solve_one_sided(delta, eta, d)
+    assert pt.p1 == pytest.approx(binomial_tail(delta, pt.p, pt.d), rel=1e-11)
+    assert pt.p2 == pytest.approx(binomial_tail(delta - 1, pt.p, pt.d - 1), rel=1e-11)
+    assert pt.p3 == pytest.approx(binomial_pmf(delta, pt.p, pt.d), rel=1e-11)
+
+
+def test_one_sided_builds_no_shifted_row(monkeypatch):
+    # P2 follows from P1 and P3, so no ln C(delta - 1, i) row is built
+    built = []
+
+    def recording_row(n):
+        built.append(n)
+        return real_row(n)
+
+    real_row = combinatorics.binomial_log_row
+    monkeypatch.setattr(combinatorics, "binomial_log_row", recording_row)
+    for delta, eta in _large_degree_grid():
+        solve_one_sided(delta, eta)
+    assert 1599 not in built and 6399 not in built
 
 
 def test_gamma_agrees_with_profile_solver():
@@ -217,19 +257,14 @@ def test_alpha_trend_validation():
         alpha_trend([2])
 
 
-# sha256 of repr() of every solved point on the large-degree grid: 8 evenly
-# spaced eta in [1e-3, 2 sqrt(ln 2)/sqrt(delta)] for delta 1600 and 6400.
-# Pins p1, p2, p3 and theta to the bit, which checks on gamma alone miss.
-ONE_SIDED_GRID_SHA256 = "d88061cbe45baf85a18ec3078fcec26184d686f3466a588aec502c1ca42c42b3"
+# sha256 of repr() of every solved point on the large-degree grid
+# (`_large_degree_grid`). Pins p1, p2, p3 and theta to the bit, which checks
+# on gamma alone miss.
+ONE_SIDED_GRID_SHA256 = "4734d3565247b00c9383b61e2c83d9809b22f317b254ed3ab5d3c3c7507c55c0"
 
 
 def test_one_sided_grid_bytes_are_pinned():
-    grid = []
-    for delta in (1600, 6400):
-        hi = TWO_SQRT_LN2 / math.sqrt(delta)
-        step = (hi - 1e-3) / 7
-        grid += [(delta, 1e-3 + k * step) for k in range(8)]
-    points = [solve_one_sided(delta, eta) for delta, eta in grid]
+    points = [solve_one_sided(delta, eta) for delta, eta in _large_degree_grid()]
     assert hashlib.sha256(repr(points).encode()).hexdigest() == ONE_SIDED_GRID_SHA256
 
 

@@ -566,6 +566,7 @@ TAMPERS = [
     ("side-delta", ("pair_bounds", 1, "side_prime", "delta"), 7, "side-prime-consistent"),
     ("side-eta", ("pair_bounds", 1, "side", "eta"), "6.0000000000000000e-01", "side-consistent"),
     ("residual-forged", ("pair_bounds", 1, "side", "residual_mass"), "1.0000000000000000e+00", "residual-fields-match"),
+    ("delta-huge", ("delta",), 10**400, "delta-valid"),
 ]
 
 

@@ -175,6 +175,16 @@ def test_certify_pass_tamper_and_malformed(tmp_path, capsys):
     ]
     assert out.splitlines()[-1] == "verdict: FAIL"
 
+    # a delta no double can hold fails delta-valid instead of overflowing
+    doc = json.loads(certificate_to_json(min_eta(6)))
+    doc["delta"] = 10**400
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "certify", "--file", str(path))
+    assert (code, err) == (1, "")
+    assert [l.split(":")[0] for l in out.splitlines() if l.startswith("FAIL")] == [
+        "FAIL delta-valid"]
+    assert out.splitlines()[-1] == "verdict: FAIL"
+
     path.write_text("{not json", encoding="utf-8")
     code, out, _ = run(capsys, "certify", "--file", str(path))
     assert code == 1
@@ -430,15 +440,15 @@ FINGERPRINTS = {
     "baseline --delta 9 --precision 0": (2, EMPTY, "12ba52bd19840fba"),
     "trend --deltas 6 10": (0, "6ef5bf264b98b640", EMPTY),
     "trend --deltas 6 10 --format csv": (0, "6b18c4a5203920db", EMPTY),
-    "trend --deltas 6 10 --format json": (0, "2f77c7c51660e76c", EMPTY),
+    "trend --deltas 6 10 --format json": (0, "46f708a9e75e3451", EMPTY),
     "trend --deltas 8 --margin 1e-6 --precision 4": (0, "26284f520666e959", EMPTY),
     "trend --deltas 8 --margin 1e-6 --precision 4 --format csv":
         (0, "d6eeddb08e12e693", EMPTY),
     "trend --deltas 8 --margin 1e-6 --precision 4 --format json":
-        (0, "9a7f44441a086120", EMPTY),
+        (0, "5ed246b77ed11699", EMPTY),
     "trend --deltas 100 200 400": (0, "180f604e54f0598f", EMPTY),
     "trend --deltas 100 200 400 --format csv": (0, "07597ca6065225ea", EMPTY),
-    "trend --deltas 100 200 400 --format json": (0, "c7710a22ce1b8c1e", EMPTY),
+    "trend --deltas 100 200 400 --format json": (0, "fbe3b71e3b40eb0b", EMPTY),
     "trend --deltas 7": (2, EMPTY, "9b0e2ad2323eb223"),
     "trend --deltas 6 --margin -1 --format csv": (2, EMPTY, "e7c36e7988d7a6d4"),
     "trend --deltas 6 --precision 0": (2, EMPTY, "12ba52bd19840fba"),
