@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the sampler, lab routines, eta search and one-sided solver on two checkouts;
-write BENCH_<label>.json.
+"""Time the sampler, lab routines, eta search, one-sided solver and the CLI's table
+output on two checkouts; write BENCH_<label>.json.
 
 Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 `src/`, and repetitions alternate which checkout goes first. The rows are:
@@ -23,7 +23,13 @@ Most rows run in a fresh child process whose PYTHONPATH is one checkout's
   fingerprinted by the sha256 of repr() of the solved points;
 - `certify_table`: `verify_certificate` over the 57 certificates of the
   paper's table, each read back with `certificate_from_json` before the
-  clock starts, fingerprinted by every check's (name, passed, detail).
+  clock starts, fingerprinted by every check's (name, passed, detail);
+- `table_json_peak`: the `tracemalloc` peak in MB of `cli.main` on
+  `table --delta-min 4 --delta-max 60 --margin 1e-6 --format json` (the
+  paper's table), then on `table --delta-min 4 --delta-max 200 --format
+  json`, in one child. stdout goes to a sink that keeps only its sha256, so
+  the peak is the command's working memory and not the captured output; the
+  two digests are the fingerprint.
 
 Rows that resolve a few percent, where separate processes spread more than
 that, run both checkouts in one child instead: the two packages are imported
@@ -42,11 +48,9 @@ they come from. These paired rows are
 - `moments`: `truncated_log_moments(delta, cap, 0.8)` in microseconds per
   call, over every cap 0..delta of every degree 4..60 (the shapes of the
   paper table's search), ten times per block;
-- `tails`: `binomial_tail(delta, p, cap)` in microseconds per call, over the
-  two exact tails that `solve_one_sided`'s P1 and P2 stand for at each point
-  of the `one_sided` grid (caps delta/2 at delta and delta/2 - 1 at
-  delta - 1, p from the solved gamma, solved before the clock starts), ten
-  times per block, fingerprinted by the returned doubles' bytes;
+- `one_sided`: `solve_one_sided` in microseconds per call, over the
+  `one_sided` grid ten times per block, fingerprinted by the sha256 of
+  repr() of the grid's points, the `one_sided` row's fingerprint;
 - `matching_N`: the uniform matching `graphlab._raw_matching` on N points
   in microseconds per point, consecutive calls on one generator seeded N
   for about 2^19 points per block, fingerprinted by the partner arrays'
@@ -86,11 +90,12 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "criterion_08",
-        "eta_table", "eta_large", "eta_wide", "one_sided", "certify_table")
+        "eta_table", "eta_large", "eta_wide", "one_sided", "certify_table",
+        "table_json_peak")
 ETA_ROWS = {"eta_table": (range(4, 61), 1e-6), "eta_large": ((100, 200, 400), 1e-3),
             "eta_wide": ((1000, 2000), 1e-3)}
 PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11, "moments": 15,
-               "tails": 15}  # row: rounds
+               "one_sided": 15}  # row: rounds
 MATCHING_SIZES = (16_386, 24_578, 32_770, 49_154, 65_538, 131_074, 2**18 + 2, 10**6)
 PAIRED_ROWS.update({f"matching_{n}": 11 for n in MATCHING_SIZES})
 RUNS = 5  # repetitions of every per-process row per checkout
@@ -178,7 +183,38 @@ def row(name: str) -> dict:
         t0 = time.perf_counter()
         points = [solve_one_sided(delta, eta) for delta, eta in one_sided_grid()]
         return {"one_sided_s": time.perf_counter() - t0, "fingerprint": sha256(repr(points))}
+    if name == "table_json_peak":
+        import contextlib
+        import tracemalloc
+
+        from expander_bounds import cli
+
+        out, prints = {}, []
+        for hi, margin in ((60, ["--margin", "1e-6"]), (200, [])):
+            sink = HashingSink()
+            tracemalloc.start()
+            with contextlib.redirect_stdout(sink):
+                cli.main(["table", "--delta-min", "4", "--delta-max", str(hi), *margin,
+                          "--format", "json"])
+            out[f"table_json_peak_{hi}_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.stop()
+            prints.append(sink.sha.hexdigest())
+        return {**out, "fingerprint": " ".join(prints)}
     raise ValueError(f"unknown row {name!r}")
+
+
+class HashingSink:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 def one_sided_grid() -> list[tuple[int, float]]:
@@ -238,16 +274,12 @@ def paired_block(pkg, name: str) -> tuple[float, str]:
         t0 = time.perf_counter()
         values = [moments(delta, cap, 0.8) for delta, cap in shapes]
         return (time.perf_counter() - t0) / len(shapes), sha256(repr(values))
-    if name == "tails":
-        tail = pkg.combinatorics.binomial_tail
-        shapes = []
-        for delta, eta in one_sided_grid():
-            p = pkg.solve_one_sided(delta, eta).p
-            shapes += [(delta, p, delta // 2), (delta - 1, p, delta // 2 - 1)]
-        shapes *= 10
+    if name == "one_sided":
+        grid = one_sided_grid()
         t0 = time.perf_counter()
-        values = [tail(*shape) for shape in shapes]
-        return (time.perf_counter() - t0) / len(shapes), sha256(array("d", values).tobytes())
+        points = [pkg.solve_one_sided(delta, eta) for delta, eta in grid * 10]
+        seconds = (time.perf_counter() - t0) / len(points)
+        return seconds, sha256(repr(points[:len(grid)]))
     if name.startswith("matching_"):
         n = int(name.removeprefix("matching_"))
         rng, digest = random.Random(n), hashlib.sha256()

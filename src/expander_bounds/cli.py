@@ -1,9 +1,14 @@
 """Command-line front end: certification, verification, tables, experiments.
 
-Each command computes its result once and returns it as a JSON document,
-csv rows (header first) and text lines; `main` is the one place that renders
-them, for `--format json`, `csv` and `text`. An outcome with no document or
-rows (a malformed certificate) prints its text lines in every format.
+Each command does all of its computation first (solves, verification, its
+stderr lines and its exit code), so no error can follow partial stdout. Only
+then does it return, handing back its JSON document, csv rows (header first)
+and text lines as zero-argument callables that build them. `main` is the one
+place that renders: it calls only the callable for the `--format` it prints
+(json, csv or text), so nothing unprinted is built, and streams the output,
+the JSON chunk by chunk and the rows and lines one at a time. An outcome with
+no document or rows (a malformed certificate) prints its text lines in every
+format.
 
 Exit codes carry the mathematical verdict so the tool works as a checker in
 shell pipelines: 0 = certified / verified / computed, 1 = the claim failed
@@ -18,8 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Callable, Iterable
 from functools import cache
+from itertools import islice
 
 from .asymptotics import TWO_SQRT_LN2, alpha_trend
 from .certifier import (
@@ -43,6 +51,8 @@ from .graphlab import (
 )
 
 __all__ = ["main"]
+
+_JSON_BATCH = 4096  # iterencode chunks per write
 
 
 @cache
@@ -115,8 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # A command's result: (exit code, JSON document, csv rows with the header
-# first, text lines). A document or rows of None fall back to the text lines.
-_Result = tuple[int, object, list, list[str]]
+# first, text lines), each of the last three as a zero-argument callable that
+# builds it. The command has done all of its computation (solves, checks, its
+# stderr lines and the exit code) before it returns, so an error never follows
+# partial stdout; the callables only format what it computed, and `main` calls
+# the one for the format it prints. A document or rows of None fall back to the
+# text lines.
+_Result = tuple[int, Callable[[], object] | None, Callable[[], Iterable[list]] | None,
+                Callable[[], Iterable[str]]]
 
 
 def _flag(b: bool) -> str:
@@ -135,39 +151,48 @@ def _cmd_table(args: argparse.Namespace) -> _Result:
             names = ", ".join(f.name for f in failures)
             print(f"rejected: delta={c.delta} fails {names}", file=sys.stderr)
             code = 1
-    docs = [certificate_to_dict(c) for c in certs]
-    rows = [["delta", "eta", "bound", "baseline_eta", "baseline_bound", "d", "d_prime",
-             "vacuous", "rhs", "beta", "gamma", "beta_prime", "gamma_prime"]]
-    lines = [
-        f"# bounds table delta={args.delta_min}..{args.delta_max} "
-        f"margin={args.margin:.1e} precision={prec}"
-    ]
-    for c in certs:
-        eta, bound = f"{c.eta:.{prec}f}", f"{c.expansion_bound:.6g}"
-        base_eta, base_bound = f"{c.baseline_eta:.{prec}f}", f"{c.baseline_bound:.6g}"
-        live = [pb for pb in c.pair_bounds if not pb.vacuous]
-        worst = max(live, key=lambda pb: pb.rhs)
-        lines.append(
-            f"delta={c.delta} eta={eta} bound={bound} baseline_eta={base_eta} "
-            f"baseline_bound={base_bound} worst_pair={worst.d}/{worst.d_prime}"
-        )
-        head = [c.delta, eta, bound, base_eta, base_bound]
-        for pb in c.pair_bounds:
-            if pb.vacuous:
-                rows.append(head + [pb.d, pb.d_prime, "true", "", "", "", "", ""])
-                lines.append(
-                    f"  pair d={pb.d} d'={pb.d_prime} vacuous "
-                    f"(target mean {pb.target_mean:.6f} >= {pb.d})"
-                )
-                continue
-            side, prime = pb.side, pb.side_prime
-            wit = [f"{w:.5f}" for w in (side.beta, side.gamma, prime.beta, prime.gamma)]
-            rows.append(head + [pb.d, pb.d_prime, "false", f"{pb.rhs:.6e}"] + wit)
-            lines.append(
-                f"  pair d={pb.d} d'={pb.d_prime} rhs={pb.rhs:.6e} beta={wit[0]} "
-                f"gamma={wit[1]} beta'={wit[2]} gamma'={wit[3]}"
-            )
-    return code, docs[0] if len(docs) == 1 else docs, rows, lines
+
+    def doc():
+        docs = [certificate_to_dict(c) for c in certs]
+        return docs[0] if len(docs) == 1 else docs
+
+    def heads():
+        """Each certificate with its formatted eta, bound, baseline eta and bound."""
+        for c in certs:
+            yield c, [c.delta, f"{c.eta:.{prec}f}", f"{c.expansion_bound:.6g}",
+                      f"{c.baseline_eta:.{prec}f}", f"{c.baseline_bound:.6g}"]
+
+    def witnesses(pb) -> list[str]:
+        side, prime = pb.side, pb.side_prime
+        return [f"{w:.5f}" for w in (side.beta, side.gamma, prime.beta, prime.gamma)]
+
+    def rows():
+        yield ["delta", "eta", "bound", "baseline_eta", "baseline_bound", "d", "d_prime",
+               "vacuous", "rhs", "beta", "gamma", "beta_prime", "gamma_prime"]
+        for c, head in heads():
+            for pb in c.pair_bounds:
+                if pb.vacuous:
+                    yield head + [pb.d, pb.d_prime, "true", "", "", "", "", ""]
+                else:
+                    yield head + [pb.d, pb.d_prime, "false", f"{pb.rhs:.6e}"] + witnesses(pb)
+
+    def lines():
+        yield (f"# bounds table delta={args.delta_min}..{args.delta_max} "
+               f"margin={args.margin:.1e} precision={prec}")
+        for c, (_, eta, bound, base_eta, base_bound) in heads():
+            worst = max((pb for pb in c.pair_bounds if not pb.vacuous), key=lambda pb: pb.rhs)
+            yield (f"delta={c.delta} eta={eta} bound={bound} baseline_eta={base_eta} "
+                   f"baseline_bound={base_bound} worst_pair={worst.d}/{worst.d_prime}")
+            for pb in c.pair_bounds:
+                if pb.vacuous:
+                    yield (f"  pair d={pb.d} d'={pb.d_prime} vacuous "
+                           f"(target mean {pb.target_mean:.6f} >= {pb.d})")
+                else:
+                    wit = witnesses(pb)
+                    yield (f"  pair d={pb.d} d'={pb.d_prime} rhs={pb.rhs:.6e} beta={wit[0]} "
+                           f"gamma={wit[1]} beta'={wit[2]} gamma'={wit[3]}")
+
+    return code, doc, rows, lines
 
 
 def _cmd_bound(args: argparse.Namespace) -> _Result:
@@ -178,27 +203,35 @@ def _cmd_bound(args: argparse.Namespace) -> _Result:
     pairs = [(pb.d, pb.d_prime, pb.rhs) for pb in evaluate_pairs(args.delta, args.eta)]
     live = [r for _, _, r in pairs if r is not None]
     certified = bool(live) and all(r < 0.0 for r in live)
-    doc = {
-        "delta": args.delta,
-        "eta": args.eta,
-        "certified": certified,
-        "pairs": [
-            {"d": d, "d_prime": dp, "feasible": r is not None, "rhs": r}
-            for d, dp, r in pairs
-        ],
-    }
     eta = f"{args.eta:.6g}"
-    rows = [["delta", "eta", "d", "d_prime", "feasible", "rhs"]]
-    lines = [f"# growth exponents delta={args.delta} eta={eta}"]
-    for d, dp, r in pairs:
-        rhs = "" if r is None else f"{r:.6e}"
-        rows.append([args.delta, eta, d, dp, _flag(r is not None), rhs])
-        if r is None:
-            lines.append(f"pair d={d} d'={dp} infeasible at this eta")
-        else:
-            sign = "negative" if r < 0 else "NON-NEGATIVE"
-            lines.append(f"pair d={d} d'={dp} rhs={rhs} {sign}")
-    lines.append("verdict: certified" if certified else "verdict: not certified")
+
+    def doc():
+        return {
+            "delta": args.delta,
+            "eta": args.eta,
+            "certified": certified,
+            "pairs": [
+                {"d": d, "d_prime": dp, "feasible": r is not None, "rhs": r}
+                for d, dp, r in pairs
+            ],
+        }
+
+    def rows():
+        yield ["delta", "eta", "d", "d_prime", "feasible", "rhs"]
+        for d, dp, r in pairs:
+            yield [args.delta, eta, d, dp, _flag(r is not None),
+                   "" if r is None else f"{r:.6e}"]
+
+    def lines():
+        yield f"# growth exponents delta={args.delta} eta={eta}"
+        for d, dp, r in pairs:
+            if r is None:
+                yield f"pair d={d} d'={dp} infeasible at this eta"
+            else:
+                sign = "negative" if r < 0 else "NON-NEGATIVE"
+                yield f"pair d={d} d'={dp} rhs={r:.6e} {sign}"
+        yield "verdict: certified" if certified else "verdict: not certified"
+
     return (0 if certified else 1), doc, rows, lines
 
 
@@ -211,20 +244,27 @@ def _cmd_certify(args: argparse.Namespace) -> _Result:
     try:
         cert = certificate_from_json(text)
     except CertificateFormatError as exc:
-        return 1, None, None, [f"malformed certificate: {exc}", "verdict: FAIL"]
+        malformed = [f"malformed certificate: {exc}", "verdict: FAIL"]
+        return 1, None, None, lambda: malformed
     report = verify_certificate(cert)
-    doc = {"passed": report.passed,
-           "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                      for c in report.checks]}
-    rows = [["name", "passed", "detail"]]
-    lines = [
-        f"# certificate delta={cert.delta} eta={cert.eta:.6g} "
-        f"bound={cert.expansion_bound:.6g}"
-    ]
-    for c in report.checks:
-        rows.append([c.name, _flag(c.passed), c.detail.replace(",", ";")])
-        lines.append(f"ok   {c.name}" if c.passed else f"FAIL {c.name}: {c.detail}")
-    lines.append(f"verdict: {'PASS' if report.passed else 'FAIL'}")
+
+    def doc():
+        return {"passed": report.passed,
+                "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                           for c in report.checks]}
+
+    def rows():
+        yield ["name", "passed", "detail"]
+        for c in report.checks:
+            yield [c.name, _flag(c.passed), c.detail.replace(",", ";")]
+
+    def lines():
+        yield (f"# certificate delta={cert.delta} eta={cert.eta:.6g} "
+               f"bound={cert.expansion_bound:.6g}")
+        for c in report.checks:
+            yield f"ok   {c.name}" if c.passed else f"FAIL {c.name}: {c.detail}"
+        yield f"verdict: {'PASS' if report.passed else 'FAIL'}"
+
     return (0 if report.passed else 1), doc, rows, lines
 
 
@@ -233,32 +273,47 @@ def _cmd_baseline(args: argparse.Namespace) -> _Result:
         raise ValueError("baseline requires --delta >= 3")
     eta, bound = bollobas_eta(args.delta, args.precision)
     eta_text, bound_text = f"{eta:.{args.precision}f}", f"{bound:.6g}"
-    doc = {"delta": args.delta, "eta": eta, "bound": bound}
-    rows = [["delta", "eta", "bound"], [args.delta, eta_text, bound_text]]
-    lines = [f"delta={args.delta} baseline_eta={eta_text} baseline_bound={bound_text}"]
-    if args.delta == 3:
-        doc["note"] = "note: for delta=3, stronger bounds are known from other methods"
-        lines.append(doc["note"])
+    note = "note: for delta=3, stronger bounds are known from other methods"
+
+    def doc():
+        doc = {"delta": args.delta, "eta": eta, "bound": bound}
+        if args.delta == 3:
+            doc["note"] = note
+        return doc
+
+    def rows():
+        return [["delta", "eta", "bound"], [args.delta, eta_text, bound_text]]
+
+    def lines():
+        yield f"delta={args.delta} baseline_eta={eta_text} baseline_bound={bound_text}"
+        if args.delta == 3:
+            yield note
+
     return 0, doc, rows, lines
 
 
 def _cmd_trend(args: argparse.Namespace) -> _Result:
     points = alpha_trend(args.deltas, args.margin, args.precision)
     fields = ("delta", "eta", "alpha", "gamma", "theta", "p1")
-    doc = {
-        "two_sqrt_ln2": TWO_SQRT_LN2,
-        "points": [{k: getattr(p, k) for k in fields} for p in points],
-    }
-    rows = [list(fields)]
-    lines = [f"# alpha trend (reference constant {TWO_SQRT_LN2:.5f})"]
-    for p in points:
-        eta = f"{p.eta:.{args.precision}f}"
-        rows.append([p.delta, eta, f"{p.alpha:.6f}", f"{p.gamma:.6f}",
-                     f"{p.theta:.6e}", f"{p.p1:.6f}"])
-        lines.append(
-            f"delta={p.delta} eta={eta} alpha={p.alpha:.6f} "
-            f"theta={p.theta:.6e} p1={p.p1:.6f}"
-        )
+
+    def doc():
+        return {
+            "two_sqrt_ln2": TWO_SQRT_LN2,
+            "points": [{k: getattr(p, k) for k in fields} for p in points],
+        }
+
+    def rows():
+        yield list(fields)
+        for p in points:
+            yield [p.delta, f"{p.eta:.{args.precision}f}", f"{p.alpha:.6f}",
+                   f"{p.gamma:.6f}", f"{p.theta:.6e}", f"{p.p1:.6f}"]
+
+    def lines():
+        yield f"# alpha trend (reference constant {TWO_SQRT_LN2:.5f})"
+        for p in points:
+            yield (f"delta={p.delta} eta={p.eta:.{args.precision}f} alpha={p.alpha:.6f} "
+                   f"theta={p.theta:.6e} p1={p.p1:.6f}")
+
     return 0, doc, rows, lines
 
 
@@ -267,45 +322,47 @@ def _cmd_simulate(args: argparse.Namespace) -> _Result:
         args.delta, args.n, args.trials, args.seed, restarts=args.restarts,
         simple_only=args.simple, tie_rule=args.tie_rule,
     )
-    fields = (
-        "delta", "n", "trials", "restarts", "seed", "simple_only", "tie_rule",
-        "certified_bound", "min_expansion", "mean_expansion",
-        "frac_caps_within_delta", "frac_meeting_bound",
-    )
-    doc = {k: getattr(s, k) for k in fields}
-    doc["min_expansion"] = float(s.min_expansion)
-    doc["trials_detail"] = [
-        dict(trial=r.index, num=r.expansion.numerator, den=r.expansion.denominator,
-             d=r.d, d_prime=r.d_prime, swaps=r.swaps)
-        for r in s.records
-    ]
-    rows = [["trial", "n", "delta", "best_expansion_num", "best_expansion_den",
-             "d", "d_prime", "swaps", "restarts"]]
-    lines = [
-        f"# expansion experiment delta={s.delta} n={s.n} trials={s.trials} "
-        f"restarts={s.restarts} seed={s.seed} simple_only={s.simple_only} "
-        f"tie_rule={s.tie_rule}"
-    ]
-    for r in s.records:
-        e = r.expansion
-        rows.append([r.index, s.n, s.delta, e.numerator, e.denominator,
-                     r.d, r.d_prime, r.swaps, s.restarts])
-        lines.append(
-            f"trial={r.index} best_expansion={e.numerator}/{e.denominator} "
-            f"({float(e):.6f}) d={r.d} d_prime={r.d_prime} swaps={r.swaps}"
+
+    def doc():
+        fields = (
+            "delta", "n", "trials", "restarts", "seed", "simple_only", "tie_rule",
+            "certified_bound", "min_expansion", "mean_expansion",
+            "frac_caps_within_delta", "frac_meeting_bound",
         )
-    lines.append(
-        f"summary: min_expansion={float(s.min_expansion):.6f} "
-        f"mean_expansion={s.mean_expansion:.6f} "
-        f"caps_within_delta={s.frac_caps_within_delta:.3f}"
-    )
-    if s.certified_bound is None:
-        lines.append("summary: no certified bound for this degree")
-    else:
-        lines.append(
-            f"summary: certified_bound={s.certified_bound:.6f} "
-            f"met_in={s.frac_meeting_bound:.3f} flagged={list(s.flagged_trials)}"
-        )
+        doc = {k: getattr(s, k) for k in fields}
+        doc["min_expansion"] = float(s.min_expansion)
+        doc["trials_detail"] = [
+            dict(trial=r.index, num=r.expansion.numerator, den=r.expansion.denominator,
+                 d=r.d, d_prime=r.d_prime, swaps=r.swaps)
+            for r in s.records
+        ]
+        return doc
+
+    def rows():
+        yield ["trial", "n", "delta", "best_expansion_num", "best_expansion_den",
+               "d", "d_prime", "swaps", "restarts"]
+        for r in s.records:
+            e = r.expansion
+            yield [r.index, s.n, s.delta, e.numerator, e.denominator,
+                   r.d, r.d_prime, r.swaps, s.restarts]
+
+    def lines():
+        yield (f"# expansion experiment delta={s.delta} n={s.n} trials={s.trials} "
+               f"restarts={s.restarts} seed={s.seed} simple_only={s.simple_only} "
+               f"tie_rule={s.tie_rule}")
+        for r in s.records:
+            e = r.expansion
+            yield (f"trial={r.index} best_expansion={e.numerator}/{e.denominator} "
+                   f"({float(e):.6f}) d={r.d} d_prime={r.d_prime} swaps={r.swaps}")
+        yield (f"summary: min_expansion={float(s.min_expansion):.6f} "
+               f"mean_expansion={s.mean_expansion:.6f} "
+               f"caps_within_delta={s.frac_caps_within_delta:.3f}")
+        if s.certified_bound is None:
+            yield "summary: no certified bound for this degree"
+        else:
+            yield (f"summary: certified_bound={s.certified_bound:.6f} "
+                   f"met_in={s.frac_meeting_bound:.3f} flagged={list(s.flagged_trials)}")
+
     return 0, doc, rows, lines
 
 
@@ -313,22 +370,29 @@ def _cmd_oracle(args: argparse.Namespace) -> _Result:
     graph = sample_pairing(args.delta, args.n, args.seed, simple_only=args.simple)
     value, argmin = brute_force_expansion(graph)
     num, den = value.numerator, value.denominator
-    doc = dict(
-        delta=args.delta, n=args.n, seed=args.seed, simple_only=args.simple,
-        expansion_num=num, expansion_den=den, expansion=float(value),
-        argmin=list(argmin),
-    )
-    rows = [
-        ["delta", "n", "seed", "expansion_num", "expansion_den", "expansion", "argmin"],
-        [args.delta, args.n, args.seed, num, den, f"{float(value):.6f}",
-         " ".join(map(str, argmin))],
-    ]
-    lines = [
-        f"# exact expansion delta={args.delta} n={args.n} seed={args.seed} "
-        f"simple_only={args.simple}",
-        f"i(G) = {num}/{den} = {float(value):.6f}",
-        f"argmin S = {list(argmin)}",
-    ]
+
+    def doc():
+        return dict(
+            delta=args.delta, n=args.n, seed=args.seed, simple_only=args.simple,
+            expansion_num=num, expansion_den=den, expansion=float(value),
+            argmin=list(argmin),
+        )
+
+    def rows():
+        return [
+            ["delta", "n", "seed", "expansion_num", "expansion_den", "expansion", "argmin"],
+            [args.delta, args.n, args.seed, num, den, f"{float(value):.6f}",
+             " ".join(map(str, argmin))],
+        ]
+
+    def lines():
+        return [
+            f"# exact expansion delta={args.delta} n={args.n} seed={args.seed} "
+            f"simple_only={args.simple}",
+            f"i(G) = {num}/{den} = {float(value):.6f}",
+            f"argmin S = {list(argmin)}",
+        ]
+
     return 0, doc, rows, lines
 
 
@@ -353,11 +417,29 @@ def main(argv=None) -> int:
     except NoBound as exc:
         print(f"no bound: {exc}", file=sys.stderr)
         return 1
-    if args.fmt == "json" and doc is not None:
-        lines = [json.dumps(doc, indent=2)]
-    elif args.fmt == "csv" and rows is not None:
-        lines = [",".join(map(str, row)) for row in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
+    out = sys.stdout
+    try:
+        if args.fmt == "json" and doc is not None:
+            # json.dumps(doc, indent=2) would hold every token of the document
+            # at once; iterencode yields the same chunks, written in batches.
+            chunks = json.JSONEncoder(indent=2).iterencode(doc())
+            while batch := "".join(islice(chunks, _JSON_BATCH)):
+                out.write(batch)
+            out.write("\n")
+        elif args.fmt == "csv" and rows is not None:
+            for row in rows():
+                out.write(",".join(map(str, row)) + "\n")
+        else:
+            for line in lines():
+                out.write(line + "\n")
+        out.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head`). The exit code still carries the
+        # verdict; stdout goes to the null device so the flush at exit cannot
+        # fail on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
     return code
 
 

@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line front end via main(argv)."""
 
+import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +143,10 @@ def test_rejected_certificates_exit_1_and_name_their_failed_checks(capsys):
     assert code == 1 and out == ""
     assert err.startswith("no bound: certificate for delta=406 fails ")
     assert "improves-on-baseline" in err
+    # delta = 100's point is computed before 406 fails: nothing reaches stdout
+    code, out, err = run(capsys, "trend", "--deltas", "100", "406")
+    assert code == 1 and out == ""
+    assert err.startswith("no bound: certificate for delta=406 fails ")
 
 
 def test_certify_pass_tamper_and_malformed(tmp_path, capsys):
@@ -495,6 +505,67 @@ PAPER_TABLE_SHA256 = "bb6087b3c8558a6214bcf7fa3450cbe884276d3bd247fd216bebd4ef31
 def test_paper_table_bytes_are_pinned(capsys):
     assert main(PAPER_TABLE_ARGV.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PAPER_TABLE_SHA256
+
+
+class _HashingSink:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_paper_table_json_streams_in_bounded_memory():
+    # A JSON run encodes its 0.31 MB document chunk by chunk and builds no csv
+    # rows or text lines; joining the whole encoding and building both as
+    # well peaks at about 3.1 MB.
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(PAPER_TABLE_ARGV.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.sha.hexdigest() == PAPER_TABLE_SHA256
+    assert peak < 2.0e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
+
+
+def test_text_and_csv_never_build_the_json_document(monkeypatch, capsys):
+    def no_document(cert):
+        raise AssertionError("built a JSON document")
+
+    monkeypatch.setattr(cli, "certificate_to_dict", no_document)
+    for argv in ("table --delta-min 4 --delta-max 6",
+                 "table --delta-min 4 --delta-max 6 --format csv"):
+        assert _fingerprint(capsys, argv) == FINGERPRINTS[argv]
+
+
+def test_a_reader_that_stops_early_leaves_the_verdict():
+    # `expander-cert ... | head` with stdout block-buffered, as in a shell: the
+    # reader closes the pipe while the table streams, or before baseline's
+    # one line is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    for argv, head in ((PAPER_TABLE_ARGV, 10), (PAPER_TABLE_ARGV.replace("json", "text"), 10),
+                       ("baseline --delta 9", 0)):
+        child = subprocess.Popen([sys.executable, "-m", "expander_bounds.cli", *argv.split()],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert len(child.stdout.read(head)) == head
+            child.stdout.close()
+            err = child.stderr.read()
+            assert (child.wait(timeout=60), err) == (0, b""), argv
+        finally:
+            child.kill()
+            child.stderr.close()
 
 
 def _write_certificates(directory):
