@@ -16,8 +16,9 @@ Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 - `min_eta` over degrees 4..60 at margin 1e-6 (the paper's table), over
   100, 200 and 400 at margin 1e-3, and over 1000 and 2000 at margin 1e-3
   (`eta_wide`, where the screen's root bound leaves many caps to the
-  solve), each
-  fingerprinted by the sha256 of its certificates' JSON;
+  solve), each fingerprinted by the sha256 of its certificates' JSON; and,
+  as info rows, at 850, 1000 and 2000 alone (`eta_850`, `eta_1000`,
+  `eta_2000`), where every probe solves its pairs;
 - `one_sided`: `solve_one_sided` on perfbench's large-degree grid (8 evenly
   spaced eta in [1e-3, 2 sqrt(ln 2)/sqrt(delta)] for delta 1600 and 6400),
   fingerprinted by the sha256 of repr() of the solved points;
@@ -45,9 +46,17 @@ they come from. These paired rows are
 - `cut_small`: `cut_state` in microseconds per call, over every subset of
   at most 7 vertices of `sample_pairing(3, 14, 1, simple_only=True)` given
   as a set, the per-call shape of criterion 10's descents;
-- `moments`: `truncated_log_moments(delta, cap, 0.8)` in microseconds per
+- `moments`: the moment kernel on one cap at gamma 0.8 in microseconds per
   call, over every cap 0..delta of every degree 4..60 (the shapes of the
-  paper table's search), ten times per block;
+  paper table's search), ten times per block, through either interface
+  (`truncated_log_moments(delta, cap, gamma)` or, batched,
+  `truncated_log_moments(delta, caps, gammas)`), fingerprinted by ln S0
+  and the mean to 13 digits;
+- `side_solve`: `solve_side` on every feasible cap of the paper table's 57
+  degrees at their certified eta, in microseconds per cap, one call per
+  cap or one per degree where `solve_side` takes a list of caps,
+  fingerprinted by each cap's beta and gamma to 5 decimals (the table csv's
+  digits); the row also reports the moment-kernel calls per degree;
 - `one_sided`: `solve_one_sided` in microseconds per call, over the
   `one_sided` grid ten times per block, fingerprinted by the sha256 of
   repr() of the grid's points, the `one_sided` row's fingerprint;
@@ -90,12 +99,13 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "criterion_08",
-        "eta_table", "eta_large", "eta_wide", "one_sided", "certify_table",
-        "table_json_peak")
+        "eta_table", "eta_large", "eta_wide", "eta_850", "eta_1000", "eta_2000", "one_sided",
+        "certify_table", "table_json_peak")
 ETA_ROWS = {"eta_table": (range(4, 61), 1e-6), "eta_large": ((100, 200, 400), 1e-3),
-            "eta_wide": ((1000, 2000), 1e-3)}
+            "eta_wide": ((1000, 2000), 1e-3), "eta_850": ((850,), 1e-3),
+            "eta_1000": ((1000,), 1e-3), "eta_2000": ((2000,), 1e-3)}
 PAIRED_ROWS = {"tiny": 15, "simple": 7, "cut_small": 11, "moments": 15,
-               "one_sided": 15}  # row: rounds
+               "one_sided": 15, "side_solve": 15}  # row: rounds
 MATCHING_SIZES = (16_386, 24_578, 32_770, 49_154, 65_538, 131_074, 2**18 + 2, 10**6)
 PAIRED_ROWS.update({f"matching_{n}": 11 for n in MATCHING_SIZES})
 RUNS = 5  # repetitions of every per-process row per checkout
@@ -269,11 +279,22 @@ def paired_block(pkg, name: str) -> tuple[float, str]:
         return seconds, sha256(repr([(st.cut, st.hist_s.counts, st.hist_comp.counts)
                                      for st in states]))
     if name == "moments":
-        moments = pkg.combinatorics.truncated_log_moments
+        moments = single_cap_moments(pkg)
         shapes = [(delta, cap) for delta in range(4, 61) for cap in range(delta + 1)] * 10
         t0 = time.perf_counter()
         values = [moments(delta, cap, 0.8) for delta, cap in shapes]
-        return (time.perf_counter() - t0) / len(shapes), sha256(repr(values))
+        seconds = (time.perf_counter() - t0) / len(shapes)
+        return seconds, sha256(repr([f"{s0:.12e} {mean:.12e}" for s0, mean in values]))
+    if name == "side_solve":
+        cases = table_caps(pkg)
+        batched = hasattr(pkg.side_solver, "_solve_caps")
+        t0 = time.perf_counter()
+        if batched:
+            sides = [s for delta, caps, eta in cases for s in pkg.solve_side(delta, caps, eta)]
+        else:
+            sides = [pkg.solve_side(delta, cap, eta) for delta, caps, eta in cases for cap in caps]
+        seconds = (time.perf_counter() - t0) / len(sides)
+        return seconds, sha256(repr([(s.cap, f"{s.beta:.5f}", f"{s.gamma:.5f}") for s in sides]))
     if name == "one_sided":
         grid = one_sided_grid()
         t0 = time.perf_counter()
@@ -294,6 +315,51 @@ def paired_block(pkg, name: str) -> tuple[float, str]:
     raise ValueError(f"unknown paired row {name!r}")
 
 
+def single_cap_moments(pkg):
+    """(ln S0, mean) of one cap at one gamma, through the moment kernel of
+    either interface: one cap per call, or a batch of caps per call."""
+    kernel = pkg.combinatorics.truncated_log_moments
+    if hasattr(pkg.combinatorics, "_layout"):
+        def moments(delta, cap, gamma):
+            log_s0, mean, _, _ = kernel(delta, (cap,), [gamma])
+            return float(log_s0[0]), float(mean[0])
+        return moments
+    return lambda delta, cap, gamma: kernel(delta, cap, gamma)[::2]
+
+
+TABLE_CAPS: dict[str, list] = {}
+
+
+def table_caps(pkg) -> list[tuple[int, tuple[int, ...], float]]:
+    """(delta, feasible caps, certified eta) for the paper's table, per package."""
+    if pkg.__name__ not in TABLE_CAPS:
+        degrees, margin = ETA_ROWS["eta_table"]
+        cases = []
+        for delta in degrees:
+            eta = pkg.min_eta(delta, margin).eta
+            pairs = pkg.certifier.feasible_pairs(delta, eta)
+            cases.append((delta, tuple(dict.fromkeys(c for pair in pairs for c in pair)), eta))
+        TABLE_CAPS[pkg.__name__] = cases
+    return TABLE_CAPS[pkg.__name__]
+
+
+def kernel_passes_per_degree(pkg) -> float:
+    """Moment-kernel calls the side solves of the `side_solve` row make per degree."""
+    calls = []
+    real = pkg.side_solver.truncated_log_moments
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    pkg.side_solver.truncated_log_moments = counted
+    try:
+        paired_block(pkg, "side_solve")
+    finally:
+        pkg.side_solver.truncated_log_moments = real
+    return len(calls) / len(table_caps(pkg))
+
+
 def paired_row(sides: dict[str, Path], name: str) -> dict:
     """Run in the child: time both checkouts, one block each per round."""
     pkgs = {side: load_package(root, f"bench_{side}_expander_bounds")
@@ -311,14 +377,18 @@ def paired_row(sides: dict[str, Path], name: str) -> dict:
     unit, scale = ("s", 1.0) if name == "simple" else ("us_per_call", 1e6)
     if name.startswith("matching_"):
         unit = "us_per_point"
-    return {
+    out = {
         "rounds": PAIRED_ROWS[name],
-        "unit": unit,
+        "unit": "us_per_cap" if name == "side_solve" else unit,
         **{side: {"values": [round(scale * t, 6) for t in seconds[side]]} for side in sides},
         "change_over_parent": stats(ratios),
         "change_faster_rounds": sum(r < 1 for r in ratios),
         "fingerprints": {side: sorted(fp) for side, fp in prints.items()},
     }
+    if name == "side_solve":
+        out["kernel_passes_per_degree"] = {side: round(kernel_passes_per_degree(pkg), 2)
+                                           for side, pkg in pkgs.items()}
+    return out
 
 
 def paired_child(sides: dict[str, Path], name: str) -> dict:

@@ -11,15 +11,15 @@ with P1 = Pr[B(delta, p) <= d] and P2 = Pr[B(delta - 1, p) <= d - 1]. The
 exact identity P1 = P2 + ((delta - d)/delta) * P3, where P3 is the point mass
 at d, eliminates P2 and yields a scalar fixed point for gamma. Because the
 capped mean is delta * p * (1 - theta), that fixed point is the per-side mean
-constraint at cap d, so gamma is found by the side solver's bracketed root
-solve in ln gamma; this module runs no iteration of its own.
+constraint at cap d, so gamma is found by the side solver's root finder in
+ln gamma; this module runs no iteration of its own.
 
 With beta = 1/S0, the solve's own normaliser, the first equation reads
 P1 = S0(gamma) / (1 + gamma)^delta, and P3 = C(delta, d) gamma^d /
 (1 + gamma)^delta, so P1 and P3 come from the solve's ln S0 and the
 per-degree ln C(delta, d), and the identity gives P2. No tail is summed and
-no normal approximation is made; `combinatorics.binomial_tail` and
-`binomial_pmf` are the exact references the tests hold these against. The
+no normal approximation is made; the tests hold these against exact tails and
+point masses summed term by term (`tests/exact_reference.py`). The
 headline quantity is alpha = eta * sqrt(delta), compared against the
 classical constant 2*sqrt(ln 2).
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .certifier import DEFAULT_MARGIN, DEFAULT_PRECISION, NoBound, min_eta, verify_certificate
 from .combinatorics import log_binomial
-from .side_solver import _solve_log_gamma
+from .side_solver import _solve_caps
 
 __all__ = [
     "AsymptoticPoint",
@@ -79,7 +79,8 @@ def solve_one_sided(
 
     Since the capped mean is delta * p * (1 - theta), the fixed point is the
     per-side mean constraint mean(gamma) = (1 - eta) * delta / 2 at cap d, so
-    gamma comes from the side solver's bracketed root solve in ln gamma.
+    gamma comes from the side solver's root finder in ln gamma, one cap in
+    one call.
     theta = ((delta - d)/delta) * C(delta, d) * gamma^d / S0(gamma) is then
     evaluated in logs, which stays finite where P1 underflows.
 
@@ -107,8 +108,7 @@ def solve_one_sided(
         gamma = (1.0 - eta) / (1.0 + eta)
         x, log_s0 = math.log(gamma), delta * math.log1p(gamma)
     else:
-        x, log_s0 = _solve_log_gamma(delta, d, eta)
-        gamma = math.exp(x)
+        (gamma,), (x,), (log_s0,) = (v.tolist() for v in _solve_caps(delta, (d,), eta))
     frac = (delta - d) / delta
     log_top = log_binomial(delta, d) + d * x
     theta = frac * math.exp(log_top - log_s0)

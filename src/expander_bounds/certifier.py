@@ -24,27 +24,18 @@ Each side's part, ``(ln S0(e^x) - t·x) / (2 ln 2)``, is convex in
 ``2 ln 2``) and stationary where the profile's mean is ``t``, which is the
 side solver's root. So the solved exponent is the minimum over witnesses,
 and ``rhs`` at any ``gamma > 0`` bounds it from above: any witness is sound.
-A probe (:func:`_satisfied`) therefore first evaluates each feasible pair at
-the uncapped binomial root ``gamma0 = t / (delta - t)``, where the side
-solver's bracket starts. Every cap shares ``gamma0``, so one prefix sum over
-``ln C(delta, i) + i ln gamma0`` gives every cap's ``ln S0`` at once
-(:func:`_log_s0_prefix`). So a probe runs screen, refine, solve on each
-pair, and the first step that decides the pair ends it. The screen passes a
-pair whose value at ``gamma0`` is at most ``-margin - _SLACK``. The refine
-(:func:`_refine`) takes a few secant steps per side from ``gamma0``: the
-exponent at its iterates bounds the solved one from above, and a tangent of
-each convex side part bounds it from below, so it passes or fails most of
-the pairs the screen leaves. Only the pairs it cannot decide within its
-evaluation cap are solved. ``_SLACK`` covers the rounding of the evaluations
-and the refine's tangents, and both steps are used only on caps whose solve
-provably cannot underflow (:func:`_screenable`: a closed-form bound on the
-root keeps ``ln S0`` small), so every probe's verdict is the one the full
-solve gives. Certificates are still built from full side solutions
-(:func:`evaluate_pairs`), but checking one needs no solve: by the same
-bound, :func:`verify_certificate` evaluates each pair's exponent at the
-stored witnesses, and a pass there implies a pass at the solved minimum.
-Builder and verifier share that evaluation (:func:`_pair_rhs`): a pair's
-exponent depends only on its caps and the two ``gamma``.
+A probe (:func:`_satisfied`) therefore screens each feasible pair at the
+uncapped binomial root ``gamma0 = t / (delta - t)``, where one prefix sum
+gives every cap's ``ln S0`` (:func:`_log_s0_prefix`), then refines the pairs
+it leaves with a few Newton steps (:func:`_refine`: upper bounds at the
+iterates, tangent lower bounds below), and solves only what is left.
+``_SLACK`` covers the rounding of the evaluations and tangents, and screen
+and refine run only on caps whose solve provably cannot underflow
+(:func:`_screenable`), so every verdict is the full solve's. Certificates are
+built from full side solutions (:func:`evaluate_pairs`), but checking one
+needs no solve: :func:`verify_certificate` evaluates each pair's exponent at
+the stored witnesses with the builder's own pair evaluation
+(:func:`_pair_exponents`), and a pass there implies a pass at the minimum.
 """
 
 from __future__ import annotations
@@ -52,14 +43,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, get_type_hints
+from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
-from .combinatorics import _log_s0_prefix, truncated_log_moments
+import numpy as np
+
+from .combinatorics import _CAP_RANGE, _log_s0_prefix, _moments, truncated_log_moments
 from .side_solver import (
     _UNIT_ROUNDOFF,
     BetaUnderflow,
     SideSolution,
-    _solve_witness,
+    _solve_caps,
     profile_residuals,
     solve_side,
     target_mean,
@@ -97,6 +90,7 @@ MASS_TOL = 1e-10
 MEAN_TOL = 1e-8
 
 _LN2 = math.log(2.0)
+_GAMMA = "gamma must be a finite positive real"
 
 # A probe passes a pair unsolved when its exponent at the uncapped binomial
 # root or at a refine iterate is at most -margin - _SLACK, and fails it when a
@@ -107,8 +101,8 @@ _SLACK = 1e-9
 # at its root stays below this, which keeps every witness the screen skips
 # about 45 nats from beta's underflow.
 _GUARD_LOG_S0 = 700.0
-# A pair the refine has not decided after this many moment evaluations goes
-# to the full solve.
+# A pair the refine has not decided after this many side evaluations goes to
+# the full solve.
 _REFINE_EVALS = 8
 # How far the refine's brackets and iterates in x = ln gamma may sit from
 # the exact values they stand for: the rounding of x0, of _root_x_bound and
@@ -156,21 +150,6 @@ def _rhs(
         + quarter * _xlog2(1.0 + eta)
         + quarter * _xlog2(1.0 - eta)
     )
-
-
-def _pair_rhs(
-    delta: int, eta: float, d: int, gamma: float, d_prime: int, gamma_p: float
-) -> float:
-    """The exponent of caps ``(d, d')`` at witnesses ``gamma`` and
-    ``gamma'``, each side's ``ln S0`` from one moment evaluation at its cap:
-    the pair evaluation of both the builder and the verifier. For a solved
-    side this is the solver's own ``ln S0``, since it came from the same
-    call at the same double. Raises ValueError when a ``gamma`` is not
-    finite and positive.
-    """
-    log_s0 = truncated_log_moments(delta, d, gamma)[0]
-    log_s0_p = truncated_log_moments(delta, d_prime, gamma_p)[0]
-    return _rhs(delta, eta, -log_s0, gamma, -log_s0_p, gamma_p)
 
 
 def all_pairs(delta: int) -> list[tuple[int, int]]:
@@ -225,24 +204,40 @@ class BoundCertificate:
     baseline_bound: float
 
 
+def _pair_exponents(delta: int, eta: float, witnesses: list[tuple]) -> list[float]:
+    """The exponent of each pair ``(d, gamma, d', gamma')`` at its witnesses,
+    every side's ``ln S0`` from one kernel pass: the pair evaluation of the
+    builder and the verifier. For a solved side that is the root solve's own
+    ``ln S0``, as the kernel gives a cap the same bits in any batch."""
+    if not witnesses:
+        return []
+    # each side once: a balanced pair's two sides are one
+    sides = list(dict.fromkeys(side for d, g, dp, gp in witnesses for side in ((d, g), (dp, gp))))
+    caps, gammas = zip(*sides)
+    ln_s0 = dict(zip(sides, truncated_log_moments(delta, caps, gammas)[0].tolist()))
+    return [_rhs(delta, eta, -ln_s0[d, g], g, -ln_s0[dp, gp], gp) for d, g, dp, gp in witnesses]
+
+
 def evaluate_pairs(delta: int, eta: float) -> Iterator[PairBound]:
     """Yield a PairBound for every cap pair at crossing level eta, in all_pairs order.
 
     Feasible pairs come first (largest d first), each with its two side
-    solutions and the growth exponent :func:`_pair_rhs` gives at their
-    witnesses, which is the value :func:`verify_certificate` recomputes.
-    Each cap is solved once: no two pairs share a cap, and the balanced pair
-    uses its one side twice. Vacuous pairs follow with the target mean as
-    witness. Consumers that stop early skip the remaining solves. Raises
-    BetaUnderflow when a cap pins the mean.
+    solutions and the exponent :func:`_pair_exponents` gives at their
+    witnesses, the value :func:`verify_certificate` recomputes. All feasible
+    caps are solved in one :func:`side_solver.solve_side` call when the first
+    pair is taken. Vacuous pairs follow with the target mean as witness.
+    Raises BetaUnderflow when a cap pins the mean.
     """
     tm = target_mean(delta, eta)
     feasible = feasible_pairs(delta, eta)
-    for d, dp in feasible:
-        side = solve_side(delta, d, eta)
-        side_p = side if dp == d else solve_side(delta, dp, eta)
-        rhs = _pair_rhs(delta, eta, d, side.gamma, dp, side_p.gamma)
-        yield PairBound(d, dp, side, side_p, rhs, tm)
+    if feasible:
+        caps = tuple(dict.fromkeys(c for pair in feasible for c in pair))
+        side_of = dict(zip(caps, solve_side(delta, caps, eta)))
+        sides = [(side_of[d], side_of[dp]) for d, dp in feasible]
+        exponents = _pair_exponents(
+            delta, eta, [(s.cap, s.gamma, sp.cap, sp.gamma) for s, sp in sides])
+        for (d, dp), (side, side_p), rhs in zip(feasible, sides, exponents):
+            yield PairBound(d, dp, side, side_p, rhs, tm)
     # The feasible pairs are a prefix of all_pairs (d descending).
     for d, dp in all_pairs(delta)[len(feasible):]:
         yield PairBound(d, dp, None, None, None, tm)
@@ -279,21 +274,19 @@ def _screenable(delta: int, cap: int, t: float, x0: float, log_s0_x0: float) -> 
 class _RefineSide:
     """One side of a refine: a bracket ``[a, b]`` of the root in ``x = ln
     gamma``, the bound ``dm`` on the float mean's error, and the latest
-    iterate ``x`` with its ``ln S0`` and slope ``f' = mean - t``."""
+    iterate ``x`` with its ``ln S0``, slope ``f' = mean - t`` and curvature
+    ``f'' = variance``."""
 
     def __init__(self, delta: int, cap: int, t: float, x0: float):
         self.delta, self.cap, self.t = delta, cap, t
         self.a, self.b = x0, max(x0, _root_x_bound(delta, cap, t))
         self.dm = cap * (70.0 * delta + 3000.0) * _UNIT_ROUNDOFF
-        self.x = self.log_s0 = self.slope = self.prev = None
+        self.x = self.log_s0 = self.slope = self.var = None
 
-    def evaluate(self, x: float) -> bool:
-        """Move to ``x``, and move an end of the bracket there when the
-        slope's sign is certain. False when ``ln S0 > _GUARD_LOG_S0``."""
-        log_s0, _, mean = truncated_log_moments(self.delta, self.cap, math.exp(x))
-        if self.x is not None:
-            self.prev = self.x, self.slope
-        self.x, self.log_s0, self.slope = x, log_s0, mean - self.t
+    def move(self, x: float, log_s0: float, mean: float, var: float) -> bool:
+        """Move to ``x`` (the kernel's values at ``e^x`` given), and an end of the
+        bracket there if the slope's sign is certain. False if ``ln S0 > _GUARD_LOG_S0``."""
+        self.x, self.log_s0, self.slope, self.var = x, log_s0, mean - self.t, var
         if self.slope < -self.dm:
             self.a = x
         elif self.slope > self.dm:
@@ -310,15 +303,9 @@ class _RefineSide:
         return self.dm * (self.b - self.a) + 2.0 * self.cap * _X_ERR - tangent
 
     def next_x(self) -> float:
-        """A secant step on the slope (at the first iterate, Newton with the
-        uncapped binomial variance ``t (delta - t) / delta``), or the
-        bracket's midpoint when the step leaves the bracket."""
-        x, slope = self.x, self.slope
-        if self.prev is not None and self.prev[1] != slope:
-            step = slope * (x - self.prev[0]) / (self.prev[1] - slope)
-        else:
-            step = -slope * self.delta / (self.t * (self.delta - self.t))
-        nxt = x + step
+        """A Newton step on the slope, or the bracket's midpoint when the
+        step leaves the bracket."""
+        nxt = self.x - self.slope / self.var if self.var > 0.0 else self.a
         return nxt if self.a < nxt < self.b else 0.5 * (self.a + self.b)
 
 
@@ -326,30 +313,34 @@ def _refine(
     delta: int, eta: float, t: float, x0: float, d: int, d_prime: int
 ) -> Iterator[tuple[float, float]]:
     """Bounds ``(upper, lower)`` on the solved exponent of a screenable pair,
-    one after each moment evaluation, each up to the evaluation error that
-    :func:`_satisfied` budgets for.
+    one per kernel pass, each up to the error :func:`_satisfied` budgets for.
 
     Both sides start at ``x0``. ``upper`` is the pair's exponent at the
-    latest iterates, and ``lower`` is ``upper`` less both sides' gaps
-    (:meth:`_RefineSide.gap`). Each step moves the side with the larger gap.
-    It stops after ``_REFINE_EVALS`` evaluations, when no side's slope has a
-    certain sign, or at an iterate with ``ln S0 > _GUARD_LOG_S0``.
+    latest iterates and ``lower`` is ``upper`` less both sides' gaps
+    (:meth:`_RefineSide.gap`). Each pass takes a Newton step on every side
+    whose slope has a certain sign. It stops after ``_REFINE_EVALS`` side
+    evaluations, when no slope has a certain sign, or at an iterate with
+    ``ln S0 > _GUARD_LOG_S0``.
     """
     side = _RefineSide(delta, d, t, x0)
     side_p = side if d_prime == d else _RefineSide(delta, d_prime, t, x0)
-    sides = (side,) if side_p is side else (side, side_p)
-    if not all(s.evaluate(x0) for s in sides):
-        return
-    for evals in range(len(sides), _REFINE_EVALS + 1):
+    sides = [side] if side_p is side else [side, side_p]
+    live, xs, evals = sides, [x0] * len(sides), 0
+    while True:
+        # the kernel itself, its inputs being feasible caps and exps of finite x
+        log_s0, mean, _, var = _moments(
+            delta, tuple(s.cap for s in live), np.exp(xs))
+        evals += len(live)
+        if not all([s.move(x, *v) for s, x, v in
+                    zip(live, xs, zip(log_s0.tolist(), mean.tolist(), var.tolist()))]):
+            return
         upper = _rhs(delta, eta, -side.log_s0, math.exp(side.x),
                      -side_p.log_s0, math.exp(side_p.x))
         yield upper, upper - (side.gap() + side_p.gap()) / (2.0 * _LN2)
         live = [s for s in sides if abs(s.slope) > s.dm]
-        if not live or evals == _REFINE_EVALS:
+        if not live or evals + len(live) > _REFINE_EVALS:
             return
-        s = max(live, key=_RefineSide.gap)
-        if not s.evaluate(s.next_x()):
-            return
+        xs = [s.next_x() for s in live]
 
 
 def _decide(bounds: Iterable[tuple[float, float]], margin: float) -> bool | None:
@@ -378,12 +369,14 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     - screen: its exponent at ``gamma0`` on both sides bounds the solved one
       from above (module docstring), so a value of at most ``-margin -
       _SLACK`` passes it;
-    - refine (:func:`_refine`): a few secant iterates per side give upper
-      bounds (the exponent at the iterates, passing it by the same test) and
-      tangent lower bounds, and a lower bound above ``-margin + _SLACK``
-      fails the probe;
-    - solve: both caps with :func:`_solve_witness`, as every other pair.
-      A BetaUnderflow fails the probe.
+    - refine (:func:`_refine`): a few Newton iterates on both sides give
+      upper bounds (the exponent at the iterates, passing it by the same
+      test) and tangent lower bounds, and a lower bound above ``-margin +
+      _SLACK`` fails the probe;
+    - solve: the caps of every pair still open, screenable or not, in one
+      call of the root finder (``side_solver._solve_caps``), each pair's
+      exponent from its sides' ``ln S0`` there. A ``beta`` that underflows
+      fails the probe.
 
     Why ``_SLACK = 1e-9`` is enough for a pass. Let ``R`` be the exact
     exponent at a float witness, ``R*`` its minimum, ``r`` the float
@@ -414,19 +407,16 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
       S0`` enter halved and over ``ln 2``.
 
     So ``e < (123 delta + 2.6e4) u``. For ``g``: by convexity each side's
-    excess is at most ``(x^ - x*) (mean(x^) - t) / (2 ln 2)`` at the solved
-    ``x^``, where the float mean is ``t``, so ``mean(x^) - t`` is at most the
-    float mean's error ``dm``. Where the root is well conditioned, ``x^ - x*
-    <= dm / v`` with ``v`` the variance, and since term errors (relative
-    ``rho``, the ``ln S0`` bound above) enter ``dm`` weighted by ``|i -
-    mean|``, ``dm`` is about ``rho sqrt(v)`` plus the sums' rounding and the
-    excess about ``rho^2 / ln 2``, far below 1e-10. A cap pinned against the
-    mean (``s = d - t`` comparable to ``dm``) can leave ``x^`` anywhere in
-    the 532-wide bracket, but there ``mean - t <= s``; the root bound
-    screens it only when ``t ln(1 / s) <= 700``, so ``d <= 25``, ``dm <
-    4e-14`` and the excess is below ``768 dm < 3e-11``. Against exact
-    arithmetic, 400 seeded screenable caps (delta <= 80, ``s`` from 1e-15
-    to 1e-3) gave ``g <= 3.2e-16``. Hence ``g + 2e < _SLACK`` for delta up to 30,000.
+    excess is at most ``(x^ - x*) (mean(x^) - t) / (2 ln 2) <= v (x^ -
+    x*)^2 / (2 ln 2)`` at the solved ``x^``, ``v`` the variance: second order
+    in the root finder's last error. It stops once ``phi = ln(mean / gap) -
+    ln(t / s)``, ``s = d - t``, is within ``8 u (d (1 + |x|) + ln C(delta,
+    d))``, and ``phi`` rises with slope ``d v / (mean gap)``, so the excess is
+    about ``phi^2 (mean gap)^2 / (2 ln 2 d^2 v)``, tiny also where the cap
+    pins the mean and ``v`` is about the gap, which the kernel sums directly.
+    Against 60-digit decimal arithmetic, 784 seeded screenable caps (delta
+    <= 80, half with ``s`` from 1e-15 to 1e-3) gave ``g <= 4.1e-26``. Hence
+    ``g + 2e < _SLACK`` for delta up to 30,000.
 
     The refine's lower bound and its allowance. Let ``f = ln S0 - t x``, so
     ``R = K + (f_d + f_d') / (2 ln 2)`` with ``K`` free of the witnesses.
@@ -461,6 +451,7 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     gamma0 = t / (delta - t)
     x0 = math.log(gamma0)
     log_s0 = _log_s0_prefix(delta, x0).tolist()
+    unsolved = []
     for d, dp in pairs:
         if _screenable(delta, d, t, x0, log_s0[d]) and _screenable(delta, dp, t, x0, log_s0[dp]):
             if _rhs(delta, eta, -log_s0[d], gamma0, -log_s0[dp], gamma0) <= -margin - _SLACK:
@@ -470,15 +461,21 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
                 if verdict:
                     continue
                 return False
-        try:
-            side = _solve_witness(delta, d, eta)
-            side_p = side if dp == d else _solve_witness(delta, dp, eta)
-        except BetaUnderflow:
-            # Cap pinned against the mean: no representable witness, so the
-            # probe counts as failed.  Conservative (can only raise the
-            # certified eta); min_eta bumps a rounded eta that hits it.
-            return False
-        if _rhs(delta, eta, *side, *side_p) > -margin:
+        unsolved.append((d, dp))
+    # Solved in groups of 1, 2, 4, ... pairs, largest d first: a probe below
+    # the threshold usually fails at its first pair, and no group solves more
+    # than twice what the pairs before a failure needed. A beta that
+    # underflows (a cap pinned against the mean has no representable witness)
+    # fails the probe: conservative, and min_eta bumps a rounded eta it hits.
+    start = 0
+    while start < len(unsolved):
+        group = unsolved[start:2 * start + 1]
+        start += len(group)
+        caps = tuple(dict.fromkeys(c for pair in group for c in pair))
+        gamma, _, log_s0_at = _solve_caps(delta, caps, eta)
+        root = dict(zip(caps, zip((-log_s0_at).tolist(), gamma.tolist())))
+        if not np.exp(-log_s0_at).all() or any(
+                _rhs(delta, eta, *root[d], *root[dp]) > -margin for d, dp in group):
             return False
     return True
 
@@ -509,12 +506,11 @@ def min_eta(
 
     Each probe is :func:`_satisfied`: one prefix sum at the uncapped
     binomial root gives every cap's ``ln S0`` there and clears the pairs with
-    room to spare, a few secant steps decide most of the rest, and only what
-    is left is solved, with the verdict solving every pair would give. On
-    the paper's table (degrees 4..60, margin 1e-6) the refine decides 433
-    of 434 pairs with 1,572 moment evaluations and the searches solve 2
-    caps; the screen alone left 652 caps to solve, and solving each probe's
-    pairs up to the first failure took 5,843.
+    room to spare, a few Newton steps decide the rest, and only what is
+    left is solved, with the verdict solving every pair would give. On the
+    paper's table (degrees 4..60, margin 1e-6) the refine decides all 434
+    pairs the screen leaves in 934 kernel passes and the searches solve no
+    cap; the screen alone left 652 caps to solve.
     Only the certificate at the rounded eta is built from full side
     solutions with residuals (:func:`evaluate_pairs`).
 
@@ -635,11 +631,17 @@ def build_table(
 # Verification
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """A named check, whether it passed, and its detail, formatted only when
+    read: ``table``'s own check and text ``certify`` format none that pass."""
     name: str
     passed: bool
-    detail: str
+    template: str = ""
+    args: tuple = ()
+
+    @property
+    def detail(self) -> str:
+        return self.template.format(*self.args) if self.args else self.template
 
 
 @dataclass(frozen=True)
@@ -654,62 +656,49 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _check(checks: list[CheckResult], name: str, ok: bool, detail: str = "") -> None:
-    checks.append(CheckResult(name, bool(ok), detail))
+def _check(checks: list[CheckResult], name: str, ok: bool, template: str = "", *args) -> None:
+    checks.append(CheckResult(name, bool(ok), template, args))
 
 
-def _verify_side(
-    checks: list[CheckResult],
-    label: str,
-    cert: BoundCertificate,
-    cap: int,
-    side: SideSolution,
-) -> None:
-    _check(
-        checks,
-        f"{label}-consistent",
-        side.delta == cert.delta and side.cap == cap and side.eta == cert.eta,
-        f"delta={side.delta} cap={side.cap} eta={side.eta!r}",
-    )
-    ok_params = (
-        0.0 < side.beta <= 1.0
-        and math.isfinite(side.gamma)
-        and side.gamma > 0.0
-    )
-    detail = f"beta={side.beta!r} gamma={side.gamma!r}"
-    if ok_params:
-        try:
-            mass, mean = profile_residuals(cert.delta, cap, cert.eta, side.beta, side.gamma)
-        except ValueError as exc:
-            # a cap outside [0, delta]
-            ok_params, detail = False, f"{detail}: {exc}"
-    _check(checks, f"{label}-parameters-in-range", ok_params, detail)
-    if not ok_params:
+def _verify_side(checks: list[CheckResult], label: str, cert: BoundCertificate, cap: int,
+                 side: SideSolution, residuals: tuple[float, float] | str | None) -> None:
+    """The checks of one side, given its (mass, mean) from the residual pass,
+    or why its cap was left out (None: its parameters are out of range)."""
+    _check(checks, f"{label}-consistent",
+           side.delta == cert.delta and side.cap == cap and side.eta == cert.eta,
+           "delta={} cap={} eta={!r}", side.delta, side.cap, side.eta)
+    ok = isinstance(residuals, tuple)
+    _check(checks, f"{label}-parameters-in-range", ok, "beta={!r} gamma={!r}{}",
+           side.beta, side.gamma, f": {residuals}" if isinstance(residuals, str) else "")
+    if not ok:
         return
-    _check(checks, f"{label}-mass-residual", mass <= MASS_TOL, f"{mass:.3e}")
-    _check(checks, f"{label}-mean-residual", mean <= MEAN_TOL, f"{mean:.3e}")
-    _check(
-        checks,
-        f"{label}-residual-fields-match",
-        abs(mass - side.residual_mass) <= 1e-12 and abs(mean - side.residual_mean) <= 1e-12,
-        f"stored=({side.residual_mass:.3e}, {side.residual_mean:.3e})",
-    )
+    mass, mean = residuals
+    _check(checks, f"{label}-mass-residual", mass <= MASS_TOL, "{:.3e}", mass)
+    _check(checks, f"{label}-mean-residual", mean <= MEAN_TOL, "{:.3e}", mean)
+    _check(checks, f"{label}-residual-fields-match",
+           abs(mass - side.residual_mass) <= 1e-12 and abs(mean - side.residual_mean) <= 1e-12,
+           "stored=({:.3e}, {:.3e})", side.residual_mass, side.residual_mean)
+
+
+def _usable(gamma) -> bool:
+    return isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0.0
 
 
 def verify_certificate(cert: BoundCertificate) -> VerificationReport:
     """Recheck a certificate from scratch, trusting nothing derived.
 
     Residuals are recomputed by direct summation from the stored (beta,
-    gamma). Each feasible pair's growth exponent is evaluated at its stored
-    witnesses by the builder's own pair evaluation (:func:`_pair_rhs`, one
-    moment evaluation per side at the pair's cap and the side's ``gamma``),
-    and the stored ``beta`` is not used. Nothing is solved. That is sound
-    because any witness is (module docstring): the exponent at a ``gamma >
-    0`` bounds the pair's solved exponent from above, so a pair that clears
-    the margin at its witnesses clears it at the solved ones. For a
-    certificate built by :func:`min_eta` the value is the stored ``rhs``
-    itself, bit for bit, since ``.16e`` round-trips each ``gamma`` and the
-    caps are the sides' own. A ``gamma`` that is not finite and
+    gamma), every side in one pass (:func:`profile_residuals`). Each feasible
+    pair's exponent is evaluated at its stored witnesses by the builder's own
+    :func:`_pair_exponents`, one kernel pass over every side, and the stored
+    ``beta`` is not used. Nothing is solved. That is sound because any
+    witness is (module docstring): the exponent at a ``gamma > 0`` bounds the
+    pair's solved exponent from above, so a pair that clears the margin at
+    its witnesses clears it at the solved ones. For a certificate built by
+    :func:`min_eta` every recomputed ``rhs`` and residual is the stored one,
+    bit for bit: ``.16e`` round-trips each ``gamma`` and ``beta``, the caps
+    are the sides' own, and the kernel and the residual pass give a cap the
+    same bits whatever caps share the call. A ``gamma`` that is not finite and
     positive fails ``rhs-recomputable``, and a cap outside ``[0, delta]``
     fails its side's ``parameters-in-range`` and the pair's
     ``rhs-recomputable`` rather than raising. Vacuity witnesses, the expansion
@@ -718,73 +707,79 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
     fails ``pairs-exhaustive`` and is checked no further, so its claimed
     ``delta`` cannot cost more work than its own length; a ``delta`` of
     ``2**53`` or more fails ``delta-valid`` before any float arithmetic.
+    Details are formatted only when read (:class:`CheckResult`).
     """
     checks: list[CheckResult] = []
     # the checks below compute with delta as a double, which holds it exactly below 2**53
-    _check(
-        checks,
-        "delta-valid",
-        isinstance(cert.delta, int) and 3 <= cert.delta < 2**53,
-        f"delta={cert.delta}",
-    )
-    _check(checks, "eta-in-range", 0.0 <= cert.eta < 1.0, f"eta={cert.eta!r}")
-    _check(checks, "margin-positive", cert.margin > 0.0, f"margin={cert.margin!r}")
+    _check(checks, "delta-valid", isinstance(cert.delta, int) and 3 <= cert.delta < 2**53,
+           "delta={}", cert.delta)
+    _check(checks, "eta-in-range", 0.0 <= cert.eta < 1.0, "eta={!r}", cert.eta)
+    _check(checks, "margin-positive", cert.margin > 0.0, "margin={!r}", cert.margin)
     if not all(c.passed for c in checks):
         return VerificationReport(tuple(checks))
 
     expected_bound = (1.0 - cert.eta) * cert.delta / 2.0
-    _check(
-        checks,
-        "expansion-bound-consistent",
-        abs(cert.expansion_bound - expected_bound) <= 1e-12 * max(1.0, abs(expected_bound)),
-        f"stored={cert.expansion_bound!r} expected={expected_bound!r}",
-    )
+    _check(checks, "expansion-bound-consistent",
+           abs(cert.expansion_bound - expected_bound) <= 1e-12 * max(1.0, abs(expected_bound)),
+           "stored={!r} expected={!r}", cert.expansion_bound, expected_bound)
 
     listed = [(pb.d, pb.d_prime) for pb in cert.pair_bounds]
     counted = len(listed) == cert.delta // 2
-    _check(
-        checks,
-        "pairs-exhaustive",
-        counted and sorted(listed) == sorted(all_pairs(cert.delta)),
-        f"listed={listed}",
-    )
+    _check(checks, "pairs-exhaustive",
+           counted and sorted(listed) == sorted(all_pairs(cert.delta)), "listed={}", listed)
     if not counted:
         return VerificationReport(tuple(checks))
 
     tm = target_mean(cert.delta, cert.eta)
+    feasible = [pb for pb in cert.pair_bounds if not pb.vacuous]
+
+    def cap_error(cap) -> str:
+        return "" if isinstance(cap, int) and 0 <= cap <= cert.delta else _CAP_RANGE
+
+    def rhs_error(pb: PairBound) -> str:
+        whys = (cap_error(pb.d), "" if _usable(pb.side.gamma) else _GAMMA,
+                cap_error(pb.d_prime), "" if _usable(pb.side_prime.gamma) else _GAMMA)
+        return next((why for why in whys if why), "")
+
+    # One residual pass over every side whose parameters and cap are in range.
+    sides = [(c, s) for pb in feasible for c, s in ((pb.d, pb.side), (pb.d_prime, pb.side_prime))]
+    residuals = [cap_error(c) if 0.0 < s.beta <= 1.0 and _usable(s.gamma) else None
+                 for c, s in sides]
+    kept = [k for k, why in enumerate(residuals) if why == ""]
+    if kept:
+        mass, mean = profile_residuals(cert.delta, [sides[k][0] for k in kept], cert.eta,
+                                       *([getattr(sides[k][1], f) for k in kept]
+                                         for f in ("beta", "gamma")))
+        for k, pair in zip(kept, zip(mass.tolist(), mean.tolist())):
+            residuals[k] = pair
+    residuals = iter(residuals)
+    # One kernel pass over both sides of every pair whose caps and gammas are usable.
+    errors = [rhs_error(pb) for pb in feasible]
+    exponents = iter(_pair_exponents(cert.delta, cert.eta, [
+        (pb.d, pb.side.gamma, pb.d_prime, pb.side_prime.gamma)
+        for pb, error in zip(feasible, errors) if not error]))
+    errors = iter(errors)
     for pb in cert.pair_bounds:
         label = f"pair-{pb.d}-{pb.d_prime}"
-        _check(
-            checks,
-            f"{label}-witness-matches",
-            abs(pb.target_mean - tm) <= 1e-12,
-            f"stored={pb.target_mean!r} recomputed={tm!r}",
-        )
+        _check(checks, f"{label}-witness-matches", abs(pb.target_mean - tm) <= 1e-12,
+               "stored={!r} recomputed={!r}", pb.target_mean, tm)
         if pb.vacuous:
-            _check(checks, f"{label}-vacuous-witness", tm >= pb.d, f"target_mean={tm!r} d={pb.d}")
+            _check(checks, f"{label}-vacuous-witness", tm >= pb.d,
+                   "target_mean={!r} d={}", tm, pb.d)
             continue
-        _check(checks, f"{label}-feasible-witness", tm < pb.d, f"target_mean={tm!r} d={pb.d}")
-        _verify_side(checks, f"{label}-side", cert, pb.d, pb.side)
-        _verify_side(checks, f"{label}-side-prime", cert, pb.d_prime, pb.side_prime)
-        try:
-            fresh = _pair_rhs(
-                cert.delta, cert.eta, pb.d, pb.side.gamma, pb.d_prime, pb.side_prime.gamma
-            )
-        except ValueError as exc:
-            _check(checks, f"{label}-rhs-recomputable", False, str(exc))
+        _check(checks, f"{label}-feasible-witness", tm < pb.d, "target_mean={!r} d={}", tm, pb.d)
+        _verify_side(checks, f"{label}-side", cert, pb.d, pb.side, next(residuals))
+        _verify_side(checks, f"{label}-side-prime", cert, pb.d_prime, pb.side_prime,
+                     next(residuals))
+        error = next(errors)
+        if error:
+            _check(checks, f"{label}-rhs-recomputable", False, error)
             continue
-        _check(
-            checks,
-            f"{label}-rhs-negative-with-margin",
-            fresh <= -cert.margin,
-            f"rhs={fresh!r} margin={cert.margin!r}",
-        )
-        _check(
-            checks,
-            f"{label}-rhs-matches",
-            pb.rhs is not None and abs(fresh - pb.rhs) <= 1e-9,
-            f"stored={pb.rhs!r} recomputed={fresh!r}",
-        )
+        fresh = next(exponents)
+        _check(checks, f"{label}-rhs-negative-with-margin", fresh <= -cert.margin,
+               "rhs={!r} margin={!r}", fresh, cert.margin)
+        _check(checks, f"{label}-rhs-matches", pb.rhs is not None and abs(fresh - pb.rhs) <= 1e-9,
+               "stored={!r} recomputed={!r}", pb.rhs, fresh)
 
     # Baseline: the stored eta must itself satisfy the classical counting
     # condition (validity), the stored bound must match its eta, and the
@@ -794,20 +789,13 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
         and _xlog2(1.0 - cert.baseline_eta) + _xlog2(1.0 + cert.baseline_eta)
         >= 4.0 / cert.delta - 1e-12
     )
-    _check(checks, "baseline-valid", base_ok, f"baseline_eta={cert.baseline_eta!r}")
+    _check(checks, "baseline-valid", base_ok, "baseline_eta={!r}", cert.baseline_eta)
     expected_base = (1.0 - cert.baseline_eta) * cert.delta / 2.0
-    _check(
-        checks,
-        "baseline-bound-consistent",
-        abs(cert.baseline_bound - expected_base) <= 1e-12 * max(1.0, abs(expected_base)),
-        f"stored={cert.baseline_bound!r} expected={expected_base!r}",
-    )
-    _check(
-        checks,
-        "improves-on-baseline",
-        cert.expansion_bound >= cert.baseline_bound - 1e-12,
-        f"bound={cert.expansion_bound!r} baseline={cert.baseline_bound!r}",
-    )
+    _check(checks, "baseline-bound-consistent",
+           abs(cert.baseline_bound - expected_base) <= 1e-12 * max(1.0, abs(expected_base)),
+           "stored={!r} expected={!r}", cert.baseline_bound, expected_base)
+    _check(checks, "improves-on-baseline", cert.expansion_bound >= cert.baseline_bound - 1e-12,
+           "bound={!r} baseline={!r}", cert.expansion_bound, cert.baseline_bound)
     return VerificationReport(tuple(checks))
 
 

@@ -7,24 +7,22 @@ presentation concern of the certifying layer, not of this module.
 
 All functions are pure; cached rows are read-only, so concurrent callers are
 safe. Two arrays are cached per degree: the row ln C(delta, i) and the index
-0..delta as float64 (`_index`), which the moment and tail kernels slice
-instead of building an arange on every call. The moment kernel and the
-side solver's residuals take both slices for a (delta, cap) pair from one
-cached view (`_profile_view`), which checks delta and cap once per pair. The
-direct sum behind `log_binomial` is cached per (n, min(k, n - k)), so a
-caller that needs ln C(delta, delta/2) on every call pays for its sum once.
+0..delta as float64 (`_index`), which the prefix kernel uses instead of
+building an arange on every call. The moment kernel (`truncated_log_moments`)
+evaluates many caps in one call, each as one segment of a flat layout cached
+per (delta, caps) (`_layout`), and a cap's values do not depend on the other
+caps in the call. The direct sum behind `log_binomial` is cached per (n,
+min(k, n - k)), so a caller that needs ln C(delta, delta/2) on every call
+pays for its sum once.
 
-The sums build their terms in numpy and finish them in Python, and they
-return the same bits as a term-by-term Python loop. Each int-to-float
-conversion is exact (every integer below 2**53 is a double), and int/int
-division, like numpy's elementwise +, -, * and /, is one correctly rounded
-IEEE operation; numpy does not fuse a multiply and an add. So an array
-expression written in the loop's order yields the loop's doubles. The
-transcendental step still goes through `math.exp` / `math.log` term by term,
+The row and factorial sums build their terms in numpy and finish them in
+Python, and they return the same bits as a term-by-term Python loop. Each
+int-to-float conversion is exact (every integer below 2**53 is a double),
+and int/int division, like numpy's elementwise +, -, * and /, is one
+correctly rounded IEEE operation; numpy does not fuse a multiply and an add.
+So an array expression written in the loop's order yields the loop's
+doubles. The transcendental step still goes through `math.log` term by term,
 and `math.fsum` rounds the exact sum once, whatever the order of its input.
-Its time does depend on the order: the partials it carries (Shewchuk's
-algorithm) pile up when terms arrive smallest first across hundreds of
-binades, and stay few when they arrive largest first.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ import numpy as np
 
 __all__ = [
     "binomial_log_row",
-    "binomial_pmf",
-    "binomial_tail",
     "log_binomial",
     "log_odd_double_factorial",
     "truncated_log_moments",
@@ -46,14 +42,14 @@ __all__ = [
 NEG_INF = float("-inf")
 
 _LN2 = math.log(2.0)
+_CAP_RANGE = "cap must be an integer in [0, delta]"
 
-# math.exp returns exactly 0.0 at and below this argument: e^-746 is less than
-# 0.21 of the smallest subnormal 2^-1074, so an exp whose error stays under
-# 0.79 ulp (glibc's is under 0.51) cannot round it up. A sum's terms with a
-# log at or below it add nothing, and leaving them out moves no bit. The cut
-# sits below ln(2^-1075) = -745.13..., where the true value crosses half the
-# smallest subnormal, so a term that rounds to 2^-1074 is always kept.
+# exp is exactly 0.0 at and below this: e^-746 is under 0.21 of 2^-1074, and
+# numpy's exp turns nonzero near -745.133, where e^x crosses half of it.
 _EXP_ZERO_LOG = -746.0
+
+# The most terms one kernel or residual pass lays out at once (under 1 MB).
+_RUN_TERMS = 1 << 13
 
 # Up to this many factors, ln C(n, k) is accumulated term by term with fsum,
 # which keeps the error at a few ulp. Beyond it the lgamma route takes over;
@@ -153,42 +149,99 @@ def log_odd_double_factorial(m: int) -> float:
     return math.lgamma(2 * k + 1) - k * _LN2 - math.lgamma(k + 1)
 
 
-@lru_cache(maxsize=None, typed=True)
-def _profile_view(delta: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ln C(delta, i), float(i)) for i = 0..cap, read-only slices cached per (delta, cap).
-
-    Checks delta >= 1 and cap in [0, delta] when a view is first built. The
-    cache is typed, so a float or numpy-integer argument that hashes equal to
-    a cached int key still goes through the checks.
-    """
+def _checked_caps(delta: int, caps) -> tuple[int, ...]:
+    """``caps`` as a tuple, once delta >= 1 and each cap is an int in [0, delta]
+    (a float or numpy integer equal to one is not)."""
     if not isinstance(delta, int) or delta < 1:
         raise ValueError("delta must be a positive integer")
-    if not isinstance(cap, int) or not 0 <= cap <= delta:
-        raise ValueError("cap must be an integer in [0, delta]")
-    return binomial_log_row(delta)[: cap + 1], _index(delta)[: cap + 1]
+    caps = tuple(caps)
+    for cap in caps:
+        if not isinstance(cap, int) or not 0 <= cap <= delta:
+            raise ValueError(_CAP_RANGE)
+    return caps
 
 
-def truncated_log_moments(delta: int, cap: int, gamma: float) -> tuple[float, float, float]:
-    """(ln S0, ln S1, S1/S0) for S0 = sum gamma^i C(delta,i), S1 = sum i * terms.
+@lru_cache(maxsize=16)
+def _layout(delta: int, caps: tuple[int, ...]):
+    """The kernel's read-only flat layout of checked ``caps``, the 16 latest
+    kept: cap ``k``'s terms ``i <= cap`` form one segment, ``starts`` holds
+    each segment's first index, ``seg`` each term's segment (None for one
+    cap), ``row`` ``ln C(delta, i)`` and ``weights`` the rows ``i`` (also
+    returned as ``idx``), ``cap - i`` and ``i (cap - i)``."""
+    lens = np.array(caps, dtype=np.intp) + 1
+    starts = np.cumsum(lens) - lens
+    seg = np.repeat(np.arange(len(caps), dtype=np.int32), lens)
+    i = np.arange(lens.sum()) - starts[seg]
+    weights = np.empty((3, i.size))
+    weights[0] = i
+    weights[1] = lens[seg] - 1 - i
+    np.multiply(weights[0], weights[1], out=weights[2])
+    row = binomial_log_row(delta)[i]
+    for a in (starts, seg, row, weights):
+        a.flags.writeable = False
+    return starts, (seg if len(caps) > 1 else None), weights[0], row, weights
 
-    The sums run over i = 0..cap and are evaluated by scaling with the
-    largest term, so the mean S1/S0 stays finite and accurate even when S0
-    itself would overflow (gamma up to ~1e6, delta up to ~1e4). Inputs are
-    checked first: delta >= 1, cap in [0, delta] (once per pair, by
-    `_profile_view`), gamma finite and positive (on every call).
+
+def truncated_log_moments(
+    delta: int, caps, gammas
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(ln S0, mean, gap, variance)`` of each cap's profile, in one pass.
+
+    Entry ``k`` is for ``w_i = gamma_k^i C(delta, i)``, ``i <= caps[k]``: the
+    log of their sum ``S0`` (scaled by the largest term, so it may lie past
+    the double range), their mean, ``gap = sum (cap - i) w_i / S0`` (accurate
+    where the cap pins the mean) and variance ``mean gap - sum i (cap - i) w_i
+    / S0``. The one moment kernel, of the root finder, the refine and the
+    verifier: its flat layout's segments (:func:`_layout`) are reduced one by
+    one and every other step is elementwise, so a cap's values are the same
+    bits alone or in any batch. Raises ValueError unless delta >= 1, each cap
+    is an int in [0, delta] and each gamma, one per cap, finite and positive.
     """
-    row, idx = _profile_view(delta, cap)
-    if not isinstance(gamma, (int, float)) or not math.isfinite(gamma) or gamma <= 0:
+    caps = _checked_caps(delta, caps)
+    gamma = np.asarray(gammas, dtype=float)
+    if not caps or gamma.shape != (len(caps),):
+        raise ValueError("need one gamma per cap, and at least one cap")
+    if not all(0.0 < g < math.inf for g in gamma.tolist()):
         raise ValueError("gamma must be a finite positive real")
-    logterms = row + idx * math.log(gamma)
-    # the ufunc reductions that .max() and .sum() run, without the method dispatch
-    peak = float(np.maximum.reduce(logterms))
-    scaled = np.exp(logterms - peak)
-    w0 = float(np.add.reduce(scaled))
-    w1 = float(idx.dot(scaled))
-    log_s0 = peak + math.log(w0)
-    log_s1 = peak + math.log(w1) if w1 > 0.0 else NEG_INF
-    return log_s0, log_s1, w1 / w0
+    return _in_runs(_moments, delta, caps, gamma)
+
+
+def _in_runs(kernel, delta: int, caps: tuple[int, ...], *per_cap: np.ndarray) -> tuple:
+    """``kernel(delta, caps, *per_cap)`` on runs of at most ``_RUN_TERMS`` terms
+    (or one cap), joined: a cap's values do not depend on its run."""
+    if sum(caps) + len(caps) <= _RUN_TERMS:
+        return kernel(delta, caps, *per_cap)
+    cuts, terms = [0], 0
+    for k, cap in enumerate(caps):
+        if terms and terms + cap >= _RUN_TERMS:
+            cuts.append(k)
+            terms = 0
+        terms += cap + 1
+    parts = [kernel(delta, caps[i:j], *(v[i:j] for v in per_cap))
+             for i, j in zip(cuts, cuts[1:] + [len(caps)])]
+    return tuple(np.concatenate(values) for values in zip(*parts))
+
+
+def _moments(delta: int, caps: tuple[int, ...], gamma: np.ndarray) -> tuple:
+    """:func:`truncated_log_moments` on checked inputs, in one flat pass."""
+    starts, seg, idx, row, weights = _layout(delta, caps)
+    x = np.log(gamma)
+    scaled = idx * (x if seg is None else x[seg])
+    scaled += row
+    peak = np.maximum.reduceat(scaled, starts)
+    scaled -= peak if seg is None else peak[seg]
+    sums = np.empty((4, idx.size))
+    if idx.size <= 256:
+        np.exp(scaled, out=sums[0])
+    else:
+        # exp is 0.0 at and below _EXP_ZERO_LOG but takes a slow path there,
+        # so a long layout leaves those terms at 0.0 instead: the same bits
+        sums[0] = 0.0
+        np.exp(scaled, out=sums[0], where=scaled > _EXP_ZERO_LOG)
+    np.multiply(weights, sums[0], out=sums[1:])
+    sums = np.add.reduceat(sums, starts, axis=1)
+    mean, gap, cross = sums[1:] / sums[0]
+    return peak + np.log(sums[0]), mean, gap, mean * gap - cross
 
 
 def _log_s0_prefix(delta: int, x: float) -> np.ndarray:
@@ -218,40 +271,3 @@ def _log_s0_prefix(delta: int, x: float) -> np.ndarray:
     peak = logterms.max()
     with np.errstate(divide="ignore"):
         return peak + np.log(np.cumsum(np.exp(logterms - peak)))
-
-
-def binomial_pmf(delta: int, p: float, k: int) -> float:
-    """P[Binomial(delta, p) = k], by direct evaluation in log space."""
-    if not isinstance(delta, int) or delta < 1:
-        raise ValueError("delta must be a positive integer")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    if not isinstance(k, int) or k < 0 or k > delta:
-        raise ValueError("k must be an integer in [0, delta]")
-    row = binomial_log_row(delta)
-    val = math.exp(row[k] + k * math.log(p) + (delta - k) * math.log1p(-p))
-    return min(1.0, val)
-
-
-def binomial_tail(delta: int, p: float, cap: int) -> float:
-    """P[Binomial(delta, p) <= cap], by exact summation of the mass function.
-
-    The log terms ln C(delta, k) + k ln p + (delta - k) ln(1 - p) are built
-    as one numpy array, added in that order. Those whose `math.exp` is
-    exactly 0.0 (log at or below `_EXP_ZERO_LOG`) are left out, the rest are
-    sorted largest first, exponentiated with `math.exp` and combined with
-    fsum, which then keeps few partials; fsum's single rounding makes the
-    result the one an ascending loop over every term returns. The result is
-    clamped to [0, 1] against last-ulp overshoot.
-    """
-    if not isinstance(delta, int) or delta < 1:
-        raise ValueError("delta must be a positive integer")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    if not isinstance(cap, int) or cap < 0 or cap > delta:
-        raise ValueError("cap must be an integer in [0, delta]")
-    k = _index(delta)[: cap + 1]
-    args = binomial_log_row(delta)[: cap + 1] + k * math.log(p) + (delta - k) * math.log1p(-p)
-    largest_first = np.sort(args[args > _EXP_ZERO_LOG])[::-1]
-    total = math.fsum(map(math.exp, largest_first.tolist()))
-    return min(1.0, max(0.0, total))

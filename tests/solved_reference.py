@@ -6,7 +6,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from expander_bounds import PairBound, certifier, solve_side
+import numpy as np
+
+from expander_bounds import BetaUnderflow, PairBound, certifier, side_solver, solve_side
 
 
 def bound_rhs(delta: int, d: int, d_prime: int, eta: float) -> float:
@@ -17,7 +19,8 @@ def bound_rhs(delta: int, d: int, d_prime: int, eta: float) -> float:
     """
     side = solve_side(delta, d, eta)
     side_prime = side if d_prime == d else solve_side(delta, d_prime, eta)
-    return certifier._pair_rhs(delta, eta, d, side.gamma, d_prime, side_prime.gamma)
+    (rhs,) = certifier._pair_exponents(delta, eta, [(d, side.gamma, d_prime, side_prime.gamma)])
+    return rhs
 
 
 def certifies(pair_bounds: Iterable[PairBound], margin: float) -> bool:
@@ -31,3 +34,12 @@ def certifies(pair_bounds: Iterable[PairBound], margin: float) -> bool:
             return False
         any_feasible = True
     return any_feasible
+
+
+def solved_witness(delta: int, cap: int, eta: float) -> tuple[float, float]:
+    """``(ln beta, gamma)`` of one side from the root finder, raising
+    BetaUnderflow where ``beta`` underflows, as a search probe reads it."""
+    (gamma,), _, (log_s0,) = side_solver._solve_caps(delta, (cap,), eta)
+    if np.exp(-log_s0) == 0.0:
+        raise BetaUnderflow(f"beta underflows for delta={delta}, cap={cap}, eta={eta}")
+    return -float(log_s0), float(gamma)

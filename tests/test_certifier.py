@@ -26,6 +26,7 @@ from expander_bounds import (
     certifier,
     feasible_pairs,
     min_eta,
+    profile_residuals,
     side_solver,
     target_mean,
     truncated_log_moments,
@@ -33,7 +34,7 @@ from expander_bounds import (
 )
 
 from expander_bounds.combinatorics import _log_s0_prefix
-from solved_reference import bound_rhs, certifies
+from solved_reference import bound_rhs, certifies, solved_witness
 from test_combinatorics import U, log_term_error
 
 TIGHT = 1e-6  # search margin used throughout the regression tests
@@ -76,6 +77,14 @@ def _full_search_eta(delta: int, margin: float, precision: int = 3) -> float:
 def test_early_stop_matches_full_search(margin):
     for delta in [*range(3, 21), 400]:
         assert min_eta(delta, margin=margin).eta == _full_search_eta(delta, margin), delta
+
+
+def _counting_solve(solves: list):
+    """The root finder, recording every cap it is asked to solve."""
+    def counted(delta, caps, eta):
+        solves.extend((delta, cap, eta) for cap in caps)
+        return side_solver._solve_caps(delta, caps, eta)
+    return counted
 
 
 def _unscreened_satisfied(delta: int, eta: float, margin: float) -> bool:
@@ -126,8 +135,7 @@ def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
     # allowance, so the probe must reach the full solve. At -worst - 1e-9 the
     # refine's iterates may pass it, being as good a witness as the solved one.
     solves = []
-    monkeypatch.setattr(certifier, "_solve_witness",
-                        lambda *args: solves.append(args) or side_solver._solve_witness(*args))
+    monkeypatch.setattr(certifier, "_solve_caps", _counting_solve(solves))
     for delta in (4, 9, 30, 60, 400):
         for eta in (0.9, 0.99, 1.0 - 1e-6):
             worst = max(pb.rhs for pb in certifier.evaluate_pairs(delta, eta) if not pb.vacuous)
@@ -155,8 +163,7 @@ def test_root_bound_screen_agrees_with_the_unscreened_condition(monkeypatch):
         d = rng.randint(1, delta // 2)
         probes.append((delta, 1.0 - 2.0 * d / delta + rng.choice((1e-12, 1e-10, 1e-7))))
     solves = []
-    monkeypatch.setattr(certifier, "_solve_witness",
-                        lambda *args: solves.append(args) or side_solver._solve_witness(*args))
+    monkeypatch.setattr(certifier, "_solve_caps", _counting_solve(solves))
     screened = 0
     verdicts = set()
     for delta, eta in probes:
@@ -176,7 +183,7 @@ def test_root_bound_screen_agrees_with_the_unscreened_condition(monkeypatch):
             verdicts.add(verdict)
             if delta > 1010 and margin == 1e-3:
                 assert verdict
-                screened += len(feasible_pairs(delta, eta)) - len(solves) // 2
+                screened += len(feasible_pairs(delta, eta)) - len(set(solves)) // 2
     assert verdicts == {True, False}
     assert screened > 500
 
@@ -198,12 +205,12 @@ def test_root_bound_holds_at_the_solved_root():
         t = target_mean(delta, eta)
         if not (0.0 <= eta < 1.0 and 0.0 < t < cap):
             continue
-        x, log_s0 = side_solver._solve_log_gamma(delta, cap, eta)
+        _, (x,), (log_s0,) = side_solver._solve_caps(delta, (cap,), eta)
         x0 = math.log(t / (delta - t))
         x_u = certifier._root_x_bound(delta, cap, t)
         # the mean w1/w0 is off by at most twice the relative error of each sum
         mean_err = 4.0 * cap * (log_term_error(delta, cap, x_u) + (2 * cap + 24) * U)
-        mean_u = truncated_log_moments(delta, cap, math.exp(x_u))[2]
+        mean_u = truncated_log_moments(delta, (cap,), [math.exp(x_u)])[1][0]
         assert mean_u >= t - mean_err, (delta, cap, t)
         if mean_u > t + 2.0 * mean_err:
             assert x <= x_u + 1e-12, (delta, cap, t)
@@ -232,8 +239,8 @@ def test_root_bound_holds_at_the_solved_root():
         log_s0 = _log_s0_prefix(delta, x0)
         if not all(certifier._screenable(delta, c, t, x0, log_s0[c]) for c in (d, delta - d)):
             continue
-        side = side_solver._solve_witness(delta, d, eta)
-        solved = certifier._rhs(delta, eta, *side, *side_solver._solve_witness(delta, delta - d, eta))
+        side = solved_witness(delta, d, eta)
+        solved = certifier._rhs(delta, eta, *side, *solved_witness(delta, delta - d, eta))
         for upper, lower in certifier._refine(delta, eta, t, x0, d, delta - d):
             assert lower <= solved + 1e-12 and upper >= solved - 1e-12, (delta, d, eta)
             bounds += 1
@@ -264,8 +271,7 @@ def test_any_witness_bounds_the_solved_exponent(delta, data, log_gammas):
         assume(False)
     gamma0 = t / (delta - t)
     g, gp = (gamma0 if x is None else math.exp(x) for x in log_gammas)
-    log_s0, log_s0_p = (truncated_log_moments(delta, d, g)[0],
-                        truncated_log_moments(delta, dp, gp)[0])
+    log_s0, log_s0_p = truncated_log_moments(delta, (d, dp), [g, gp])[0].tolist()
     assert certifier._rhs(delta, eta, -log_s0, g, -log_s0_p, gp) >= solved - 1e-12
 
 
@@ -372,14 +378,15 @@ def test_build_table():
 
 
 # Caps the eta searches of the paper's table (degrees 4..60, margin 1e-6)
-# may solve: the refine leaves one pair, two caps. The screen alone left 652.
-TABLE_SEARCH_SOLVES = 2
+# may solve: the refine, stepping both sides of a pair by Newton steps,
+# decides every pair the screen leaves. Its secant steps on one side at a
+# time left one pair, two caps; the screen alone left 652.
+TABLE_SEARCH_SOLVES = 0
 
 
 def test_table_search_solves_almost_no_cap(monkeypatch):
     solves = []
-    monkeypatch.setattr(certifier, "_solve_witness",
-                        lambda *args: solves.append(args) or side_solver._solve_witness(*args))
+    monkeypatch.setattr(certifier, "_solve_caps", _counting_solve(solves))
     certs = build_table(4, 60, margin=TIGHT)
     assert len(certs) == 57
     assert len(solves) <= TABLE_SEARCH_SOLVES
@@ -461,7 +468,8 @@ def _no_solver(*args, **kwargs):
 
 def test_verifier_makes_no_solver_call(loaded_certs, monkeypatch):
     monkeypatch.setattr(certifier, "solve_side", _no_solver)
-    monkeypatch.setattr(side_solver, "_solve_log_gamma", _no_solver)
+    monkeypatch.setattr(certifier, "_solve_caps", _no_solver)
+    monkeypatch.setattr(side_solver, "_solve_caps", _no_solver)
     for cert in loaded_certs:
         report = verify_certificate(cert)
         assert report.passed, (cert.delta, [c.name for c in report.failures()])
@@ -481,6 +489,31 @@ def test_verifier_exponents_are_the_solved_ones_bit_for_bit(loaded_certs):
                 f"rhs={fresh!r} margin={cert.margin!r}"
             )
             assert details[f"{label}-rhs-matches"] == f"stored={pb.rhs!r} recomputed={fresh!r}"
+
+
+def test_verifier_recomputes_every_stored_rhs_and_residual_bit_for_bit(loaded_certs, monkeypatch):
+    # The builder solves a degree's caps together and the verifier evaluates
+    # every side of a certificate in one residual pass and one kernel pass;
+    # both kernels give a cap the same bits in any batch, so the verifier's
+    # numbers are the stored ones, to the last bit.
+    passes = []
+
+    def recording(*args):
+        passes.append(profile_residuals(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(certifier, "profile_residuals", recording)
+    for cert in loaded_certs:
+        passes.clear()
+        details = {c.name: c.detail for c in verify_certificate(cert).checks}
+        feasible = [pb for pb in cert.pair_bounds if not pb.vacuous]
+        sides = [side for pb in feasible for side in (pb.side, pb.side_prime)]
+        ((mass, mean),) = passes
+        assert mass.tolist() == [side.residual_mass for side in sides], cert.delta
+        assert mean.tolist() == [side.residual_mean for side in sides], cert.delta
+        for pb in feasible:
+            assert details[f"pair-{pb.d}-{pb.d_prime}-rhs-matches"] == (
+                f"stored={pb.rhs!r} recomputed={pb.rhs!r}")
 
 
 # Failing checks of certificates min_eta returns at margin 1e-3 and its own

@@ -14,20 +14,19 @@ from hypothesis import strategies as st
 
 from expander_bounds import (
     binomial_log_row,
-    binomial_pmf,
-    binomial_tail,
     log_binomial,
     log_odd_double_factorial,
+    profile_residuals,
     solve_one_sided,
     truncated_log_moments,
 )
 from expander_bounds.combinatorics import (
-    _EXP_ZERO_LOG,
     NEG_INF,
+    _layout,
     _log_binomial_direct,
     _log_s0_prefix,
-    _profile_view,
 )
+from exact_reference import _EXP_ZERO_LOG, binomial_pmf, binomial_tail
 
 U = 2.0**-53
 
@@ -110,55 +109,112 @@ def test_log_odd_double_factorial_rejects_bad_input():
 
 
 def test_profile_validation():
-    # (delta, cap) views are cached, typed: keys that hash equal to the cached
-    # (6, 3) are still checked, and the cached slices are read-only
-    row, idx = _profile_view(6, 3)
-    assert not row.flags.writeable and not idx.flags.writeable
+    # the kernel's layouts are cached per (delta, caps) and read-only, and
+    # arguments that hash equal to the cached (6, 3) are still checked
+    truncated_log_moments(6, (3,), [1.0])
+    starts, seg, idx, row, weights = _layout(6, (3,))
+    assert seg is None
+    assert not any(a.flags.writeable for a in (starts, idx, row, weights))
     for delta, cap in ((6.0, 3), (6, 3.0), (np.int64(6), 3), (6, np.int64(3))):
         with pytest.raises(ValueError):
-            truncated_log_moments(delta, cap, 1.0)
+            truncated_log_moments(delta, (cap,), [1.0])
     with pytest.raises(ValueError):
-        truncated_log_moments(0, 0, 1.0)
+        truncated_log_moments(0, (0,), [1.0])
     with pytest.raises(ValueError):
-        truncated_log_moments(4, 5, 1.0)
+        truncated_log_moments(4, (5,), [1.0])
     with pytest.raises(ValueError):
-        truncated_log_moments(4, -1, 1.0)
+        truncated_log_moments(4, (2, -1), [1.0, 1.0])
+    for gamma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma must be a finite positive real"):
+            truncated_log_moments(4, (2, 3), [1.0, gamma])
+    # one gamma per cap, and at least one cap
     with pytest.raises(ValueError):
-        truncated_log_moments(4, 2, 0.0)
+        truncated_log_moments(4, (2, 3), [1.0])
     with pytest.raises(ValueError):
-        truncated_log_moments(4, 2, math.inf)
+        truncated_log_moments(4, (), [])
+
+
+def _exact_moments(delta, cap, g):
+    """(S0, mean, gap, variance) of gamma^i C(delta, i), i <= cap, in rationals."""
+    w = [g**i * math.comb(delta, i) for i in range(cap + 1)]
+    s0 = sum(w)
+    mean = sum(i * wi for i, wi in enumerate(w)) / s0
+    var = sum((i - mean) ** 2 * wi for i, wi in enumerate(w)) / s0
+    return s0, mean, cap - mean, var
 
 
 def test_truncated_moments_exact_rational_oracle():
-    # S0 and S1 for delta=6, cap=4 at gamma=37/100, computed exactly.
+    # delta=6, cap=4 at gamma=37/100, computed exactly
     delta, cap = 6, 4
     g = Fraction(37, 100)
-    s0 = sum(g**i * math.comb(delta, i) for i in range(cap + 1))
-    s1 = sum(i * g**i * math.comb(delta, i) for i in range(cap + 1))
-    log_s0, log_s1, mean = truncated_log_moments(delta, cap, float(g))
-    assert log_s0 == pytest.approx(math.log(s0), rel=1e-13)
-    assert log_s1 == pytest.approx(math.log(s1), rel=1e-13)
-    assert mean == pytest.approx(float(s1 / s0), rel=1e-13)
-    assert math.exp(log_s0) == pytest.approx(float(s0), rel=1e-12)
-    assert math.exp(log_s1) == pytest.approx(float(s1), rel=1e-12)
+    s0, mean, gap, var = _exact_moments(delta, cap, g)
+    got = [float(v[0]) for v in truncated_log_moments(delta, (cap,), [float(g)])]
+    assert got[0] == pytest.approx(math.log(s0), rel=1e-13)
+    assert math.exp(got[0]) == pytest.approx(float(s0), rel=1e-12)
+    for value, exact in zip(got[1:], (mean, gap, var)):
+        assert value == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_gap_and_variance_keep_their_accuracy_where_the_cap_pins_the_mean():
+    # At large gamma the profile piles up at the cap: the mean is the cap less
+    # a gap of 1e-10 or less, which cap - mean could not resolve, and the
+    # variance is about the gap. Both come out to a few hundred ulp.
+    for delta, cap, g in ((40, 17, Fraction(10**12)), (100, 30, Fraction(3 * 10**14)),
+                          (12, 12, Fraction(10**12)), (60, 5, Fraction(10**16))):
+        _, mean, gap, var = _exact_moments(delta, cap, g)
+        assert gap < Fraction(1, 10**10)
+        _, got_mean, got_gap, got_var = truncated_log_moments(delta, (cap,), [float(g)])
+        assert got_mean[0] == pytest.approx(float(mean), rel=1e-15)
+        assert got_gap[0] == pytest.approx(float(gap), rel=1e-13)
+        assert got_var[0] == pytest.approx(float(var), rel=1e-13)
 
 
 def test_truncated_moments_cap_zero():
-    log_s0, log_s1, mean = truncated_log_moments(5, 0, 2.5)
-    assert log_s0 == 0.0
-    assert log_s1 == NEG_INF
-    assert mean == 0.0
+    log_s0, mean, gap, var = (float(v[0]) for v in truncated_log_moments(5, (0,), [2.5]))
+    assert (log_s0, mean, gap, var) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_truncated_moments_survive_overflow():
-    # S0 and S1 overflow a double here, but their logs and the mean must stay
+    # S0 overflows a double here, but its log and the moments must stay
     # finite, with the mean nearly pinned at the cap.
-    log_s0, log_s1, mean = truncated_log_moments(200, 150, 1e6)
-    for log_s in (log_s0, log_s1):
-        assert math.isfinite(log_s)
-        with pytest.raises(OverflowError):
-            math.exp(log_s)
+    log_s0, mean, gap, var = (float(v[0]) for v in truncated_log_moments(200, (150,), [1e6]))
+    assert math.isfinite(log_s0)
+    with pytest.raises(OverflowError):
+        math.exp(log_s0)
     assert 149.9 < mean < 150.0
+    assert gap == pytest.approx(150.0 - mean, rel=1e-9)
+    assert 0.0 < var < 1.0
+
+
+def test_a_cap_gets_the_same_bits_in_any_batch():
+    # Segments are reduced one by one and everything else is elementwise, so
+    # a cap's four values do not depend on the caps beside it, their order or
+    # its place in the call; nor do its residuals.
+    rng = random.Random(27)
+    checked = 0
+    for delta in (3, 7, 40, 60, 400, 1000, 6400):
+        caps = [rng.randint(0, delta) for _ in range(12)] + [delta, delta // 2, 1]
+        gammas = [math.exp(rng.uniform(-12.0, 12.0)) for _ in caps]
+        alone = [[float(v[0]) for v in truncated_log_moments(delta, (c,), [g])]
+                 for c, g in zip(caps, gammas)]
+        for _ in range(4):
+            order = list(range(len(caps)))
+            rng.shuffle(order)
+            order = order[: rng.randint(1, len(order))]
+            batch = truncated_log_moments(
+                delta, [caps[k] for k in order], [gammas[k] for k in order])
+            for j, k in enumerate(order):
+                assert [float(v[j]) for v in batch] == alone[k], (delta, caps[k])
+                checked += 1
+        caps = [c for c in caps if c > 0]
+        betas = [math.exp(rng.uniform(-30.0, 0.0)) for _ in caps]
+        gammas = gammas[: len(caps)]
+        eta = rng.random()
+        both = profile_residuals(delta, caps, eta, betas, gammas)
+        for j, (c, b, g) in enumerate(zip(caps, betas, gammas)):
+            assert [float(v[0]) for v in profile_residuals(delta, [c], eta, [b], [g])] == [
+                float(v[j]) for v in both]
+    assert checked > 150
 
 
 def log_term_error(delta: int, cap: int, x: float) -> float:
@@ -180,8 +236,9 @@ def test_log_s0_prefix_matches_the_moment_kernel(delta, gamma):
     prefix = _log_s0_prefix(delta, x)
     assert prefix.shape == (delta + 1,)
     t = delta * gamma / (1.0 + gamma)
-    for cap in range(math.ceil(t), delta + 1):
-        log_s0 = truncated_log_moments(delta, cap, gamma)[0]
+    caps = range(math.ceil(t), delta + 1)
+    kernel = truncated_log_moments(delta, caps, [gamma] * len(caps))[0].tolist()
+    for cap, log_s0 in zip(caps, kernel):
         bound = log_term_error(delta, cap, x) + (2 * cap + 24) * U + U * abs(log_s0)
         assert abs(prefix[cap] - log_s0) <= 2.0 * bound, (cap, prefix[cap], log_s0)
 
@@ -194,8 +251,7 @@ def test_log_s0_prefix_matches_the_moment_kernel(delta, gamma):
 def test_truncated_mean_monotone_in_gamma(delta, data):
     cap = data.draw(st.integers(min_value=1, max_value=delta))
     g = data.draw(st.floats(min_value=1e-3, max_value=1e3))
-    mean_lo = truncated_log_moments(delta, cap, g)[2]
-    mean_hi = truncated_log_moments(delta, cap, g * 1.25)[2]
+    mean_lo, mean_hi = truncated_log_moments(delta, (cap, cap), [g, g * 1.25])[1]
     assert 0.0 < mean_lo < cap
     assert mean_lo < mean_hi
 
@@ -253,7 +309,9 @@ def test_binomial_tail_bounds_and_monotonicity(delta, p, data):
 # ---------------------------------------------------------------------------
 # Bit identity with term-by-term Python loops. The library builds its terms
 # in numpy; these references compute every term in Python, as the library
-# once did, and each pair must agree to the last bit.
+# once did, and each pair must agree to the last bit. The moment kernel's
+# reference is the kernel itself on a batch of other caps: its sums are
+# numpy's segment reductions, which no Python loop reproduces.
 
 
 def _ref_log_binomial(n, k):
@@ -293,16 +351,9 @@ def _ref_log_odd_double_factorial(m):
 
 
 def _ref_truncated_log_moments(delta, cap, gamma):
-    row = binomial_log_row(delta)
-    idx = np.arange(cap + 1)
-    logterms = row[: cap + 1] + idx * math.log(gamma)
-    peak = float(logterms.max())
-    scaled = np.exp(logterms - peak)
-    w0 = float(scaled.sum())
-    w1 = float(np.dot(idx, scaled))
-    log_s0 = peak + math.log(w0)
-    log_s1 = peak + math.log(w1) if w1 > 0.0 else NEG_INF
-    return log_s0, log_s1, w1 / w0
+    """The cap's moments read off a kernel call that puts it between two
+    other caps at other gammas."""
+    return [float(v[1]) for v in truncated_log_moments(delta, (delta, cap, 0), [0.5, gamma, 3.0])]
 
 
 def _ref_binomial_tail(delta, p, cap):
@@ -373,8 +424,8 @@ def test_sums_are_bit_identical_to_the_loops():
                 cases.append((delta, cap, p, math.exp(rng.uniform(-14.0, 14.0))))
     for delta, cap, p, gamma in cases:
         assert binomial_tail(delta, p, cap) == _ref_binomial_tail(delta, p, cap)
-        assert truncated_log_moments(delta, cap, gamma) == _ref_truncated_log_moments(
-            delta, cap, gamma
+        assert [float(v[0]) for v in truncated_log_moments(delta, (cap,), [gamma])] == (
+            _ref_truncated_log_moments(delta, cap, gamma)
         )
 
 

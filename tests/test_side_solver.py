@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from expander_bounds import (
     solve_side,
     target_mean,
 )
+from expander_bounds.certifier import MASS_TOL, MEAN_TOL
 from expander_bounds.combinatorics import truncated_log_moments
 from table_reference import ETA, PAIR_WITNESSES
 
@@ -46,7 +49,7 @@ def test_solution_residuals_verified_exactly():
 def test_solution_fields_consistent():
     sol = solve_side(6, 3, 0.648)
     assert sol.delta == 6 and sol.cap == 3 and sol.eta == 0.648
-    assert sol.beta == math.exp(-truncated_log_moments(6, 3, sol.gamma)[0])
+    assert sol.beta == float(np.exp(-truncated_log_moments(6, (3,), [sol.gamma])[0][0]))
     assert 0.0 < sol.beta < 1.0
     assert sol.gamma > 0.0
 
@@ -114,7 +117,7 @@ def _bisection_gamma(delta: int, cap: int, eta: float) -> float:
     target = target_mean(delta, eta)
 
     def mean(g: float) -> float:
-        return truncated_log_moments(delta, cap, g)[2]
+        return float(truncated_log_moments(delta, (cap,), [g])[1][0])
 
     lo = hi = 1.0
     while mean(hi) <= target:
@@ -137,7 +140,7 @@ def test_gamma_matches_reference_bisection():
             sol = solve_side(delta, cap, eta)
         except BetaUnderflow:
             # Pinned cap: beta underflows at the reference root as well.
-            assert math.exp(-truncated_log_moments(delta, cap, ref)[0]) == 0.0
+            assert math.exp(-truncated_log_moments(delta, (cap,), [ref])[0][0]) == 0.0
             continue
         target = target_mean(delta, eta)
         if cap - target <= 4 * math.ulp(cap):
@@ -146,31 +149,128 @@ def test_gamma_matches_reference_bisection():
             # rounding noise alone picks the root: both solvers must hit the
             # target, but their gammas need not agree.
             for g in (sol.gamma, ref):
-                assert truncated_log_moments(delta, cap, g)[2] == pytest.approx(
+                assert truncated_log_moments(delta, (cap,), [g])[1][0] == pytest.approx(
                     target, rel=1e-15
                 )
             continue
         assert sol.gamma == pytest.approx(ref, rel=1e-12, abs=0.0), (delta, cap, eta)
 
 
-def test_moment_evaluations_per_solve_stay_small(monkeypatch):
-    calls = []
+# Kernel passes a root solve may take: every cap of every grid in these tests
+# converges within 4.
+MAX_PASSES = 5
 
-    def counted(delta, cap, gamma):
-        calls.append(gamma)
-        return truncated_log_moments(delta, cap, gamma)
+
+def _counting_kernel(monkeypatch) -> list:
+    """Record the caps of every kernel pass the root finder makes."""
+    passes = []
+
+    def counted(delta, caps, gammas):
+        passes.append(tuple(caps))
+        return truncated_log_moments(delta, caps, gammas)
 
     monkeypatch.setattr(side_solver, "truncated_log_moments", counted)
+    return passes
+
+
+def test_moment_evaluations_per_solve_stay_small(monkeypatch):
+    passes = _counting_kernel(monkeypatch)
     solves = 0
     for delta, cap, eta in _pin_grid():
-        calls.clear()
+        passes.clear()
         try:
             solve_side(delta, cap, eta)
         except BetaUnderflow:
             pass
-        assert 1 <= len(calls) <= 20, (delta, cap, eta, len(calls))
+        assert 1 <= len(passes) <= MAX_PASSES, (delta, cap, eta, len(passes))
         solves += 1
     assert solves > 1000
+
+
+def _root_within_the_pass_cap(monkeypatch, delta, cap, eta) -> float:
+    """The root finder's gamma for one cap, after checking that it took at
+    most MAX_PASSES kernel passes and that the mean there is within MEAN_TOL
+    of the target."""
+    passes = _counting_kernel(monkeypatch)
+    (gamma,), _, _ = side_solver._solve_caps(delta, (cap,), eta)
+    monkeypatch.undo()
+    assert len(passes) <= MAX_PASSES, (delta, cap, eta, len(passes))
+    mean = float(truncated_log_moments(delta, (cap,), [gamma])[1][0])
+    assert abs(mean - target_mean(delta, eta)) <= MEAN_TOL, (delta, cap, eta)
+    return gamma
+
+
+def test_pinned_caps_converge_within_the_pass_cap(monkeypatch):
+    # cap - t from 1e-15 to 1e-3: the mean is flat in gamma there, and the
+    # geometric bound starts the root finder next to the root. Where beta is
+    # a normal double, solve_side's residuals meet both tolerances.
+    rng = random.Random(20261020)
+    solved = 0
+    for _ in range(400):
+        delta = rng.randint(3, 300)
+        cap = rng.randint(1, delta)
+        eta = 1.0 - 2.0 * (cap - 10.0 ** rng.uniform(-15.0, -3.0)) / delta
+        t = target_mean(delta, eta)
+        if not (0.0 <= eta < 1.0 and 0.0 < t < cap):
+            continue
+        gamma = _root_within_the_pass_cap(monkeypatch, delta, cap, eta)
+        mean = float(truncated_log_moments(delta, (cap,), [gamma])[1][0])
+        assert mean == pytest.approx(t, rel=1e-13), (delta, cap, eta)
+        try:
+            sol = solve_side(delta, cap, eta)
+        except BetaUnderflow:
+            continue
+        if sol.beta >= sys.float_info.min:
+            assert sol.residual_mass <= MASS_TOL and sol.residual_mean <= MEAN_TOL
+            solved += 1
+    assert solved > 90
+
+
+def test_flat_caps_cap_delta_and_the_one_sided_grid_converge(monkeypatch):
+    # the <= 4-ulp flat cases of the pin grid, caps at delta (where the
+    # uncapped root is the root), and the one-sided grid at delta 6400
+    flat = [(delta, cap, eta) for delta, cap, eta in _pin_grid()
+            if cap - target_mean(delta, eta) <= 4 * math.ulp(cap)]
+    assert len(flat) >= 3
+    full = [(delta, delta, eta) for delta in (3, 10, 100, 1000, 6400)
+            for eta in (0.001, 0.3, 0.999)]
+    hi = 2.0 * math.sqrt(math.log(2.0)) / 80.0
+    grid = [(6400, 3200, 1e-3 + k * (hi - 1e-3) / 7) for k in range(8)]
+    for delta, cap, eta in flat + full + grid:
+        gamma = _root_within_the_pass_cap(monkeypatch, delta, cap, eta)
+        if cap == delta:
+            assert gamma == pytest.approx((1.0 - eta) / (1.0 + eta), rel=1e-14)
+
+
+# The cut levels where a cap's underflow band ends, found by bisection with
+# Brent's bracketed solve: from the eta at which the cap turns feasible up to
+# these, beta underflows (delta = 308 at 0.091, the rounded eta min_eta bumps,
+# and the band from delta = 400 on), and above them it does not.
+UNDERFLOW_BAND_ENDS = {
+    (308, 140): 0.09102813680987946,
+    (400, 184): 0.08034764177584212,
+    (402, 185): 0.07995621800226631,
+    (406, 187): 0.07918529863569118,
+    (500, 230): 0.08068684532795826,
+    (800, 376): 0.06272179723581377,
+    (1000, 470): 0.06656043355662616,
+}
+
+
+@pytest.mark.parametrize("delta,cap", sorted(UNDERFLOW_BAND_ENDS))
+def test_beta_underflows_exactly_where_it_did(delta, cap):
+    end = UNDERFLOW_BAND_ENDS[delta, cap]
+    for eta in (1.0 - 2.0 * cap / delta + 1e-12, 0.5 * (1.0 - 2.0 * cap / delta + end),
+                end * (1.0 - 1e-12)):
+        with pytest.raises(BetaUnderflow, match=f"cap={cap},"):
+            solve_side(delta, cap, eta)
+    # past the band beta is a subnormal double, whose residuals fail (a
+    # separate open fix), but it is no longer 0.0
+    assert solve_side(delta, cap, end * (1.0 + 1e-12)).beta > 0.0
+    if delta == 308:
+        with pytest.raises(BetaUnderflow):
+            solve_side(308, 140, 0.091)
+        solve_side(308, 140, 0.092)
 
 
 @given(
@@ -186,7 +286,7 @@ def test_solver_hits_target_mean(delta, data):
     sol = solve_side(delta, cap, eta)
     assert sol.residual_mass <= 1e-10
     assert sol.residual_mean <= 1e-8
-    mass, mean = profile_residuals(delta, cap, eta, sol.beta, sol.gamma)
+    (mass,), (mean,) = profile_residuals(delta, [cap], eta, [sol.beta], [sol.gamma])
     assert mass == sol.residual_mass
     assert mean == sol.residual_mean
 
@@ -213,14 +313,14 @@ def test_residuals_bound_the_exact_ones(delta, data):
 
 def test_profile_residuals_validation():
     with pytest.raises(ValueError):
-        profile_residuals(4, 2, 0.5, 0.0, 1.0)
+        profile_residuals(4, [2], 0.5, [0.0], [1.0])
     with pytest.raises(ValueError):
-        profile_residuals(4, 2, 0.5, 0.5, -1.0)
+        profile_residuals(4, [2, 3], 0.5, [0.5, 0.5], [1.0, -1.0])
     # delta and cap are checked as truncated_log_moments checks them, floats
     # and numpy integers included
     for delta, cap in ((5, -1), (5, 6), (0, 0), (5.0, 2), (5, 2.0), (np.int64(5), 2)):
         with pytest.raises(ValueError):
-            profile_residuals(delta, cap, 0.5, 1.0, 1.0)
+            profile_residuals(delta, [cap], 0.5, [1.0], [1.0])
 
 
 def log_F(svec) -> float:
