@@ -34,15 +34,15 @@ and refine run only on caps whose solve provably cannot underflow
 (:func:`_screenable`), so every verdict is the full solve's. Certificates are
 built from full side solutions (:func:`evaluate_pairs`), but checking one
 needs no solve: :func:`verify_certificate` evaluates each pair's exponent at
-the stored witnesses with the builder's own pair evaluation
-(:func:`_pair_exponents`), and a pass there implies a pass at the minimum.
+the stored witnesses (:func:`_pair_exponents`, the builder's ``rhs`` bit for
+bit), and a pass there implies a pass at the minimum.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
 import numpy as np
@@ -125,14 +125,8 @@ def _xlog2(x: float) -> float:
     return x * math.log2(x)
 
 
-def _rhs(
-    delta: int,
-    eta: float,
-    log_beta: float,
-    gamma: float,
-    log_beta_p: float,
-    gamma_p: float,
-) -> float:
+def _rhs(delta: int, eta: float, log_beta: float, gamma: float, log_beta_p: float,
+         gamma_p: float) -> float:
     """The pair exponent (bits per vertex) at witnesses ``(ln beta, gamma)``
     and ``(ln beta', gamma')``: the one formula behind the search and the
     certificate."""
@@ -206,9 +200,10 @@ class BoundCertificate:
 
 def _pair_exponents(delta: int, eta: float, witnesses: list[tuple]) -> list[float]:
     """The exponent of each pair ``(d, gamma, d', gamma')`` at its witnesses,
-    every side's ``ln S0`` from one kernel pass: the pair evaluation of the
-    builder and the verifier. For a solved side that is the root solve's own
-    ``ln S0``, as the kernel gives a cap the same bits in any batch."""
+    every side's ``ln S0`` from one kernel pass: the verifier's pair
+    evaluation. At a solved side's ``gamma`` that is the root solve's own
+    ``ln S0``, which the builder used, as the kernel gives a cap the same
+    bits in any batch."""
     if not witnesses:
         return []
     # each side once: a balanced pair's two sides are one
@@ -222,8 +217,8 @@ def evaluate_pairs(delta: int, eta: float) -> Iterator[PairBound]:
     """Yield a PairBound for every cap pair at crossing level eta, in all_pairs order.
 
     Feasible pairs come first (largest d first), each with its two side
-    solutions and the exponent :func:`_pair_exponents` gives at their
-    witnesses, the value :func:`verify_certificate` recomputes. All feasible
+    solutions and the exponent at their witnesses, from the root solve's own
+    ``ln S0``: the value :func:`verify_certificate` recomputes. All feasible
     caps are solved in one :func:`side_solver.solve_side` call when the first
     pair is taken. Vacuous pairs follow with the target mean as witness.
     Raises BetaUnderflow when a cap pins the mean.
@@ -233,10 +228,9 @@ def evaluate_pairs(delta: int, eta: float) -> Iterator[PairBound]:
     if feasible:
         caps = tuple(dict.fromkeys(c for pair in feasible for c in pair))
         side_of = dict(zip(caps, solve_side(delta, caps, eta)))
-        sides = [(side_of[d], side_of[dp]) for d, dp in feasible]
-        exponents = _pair_exponents(
-            delta, eta, [(s.cap, s.gamma, sp.cap, sp.gamma) for s, sp in sides])
-        for (d, dp), (side, side_p), rhs in zip(feasible, sides, exponents):
+        for d, dp in feasible:
+            side, side_p = side_of[d], side_of[dp]
+            rhs = _rhs(delta, eta, -side.log_s0, side.gamma, -side_p.log_s0, side_p.gamma)
             yield PairBound(d, dp, side, side_p, rhs, tm)
     # The feasible pairs are a prefix of all_pairs (d descending).
     for d, dp in all_pairs(delta)[len(feasible):]:
@@ -309,9 +303,8 @@ class _RefineSide:
         return nxt if self.a < nxt < self.b else 0.5 * (self.a + self.b)
 
 
-def _refine(
-    delta: int, eta: float, t: float, x0: float, d: int, d_prime: int
-) -> Iterator[tuple[float, float]]:
+def _refine(delta: int, eta: float, t: float, x0: float, d: int,
+            d_prime: int) -> Iterator[tuple[float, float]]:
     """Bounds ``(upper, lower)`` on the solved exponent of a screenable pair,
     one per kernel pass, each up to the error :func:`_satisfied` budgets for.
 
@@ -490,11 +483,8 @@ def _grid_scale(precision: int) -> float:
     return 10.0**precision
 
 
-def min_eta(
-    delta: int,
-    margin: float = DEFAULT_MARGIN,
-    precision: int = DEFAULT_PRECISION,
-) -> BoundCertificate:
+def min_eta(delta: int, margin: float = DEFAULT_MARGIN,
+            precision: int = DEFAULT_PRECISION) -> BoundCertificate:
     """Smallest certified eta for the given degree, rounded up to `precision` decimals.
 
     Binary search over eta in [0, 1) for the condition "every feasible cap
@@ -689,7 +679,7 @@ def verify_certificate(cert: BoundCertificate) -> VerificationReport:
 
     Residuals are recomputed by direct summation from the stored (beta,
     gamma), every side in one pass (:func:`profile_residuals`). Each feasible
-    pair's exponent is evaluated at its stored witnesses by the builder's own
+    pair's exponent is evaluated at its stored witnesses by
     :func:`_pair_exponents`, one kernel pass over every side, and the stored
     ``beta`` is not used. Nothing is solved. That is sound because any
     witness is (module docstring): the exponent at a ``gamma > 0`` bounds the
@@ -808,8 +798,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
-# (name, type) of each field a cert-v1 side stores: SideSolution's fields, in order.
-_SIDE_FIELDS = tuple(get_type_hints(SideSolution).items())
+# (name, type) of each field a cert-v1 side stores: SideSolution's compared
+# fields, in order (its solver-only ln S0 is not stored).
+_SIDE_FIELDS = tuple((f.name, get_type_hints(SideSolution)[f.name])
+                     for f in fields(SideSolution) if f.compare)
 
 
 def _side_to_dict(side: SideSolution) -> dict:

@@ -161,6 +161,18 @@ def _checked_caps(delta: int, caps) -> tuple[int, ...]:
     return caps
 
 
+def _checked_reals(values, count: int, name: str) -> np.ndarray:
+    """``values`` as a float array, once numpy holds them as ``count`` real
+    numbers (a string or other object among them leaves its dtype not real),
+    each finite and positive (a nan, which min and max carry, is not)."""
+    array = np.asarray(values)
+    real = array.dtype.kind in "biuf" and array.shape == (count,)
+    array = array.astype(float, copy=False) if real else array
+    if not real or not 0.0 < np.minimum.reduce(array) <= np.maximum.reduce(array) < math.inf:
+        raise ValueError(f"{name} must be a finite positive real, one per cap")
+    return array
+
+
 @lru_cache(maxsize=16)
 def _layout(delta: int, caps: tuple[int, ...]):
     """The kernel's read-only flat layout of checked ``caps``, the 16 latest
@@ -182,9 +194,7 @@ def _layout(delta: int, caps: tuple[int, ...]):
     return starts, (seg if len(caps) > 1 else None), weights[0], row, weights
 
 
-def truncated_log_moments(
-    delta: int, caps, gammas
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def truncated_log_moments(delta: int, caps, gammas) -> tuple[np.ndarray, ...]:
     """``(ln S0, mean, gap, variance)`` of each cap's profile, in one pass.
 
     Entry ``k`` is for ``w_i = gamma_k^i C(delta, i)``, ``i <= caps[k]``: the
@@ -195,15 +205,13 @@ def truncated_log_moments(
     verifier: its flat layout's segments (:func:`_layout`) are reduced one by
     one and every other step is elementwise, so a cap's values are the same
     bits alone or in any batch. Raises ValueError unless delta >= 1, each cap
-    is an int in [0, delta] and each gamma, one per cap, finite and positive.
+    is an int in [0, delta] and each gamma, one per cap, a real number (not a
+    string), finite and positive.
     """
     caps = _checked_caps(delta, caps)
-    gamma = np.asarray(gammas, dtype=float)
-    if not caps or gamma.shape != (len(caps),):
-        raise ValueError("need one gamma per cap, and at least one cap")
-    if not all(0.0 < g < math.inf for g in gamma.tolist()):
-        raise ValueError("gamma must be a finite positive real")
-    return _in_runs(_moments, delta, caps, gamma)
+    if not caps:
+        raise ValueError("need at least one cap")
+    return _in_runs(_moments, delta, caps, _checked_reals(gammas, len(caps), "gamma"))
 
 
 def _in_runs(kernel, delta: int, caps: tuple[int, ...], *per_cap: np.ndarray) -> tuple:

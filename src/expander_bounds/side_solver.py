@@ -24,13 +24,14 @@ one-sided grid converges within 4 passes. The one-sided system in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .combinatorics import (
     _EXP_ZERO_LOG,
     _checked_caps,
+    _checked_reals,
     _in_runs,
     _layout,
     binomial_log_row,
@@ -84,9 +85,11 @@ def target_mean(delta: int, eta: float) -> float:
 class SideSolution:
     """Solved (beta, gamma) for one side, with independently recheckable residuals.
 
-    The fields are exactly those a ``cert-v1`` side stores. The residuals are
-    produced by the same direct summation an external verifier runs, so they
-    measure the artifact numbers, not internal solver state.
+    The fields but ``log_s0`` are exactly those a ``cert-v1`` side stores. The
+    residuals are produced by the same direct summation an external verifier
+    runs, so they measure the artifact numbers, not internal solver state.
+    ``log_s0``, the root solve's ``ln S0`` at ``gamma`` (``beta = e^-ln S0``),
+    gives the builder's exponent; it is None on a side read from a file.
     """
 
     delta: int
@@ -96,11 +99,11 @@ class SideSolution:
     gamma: float
     residual_mass: float
     residual_mean: float
+    log_s0: float | None = field(default=None, compare=False, repr=False)
 
 
-def profile_residuals(
-    delta: int, caps, eta: float, betas, gammas
-) -> tuple[np.ndarray, np.ndarray]:
+def profile_residuals(delta: int, caps, eta: float, betas,
+                      gammas) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the two side constraints of each cap at its (beta, gamma).
 
     Entry ``k`` is ``(|sum_i w_i - 1|, |sum_i i * w_i - target|)`` for ``w_i =
@@ -108,14 +111,13 @@ def profile_residuals(
     allowance for the rounding of that float sum, so they bound the residuals
     of the exact sums at the given doubles. One pass over the kernel's flat
     layout, reduced per segment: a cap's residuals do not depend on the other
-    caps. Raises ValueError unless every beta and gamma is finite and
-    positive, delta >= 1 and every cap lies in [0, delta].
+    caps. Raises ValueError unless there is one beta and one gamma per cap,
+    each a real number (not a string), finite and positive, delta >= 1 and
+    every cap lies in [0, delta].
     """
     caps = _checked_caps(delta, caps)
-    beta, gamma = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
-    for name, v in (("beta", beta), ("gamma", gamma)):
-        if not np.all((v > 0.0) & np.isfinite(v)):
-            raise ValueError(f"{name} must be a finite positive real")
+    beta = _checked_reals(betas, len(caps), "beta")
+    gamma = _checked_reals(gammas, len(caps), "gamma")
     t = target_mean(delta, eta)
     return _in_runs(lambda *args: _residuals(*args, t), delta, caps, beta, gamma)
 
@@ -145,9 +147,7 @@ def _residuals(delta: int, caps: tuple[int, ...], beta, gamma, t: float) -> tupl
         return np.abs(mass - 1.0) + slack, np.abs(weighted - t) + slack_i
 
 
-def _solve_caps(
-    delta: int, caps, eta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_caps(delta: int, caps, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(gamma, x, ln S0)`` per cap: the witness at the root of ``mean =
     target_mean(delta, eta)``, numpy's ``ln gamma`` and the kernel's ``ln S0``
     there, which a verifier recomputes from the stored ``gamma`` bit for bit.
@@ -265,6 +265,6 @@ def solve_side(delta: int, cap, eta: float):
         raise BetaUnderflow(f"beta underflows for delta={delta}, cap={caps[k]}, eta={eta}: "
                             f"log beta = {-log_s0[k]:.1f}")
     mass, mean = profile_residuals(delta, caps, eta, beta, gamma)
-    fields = zip(caps, beta.tolist(), gamma.tolist(), mass.tolist(), mean.tolist())
-    sides = [SideSolution(delta, c, float(eta), *rest) for c, *rest in fields]
+    values = zip(caps, *(v.tolist() for v in (beta, gamma, mass, mean, log_s0)))
+    sides = [SideSolution(delta, c, float(eta), *rest) for c, *rest in values]
     return sides[0] if isinstance(cap, int) else sides

@@ -124,9 +124,16 @@ def test_profile_validation():
         truncated_log_moments(4, (5,), [1.0])
     with pytest.raises(ValueError):
         truncated_log_moments(4, (2, -1), [1.0, 1.0])
-    for gamma in (0.0, -1.0, math.inf, math.nan):
+    # each gamma is a real number: not a string, nor an object numpy cannot
+    # hold as one
+    for gamma in (0.0, -1.0, math.inf, math.nan, "2.0", Fraction(2), None, 1j):
         with pytest.raises(ValueError, match="gamma must be a finite positive real"):
             truncated_log_moments(4, (2, 3), [1.0, gamma])
+    with pytest.raises(ValueError, match="gamma must be a finite positive real"):
+        truncated_log_moments(4, (2, 3), np.array(["1.0", "2.0"]))
+    # ints and floats, numpy's among them, in a list or an array
+    for gammas in ([1, 2.0], [np.float64(1.0), np.float32(2.0)], np.array([1, 2])):
+        assert truncated_log_moments(4, (2, 3), gammas)[0].shape == (2,)
     # one gamma per cap, and at least one cap
     with pytest.raises(ValueError):
         truncated_log_moments(4, (2, 3), [1.0])
@@ -310,8 +317,8 @@ def test_binomial_tail_bounds_and_monotonicity(delta, p, data):
 # Bit identity with term-by-term Python loops. The library builds its terms
 # in numpy; these references compute every term in Python, as the library
 # once did, and each pair must agree to the last bit. The moment kernel's
-# reference is the kernel itself on a batch of other caps: its sums are
-# numpy's segment reductions, which no Python loop reproduces.
+# sums are numpy's segment reductions, which no Python loop reproduces, so
+# its term-by-term reference is held to an error bound instead.
 
 
 def _ref_log_binomial(n, k):
@@ -351,9 +358,22 @@ def _ref_log_odd_double_factorial(m):
 
 
 def _ref_truncated_log_moments(delta, cap, gamma):
-    """The cap's moments read off a kernel call that puts it between two
-    other caps at other gammas."""
-    return [float(v[1]) for v in truncated_log_moments(delta, (delta, cap, 0), [0.5, gamma, 3.0])]
+    """(ln S0, mean, gap, variance, cross) of gamma^i C(delta, i), i <= cap,
+    term by term in Python: ``math.exp`` of each scaled log term, every sum
+    by ``math.fsum`` and the variance from the deviations about the mean.
+    ``cross`` is sum i (cap - i) w_i / S0, which the kernel subtracts from
+    mean * gap to get the variance."""
+    row = binomial_log_row(delta)
+    x = math.log(gamma)
+    logterms = [float(row[i]) + i * x for i in range(cap + 1)]
+    peak = max(logterms)
+    w = [math.exp(t - peak) for t in logterms]
+    s0 = math.fsum(w)
+    mean = math.fsum(i * wi for i, wi in enumerate(w)) / s0
+    gap = math.fsum((cap - i) * wi for i, wi in enumerate(w)) / s0
+    var = math.fsum((i - mean) ** 2 * wi for i, wi in enumerate(w)) / s0
+    cross = math.fsum(i * (cap - i) * wi for i, wi in enumerate(w)) / s0
+    return peak + math.log(s0), mean, gap, var, cross
 
 
 def _ref_binomial_tail(delta, p, cap):
@@ -415,18 +435,44 @@ def test_log_odd_double_factorial_is_bit_identical_to_the_loop():
         assert log_odd_double_factorial(m) == _ref_log_odd_double_factorial(m), m
 
 
-def test_sums_are_bit_identical_to_the_loops():
+def _sum_cases():
+    """(delta, cap, p, gamma) over degrees 1..7000, caps 0, delta and one
+    drawn, p at both ends and inside (0, 1), gamma from e^-14 to e^14."""
     rng = random.Random(14)
     cases = []
     for delta in [1, 2, 60, 6400] + _seeded_degrees(rng, 60):
         for cap in (0, delta, rng.randrange(0, delta + 1)):
             for p in (1e-12, 1.0 - 1e-12, rng.uniform(1e-300, 1e-10), rng.random()):
                 cases.append((delta, cap, p, math.exp(rng.uniform(-14.0, 14.0))))
-    for delta, cap, p, gamma in cases:
+    return cases
+
+
+def test_sums_are_bit_identical_to_the_loops():
+    for delta, cap, p, _ in _sum_cases():
         assert binomial_tail(delta, p, cap) == _ref_binomial_tail(delta, p, cap)
-        assert [float(v[0]) for v in truncated_log_moments(delta, (cap,), [gamma])] == (
-            _ref_truncated_log_moments(delta, cap, gamma)
-        )
+
+
+def test_moments_match_the_term_by_term_sums():
+    # Both sides build the same log terms. Against the reference, a kernel
+    # term differs by at most 4 ulp (numpy's exp) + 1 ulp (math.exp) + 1 ulp
+    # (its weight i, cap - i or i (cap - i)), and each of its sums of
+    # cap + 1 positive terms rounds by at most cap ulp of the total, while
+    # fsum rounds once. So the sums agree to (cap + 7) u relative, ln S0 to
+    # that plus 2 u |ln S0| (each side rounds peak + log), the mean and the gap
+    # (ratios) to 2 (cap + 8) u, and the variance, mean * gap - cross, to
+    # 3 (cap + 8) u (mean * gap + cross): the cancellation where the cap or
+    # gamma ~ 0 pins the profile is what the bound charges for. Terms that
+    # underflow (the kernel sets those below e^-746 to 0) add 1e-300 at most.
+    tiny = 1e-300
+    for delta, cap, _, gamma in _sum_cases():
+        log_s0, mean, gap, var, cross = _ref_truncated_log_moments(delta, cap, gamma)
+        got = [float(v[0]) for v in truncated_log_moments(delta, (cap,), [gamma])]
+        ratio = 2.0 * (cap + 8) * U
+        bounds = ((cap + 7) * U + 2.0 * U * abs(log_s0), ratio * mean + tiny, ratio * gap + tiny,
+                  3.0 * (cap + 8) * U * (mean * gap + cross) + tiny)
+        for name, value, want, bound in zip(("ln S0", "mean", "gap", "var"), got,
+                                            (log_s0, mean, gap, var), bounds):
+            assert abs(value - want) <= bound, (name, delta, cap, gamma, value, want)
 
 
 def _ref_log_terms(delta, p, cap):

@@ -316,6 +316,12 @@ def test_profile_residuals_validation():
         profile_residuals(4, [2], 0.5, [0.0], [1.0])
     with pytest.raises(ValueError):
         profile_residuals(4, [2, 3], 0.5, [0.5, 0.5], [1.0, -1.0])
+    # each beta and gamma is a real number, not a string, one per cap
+    for betas, gammas in (([0.5, "0.5"], [1.0, 1.0]), ([0.5, 0.5], ["1.0", 1.0]),
+                          ([0.5, 0.5], [1.0, None]), ([0.5], [1.0, 1.0]),
+                          ([0.5, 0.5, 0.5], [1.0, 1.0])):
+        with pytest.raises(ValueError):
+            profile_residuals(4, [2, 3], 0.5, betas, gammas)
     # delta and cap are checked as truncated_log_moments checks them, floats
     # and numpy integers included
     for delta, cap in ((5, -1), (5, 6), (0, 0), (5.0, 2), (5, 2.0), (np.int64(5), 2)):
