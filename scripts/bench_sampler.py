@@ -12,7 +12,9 @@ Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 - `brute_force_expansion` on `sample_pairing(3, 20)`;
 - `local_descent` at delta 3, n = 1e5, under both tie rules (the rows of
   `bench_descent.py`);
-- the wall time of criterion 08's three tallies (1e6 draws each);
+- the wall time of criterion 08's three tallies (1e6 draws each), with
+  `sample_out_degree_configurations` taken from the package where it has
+  one and from the checkout's `tests/exact_reference.py` otherwise;
 - `min_eta` over degrees 4..60 at margin 1e-6 (the paper's table), over
   100, 200 and 400 at margin 1e-3, and over 1000 and 2000 at margin 1e-3
   (`eta_wide`, where the screen's root bound leaves many caps to the
@@ -68,8 +70,12 @@ they come from. These paired rows are
   reach 2^18 + 2 and 10^6 points.
 
 Every row also records a fingerprint of its output, so the file shows
-whether both checkouts computed the same thing. Every per-process row runs
-RUNS = 5 times per checkout. For each of `--workloads` it then runs
+whether both checkouts computed the same thing. Before its first child the
+script removes every `src/**/__pycache__` of both checkouts and names each
+on stderr: with PYTHONDONTWRITEBYTECODE=1 a stale cache is never rewritten,
+and a tree whose sources changed after it was written would compile those
+modules in every child, which once read 8% on perfbench's `setup_s`. Every
+per-process row runs RUNS = 5 times per checkout. For each of `--workloads` it then runs
 `perfbench/run.py --workload W --seconds 20 --trace 0` PAIRS = 10 times in
 each checkout, alternating which goes first and cycling through `--seeds`,
 and stores the end-to-end metrics and phase times of every pair. The label
@@ -89,6 +95,7 @@ import math
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -159,12 +166,15 @@ def row(name: str) -> dict:
         return {f"local_descent_{name[8:]}_s": r["seconds"],
                 "fingerprint": f"swaps={r['swaps']} cut={r['final_cut']}"}
     if name == "criterion_08":
+        tally = getattr(lab, "sample_out_degree_configurations", None)
+        if tally is None:  # a checkout whose tests hold the tally
+            sys.path.insert(0, str(Path(lab.__file__).parents[2] / "tests"))
+            from exact_reference import sample_out_degree_configurations as tally
         digests = []
         t0 = time.perf_counter()
         for ci, (delta, n) in enumerate([(1, 4), (3, 2), (2, 4)]):
-            tally = lab.sample_out_degree_configurations(
-                delta, n, n // 2, 10**6, seed=lab.derive_seed(20240801, ci))
-            digests.append(sha256(repr(sorted(tally.items())))[:16])
+            counts = tally(delta, n, n // 2, 10**6, seed=lab.derive_seed(20240801, ci))
+            digests.append(sha256(repr(sorted(counts.items())))[:16])
         return {"criterion_08_s": time.perf_counter() - t0, "fingerprint": " ".join(digests)}
     if name in ETA_ROWS:
         from expander_bounds import certificate_to_json, min_eta
@@ -242,6 +252,14 @@ def child(root: Path, name: str) -> dict:
     done = subprocess.run([sys.executable, __file__, "--row", name], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
+
+
+def clear_bytecode(sides: dict[str, Path]) -> None:
+    """Remove every `src/**/__pycache__` under each checkout, naming it on stderr."""
+    for root in sides.values():
+        for cache in sorted((root / "src").rglob("__pycache__")):
+            shutil.rmtree(cache)
+            print(f"removed bytecode cache {cache}", file=sys.stderr)
 
 
 def load_package(root: Path, alias: str):
@@ -469,6 +487,7 @@ def main() -> int:
     if args.paired_row:
         print(json.dumps(paired_row(sides, args.paired_row)))
         return 0
+    clear_bytecode(sides)
 
     samples: dict[str, dict[str, list[float]]] = {}
     prints: dict[str, dict[str, set[str]]] = {}

@@ -16,12 +16,12 @@ ln gamma; this module runs no iteration of its own.
 
 With beta = 1/S0, the solve's own normaliser, the first equation reads
 P1 = S0(gamma) / (1 + gamma)^delta, and P3 = C(delta, d) gamma^d /
-(1 + gamma)^delta, so P1 and P3 come from the solve's ln S0 and the
-per-degree ln C(delta, d), and the identity gives P2. No tail is summed and
-no normal approximation is made; the tests hold these against exact tails and
-point masses summed term by term (`tests/exact_reference.py`). The
-headline quantity is alpha = eta * sqrt(delta), compared against the
-classical constant 2*sqrt(ln 2).
+(1 + gamma)^delta, so P1 and P3 come from the solve's ln S0 and ln C(delta,
+d), read off the binomial row the solve has built, and the identity gives
+P2. No tail is summed and no normal approximation is made; the tests hold
+these against exact tails and point masses summed term by term
+(`tests/exact_reference.py`). The headline quantity is alpha = eta *
+sqrt(delta), compared against the classical constant 2*sqrt(ln 2).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .certifier import DEFAULT_MARGIN, DEFAULT_PRECISION, NoBound, min_eta, verify_certificate
-from .combinatorics import log_binomial
+from .combinatorics import binomial_log_row
 from .side_solver import _solve_caps
 
 __all__ = [
@@ -87,9 +87,9 @@ def solve_one_sided(
     The probabilities take no further sum. With L = delta ln(1 + gamma),
     P1 = exp(ln S0 - L) and P3 = exp(ln C(delta, d) + d ln gamma - L), each
     clamped to at most 1, and P2 = P1 - ((delta - d)/delta) * P3, clamped to
-    at least 0. They agree with the exact tails and point mass to about
-    1e-12 relative for delta up to 6400 (1.5e-11 for P3 at delta = 10^4,
-    where ln C(delta, delta/2) comes from lgamma).
+    at least 0. ln C(delta, d) is entry d of ``binomial_log_row(delta)``,
+    the row the root solve reads, accurate to a few ulp at every delta, so
+    they agree with the exact tails and point mass to about 1e-12 relative.
 
     Raises InfeasibleTarget (a ValueError) when the target mean is not below
     the cap d.
@@ -110,7 +110,7 @@ def solve_one_sided(
     else:
         (gamma,), (x,), (log_s0,) = (v.tolist() for v in _solve_caps(delta, (d,), eta))
     frac = (delta - d) / delta
-    log_top = log_binomial(delta, d) + d * x
+    log_top = float(binomial_log_row(delta)[d]) + d * x
     theta = frac * math.exp(log_top - log_s0)
     log_all = delta * math.log1p(gamma)
     p1 = min(1.0, math.exp(log_s0 - log_all))

@@ -52,6 +52,7 @@ from .side_solver import (
     _UNIT_ROUNDOFF,
     BetaUnderflow,
     SideSolution,
+    _root_x_upper,
     _solve_caps,
     profile_residuals,
     solve_side,
@@ -98,15 +99,16 @@ _GAMMA = "gamma must be a finite positive real"
 # enough.
 _SLACK = 1e-9
 # A cap is screened only while the closed-form bound of _screenable on ln S0
-# at its root stays below this, which keeps every witness the screen skips
-# about 45 nats from beta's underflow.
+# at its root, from the root finder's own bracket end
+# (side_solver._root_x_upper), stays below this, which keeps every witness
+# the screen skips about 45 nats from beta's underflow.
 _GUARD_LOG_S0 = 700.0
 # A pair the refine has not decided after this many side evaluations goes to
 # the full solve.
 _REFINE_EVALS = 8
 # How far the refine's brackets and iterates in x = ln gamma may sit from
-# the exact values they stand for: the rounding of x0, of _root_x_bound and
-# of exp between an iterate and its witness.
+# the exact values they stand for: the rounding of x0, of the root bound
+# side_solver._root_x_upper and of exp between an iterate and its witness.
 _X_ERR = 1e-13
 
 
@@ -237,32 +239,15 @@ def evaluate_pairs(delta: int, eta: float) -> Iterator[PairBound]:
         yield PairBound(d, dp, None, None, None, tm)
 
 
-def _root_x_bound(delta: int, cap: int, t: float) -> float:
-    """An upper bound ``x_u`` on the side solver's root ``x* = ln gamma``
-    at cap ``cap`` and target mean ``t < cap``.
-
-    The profile's terms satisfy ``T_{d-k} / T_d <= q^k`` with ``q = d e^-x /
-    (delta - d + 1)``, since each step down from the cap multiplies the
-    binomial by at most ``d / (delta - d + 1)``. So ``d - mean(x) <= q / (1 -
-    q)^2``, which is below ``s = d - t`` once ``q < q_s = 2s / (2s + 1 +
-    sqrt(4s + 1))``, the root of ``q / (1 - q)^2 = s`` written without
-    cancellation (it is positive for every ``s > 0``). The mean increases in
-    ``x``, so ``x* <= ln(d / (delta - d + 1)) - ln q_s``.
-    """
-    s = cap - t
-    q_s = 2.0 * s / (2.0 * s + 1.0 + math.sqrt(4.0 * s + 1.0))
-    return math.log(cap / (delta - cap + 1)) - math.log(q_s)
-
-
 def _screenable(delta: int, cap: int, t: float, x0: float, log_s0_x0: float) -> bool:
     """True when the side solve of cap ``cap`` at target ``t`` provably keeps
     ``ln S0 <= _GUARD_LOG_S0`` at its root, so ``beta`` cannot underflow.
 
     ``ln S0(x) - t x`` is convex and least at ``x*``, and ``x0 <= x* <= x_u``
-    (:func:`_root_x_bound`), so ``ln S0(x*) <= ln S0(x0) + t max(0, x_u -
-    x0)``.
+    (:func:`side_solver._root_x_upper`), so ``ln S0(x*) <= ln S0(x0) + t
+    max(0, x_u - x0)``.
     """
-    return log_s0_x0 + t * max(0.0, _root_x_bound(delta, cap, t) - x0) <= _GUARD_LOG_S0
+    return log_s0_x0 + t * max(0.0, float(_root_x_upper(delta, cap, t)) - x0) <= _GUARD_LOG_S0
 
 
 class _RefineSide:
@@ -273,7 +258,7 @@ class _RefineSide:
 
     def __init__(self, delta: int, cap: int, t: float, x0: float):
         self.delta, self.cap, self.t = delta, cap, t
-        self.a, self.b = x0, max(x0, _root_x_bound(delta, cap, t))
+        self.a, self.b = x0, max(x0, float(_root_x_upper(delta, cap, t)))
         self.dm = cap * (70.0 * delta + 3000.0) * _UNIT_ROUNDOFF
         self.x = self.log_s0 = self.slope = self.var = None
 

@@ -13,7 +13,8 @@ format.
 Exit codes carry the mathematical verdict so the tool works as a checker in
 shell pipelines: 0 = certified / verified / computed, 1 = the claim failed
 (non-negative exponent, failed verification, malformed certificate), 2 =
-usage or validation error. `table` checks every certificate it prints with
+usage or validation error, or a `--simple` graph the rejection sampler did
+not find in its attempts. `table` checks every certificate it prints with
 the verifier and exits 1, naming the failed checks on stderr, when one is
 rejected. Identical invocations produce byte-identical output; every
 randomized command echoes its seed.
@@ -45,6 +46,7 @@ from .certifier import (
 from .graphlab import (
     BEST_IMPROVEMENT,
     FIRST_IMPROVEMENT,
+    _NoSimpleGraph,
     brute_force_expansion,
     expansion_experiment,
     sample_pairing,
@@ -411,7 +413,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code, doc, rows, lines = _COMMANDS[args.subcommand](args)
-    except ValueError as exc:
+    except (ValueError, _NoSimpleGraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoBound as exc:

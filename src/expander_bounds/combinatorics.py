@@ -1,28 +1,26 @@
-"""Log-space combinatorial primitives and truncated binomial machinery.
+"""Log-space binomial rows and the truncated binomial moment kernel.
 
-Every heavyweight product (factorials, double factorials, binomial weights)
-is carried as a natural logarithm so downstream layers never multiply
-astronomically large or small numbers directly. Base-2 quantities are a
-presentation concern of the certifying layer, not of this module.
+Every heavyweight product (binomial weights and their sums) is carried as a
+natural logarithm so downstream layers never multiply astronomically large
+or small numbers directly. Base-2 quantities are a presentation concern of
+the certifying layer, not of this module.
 
 All functions are pure; cached rows are read-only, so concurrent callers are
 safe. Two arrays are cached per degree: the row ln C(delta, i) and the index
 0..delta as float64 (`_index`), which the prefix kernel uses instead of
-building an arange on every call. The moment kernel (`truncated_log_moments`)
-evaluates many caps in one call, each as one segment of a flat layout cached
-per (delta, caps) (`_layout`), and a cap's values do not depend on the other
-caps in the call. The direct sum behind `log_binomial` is cached per (n,
-min(k, n - k)), so a caller that needs ln C(delta, delta/2) on every call
-pays for its sum once.
+building an arange on every call. The row is the library's one source of
+ln C(delta, i). The moment kernel (`truncated_log_moments`) evaluates many
+caps in one call, each as one segment of a flat layout cached per (delta,
+caps) (`_layout`), and a cap's values do not depend on the other caps in the
+call.
 
-The row and factorial sums build their terms in numpy and finish them in
-Python, and they return the same bits as a term-by-term Python loop. Each
-int-to-float conversion is exact (every integer below 2**53 is a double),
-and int/int division, like numpy's elementwise +, -, * and /, is one
-correctly rounded IEEE operation; numpy does not fuse a multiply and an add.
-So an array expression written in the loop's order yields the loop's
-doubles. The transcendental step still goes through `math.log` term by term,
-and `math.fsum` rounds the exact sum once, whatever the order of its input.
+The row builds its ratios in numpy and finishes them in Python, and it holds
+the same bits as a term-by-term Python loop. Each int-to-float conversion is
+exact (every integer below 2**53 is a double), and numpy's elementwise +, -,
+* and / are each one correctly rounded IEEE operation; numpy does not fuse a
+multiply and an add. So an array expression written in the loop's order
+yields the loop's doubles. The transcendental step still goes through
+`math.log` term by term.
 """
 
 from __future__ import annotations
@@ -34,14 +32,9 @@ import numpy as np
 
 __all__ = [
     "binomial_log_row",
-    "log_binomial",
-    "log_odd_double_factorial",
     "truncated_log_moments",
 ]
 
-NEG_INF = float("-inf")
-
-_LN2 = math.log(2.0)
 _CAP_RANGE = "cap must be an integer in [0, delta]"
 
 # exp is exactly 0.0 at and below this: e^-746 is under 0.21 of 2^-1074, and
@@ -50,46 +43,6 @@ _EXP_ZERO_LOG = -746.0
 
 # The most terms one kernel or residual pass lays out at once (under 1 MB).
 _RUN_TERMS = 1 << 13
-
-# Up to this many factors, ln C(n, k) is accumulated term by term with fsum,
-# which keeps the error at a few ulp. Beyond it the lgamma route takes over;
-# there ln C(n, k) > 2e4 for n <= 1e6, so lgamma's absolute error stays below
-# 1e-12 in relative terms.
-_DIRECT_SUM_MAX = 4096
-
-
-def log_binomial(n: int, k: int) -> float:
-    """Natural log of the binomial coefficient C(n, k).
-
-    Returns -inf for k outside [0, n] (the log of an empty count). Accurate
-    to better than 1e-12 relative error for n up to 1e6 and exactly
-    symmetric under k <-> n - k.
-    """
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise TypeError("n and k must be integers")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k < 0 or k > n:
-        return NEG_INF
-    m = min(k, n - k)
-    if m == 0:
-        return 0.0
-    if m <= _DIRECT_SUM_MAX:
-        return _log_binomial_direct(n, m)
-    return math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1))
-
-
-@lru_cache(maxsize=None)
-def _log_binomial_direct(n: int, m: int) -> float:
-    """ln C(n, m) for 1 <= m <= min(n - m, _DIRECT_SUM_MAX), cached per (n, m).
-
-    Only :func:`log_binomial` calls it, after its checks, so the key is
-    always a pair of ints and a cached value is the one the sum returns.
-    """
-    # for n below 2**53, n - m + j is exact as a double, so each ratio
-    # is rounded once, as int/int division rounds it
-    j = np.arange(1.0, m + 1.0)
-    return math.fsum(map(math.log, ((n - m + j) / j).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -129,24 +82,6 @@ def _index(n: int) -> np.ndarray:
     idx = np.arange(n + 1.0)
     idx.flags.writeable = False
     return idx
-
-
-def log_odd_double_factorial(m: int) -> float:
-    """Natural log of 1 * 3 * 5 * ... * (m - 1) for even m >= 0.
-
-    This is the number of perfect matchings on m points (1 for m in {0, 2}),
-    the normalizer of the pairing-model probability space. Odd or negative m
-    is rejected.
-    """
-    if not isinstance(m, int):
-        raise TypeError("m must be an integer")
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be an even non-negative integer")
-    k = m // 2
-    if k <= _DIRECT_SUM_MAX:
-        return math.fsum(map(math.log, np.arange(1.0, 2.0 * k, 2.0).tolist()))
-    # 1 * 3 * ... * (2k - 1) = (2k)! / (2^k * k!)
-    return math.lgamma(2 * k + 1) - k * _LN2 - math.lgamma(k + 1)
 
 
 def _checked_caps(delta: int, caps) -> tuple[int, ...]:

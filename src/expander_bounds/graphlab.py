@@ -24,7 +24,6 @@ from operator import index, mul
 import numpy as np
 
 from ._matching import _raw_matching
-from .combinatorics import log_binomial, log_odd_double_factorial
 
 __all__ = [
     "BEST_IMPROVEMENT",
@@ -39,8 +38,6 @@ __all__ = [
     "derive_seed",
     "expansion_experiment",
     "local_descent",
-    "log_config_prob",
-    "sample_out_degree_configurations",
     "sample_pairing",
 ]
 
@@ -281,6 +278,11 @@ def _seeded(seed: int) -> random.Random:
 _SIMPLE_ATTEMPT_LIMIT = 100_000
 
 
+class _NoSimpleGraph(RuntimeError):
+    """A simple_only request used up its rejection attempts; the CLI reports
+    it as the error its up-front refusals are, not as a crash."""
+
+
 def sample_pairing(
     delta: int, n: int, seed: int, simple_only: bool = False
 ) -> RegularMultigraph:
@@ -311,7 +313,7 @@ def sample_pairing(
         partner = _raw_matching(rng, num_points)
         if not simple_only or _rows_simple(delta, n, partner):
             return RegularMultigraph._from_partner(delta, n, partner)
-    raise RuntimeError(
+    raise _NoSimpleGraph(
         f"no simple graph found in {_SIMPLE_ATTEMPT_LIMIT} attempts "
         f"(delta={delta}, n={n})"
     )
@@ -768,94 +770,6 @@ def brute_force_expansion(graph: RegularMultigraph) -> tuple[Fraction, tuple[int
     best_set = tuple(v for v in range(n) if best_mask >> v & 1)
     size = len(best_set)
     return Fraction(best_key // (scale // size), size), best_set
-
-
-def log_config_prob(delta: int, n: int, svec, svec_prime) -> float:
-    """Natural log-probability that a fixed |S| = sum(svec) produces the
-    out-degree histograms (svec, svec_prime) under a uniform pairing.
-
-    Counts the matchings realizing the configuration: choose which vertices
-    get which out-degree on each side, which of each vertex's delta points
-    cross, one of c! ways to match the crossing points, and any internal
-    matching on each side's remaining points; normalized by the total number
-    of matchings (the product of odd integers below delta * n).
-    """
-    s = list(svec)
-    sp = list(svec_prime)
-    if len(s) != delta + 1 or len(sp) != delta + 1:
-        raise ValueError("histograms must have delta + 1 entries")
-    if any(not isinstance(x, int) or x < 0 for x in s + sp):
-        raise ValueError("histogram entries must be non-negative integers")
-    u = sum(s)
-    if u + sum(sp) != n:
-        raise ValueError("side sizes must total n")
-    c = sum(i * x for i, x in enumerate(s))
-    if c != sum(i * x for i, x in enumerate(sp)):
-        raise ValueError("both sides must have the same crossing-endpoint total")
-    inside = delta * u - c
-    outside = delta * (n - u) - c
-    if inside < 0 or outside < 0:
-        raise ValueError("crossing total exceeds a side's points")
-    if inside % 2 != 0 or outside % 2 != 0:
-        raise ValueError("each side's internal point count must be even")
-
-    def side_log(count: int, hist: list[int]) -> float:
-        terms = [math.lgamma(count + 1)]
-        for i, x in enumerate(hist):
-            if x:
-                terms.append(-math.lgamma(x + 1))
-                terms.append(x * log_binomial(delta, i))
-        return math.fsum(terms)
-
-    return math.fsum(
-        [
-            side_log(u, s),
-            side_log(n - u, sp),
-            math.lgamma(c + 1),
-            log_odd_double_factorial(inside),
-            log_odd_double_factorial(outside),
-            -log_odd_double_factorial(delta * n),
-        ]
-    )
-
-
-def sample_out_degree_configurations(
-    delta: int, n: int, size_s: int, trials: int, seed: int
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Tally (svec, svec_prime) over seeded pairings with S = {0..size_s-1}.
-
-    A lean Monte-Carlo loop for validating log_config_prob: works on raw
-    partner arrays without building graph objects, and reads only the points
-    of S, since every crossing pair has exactly one point there. Trials are
-    counted by out-degree vector, and each distinct vector is turned into its
-    histograms once at the end.
-    """
-    if not 0 <= size_s <= n:
-        raise ValueError("size_s must lie in [0, n]")
-    if (delta * n) % 2 != 0:
-        raise ValueError("delta * n must be even")
-    rng = _seeded(seed)
-    boundary = size_s * delta
-    num_points = delta * n
-    by_out: dict[tuple[int, ...], int] = {}
-    for _ in range(trials):
-        out = [0] * n
-        partner = _raw_matching(rng, num_points)
-        for a in range(boundary):
-            b = partner[a]
-            if b >= boundary:
-                out[a // delta] += 1
-                out[b // delta] += 1
-        key = tuple(out)
-        by_out[key] = by_out.get(key, 0) + 1
-    tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    width = delta + 1
-    in_s = width * (np.arange(n) < size_s)  # S's counts land in the upper half
-    for out, count in by_out.items():
-        hist = np.bincount(np.array(out) + in_s, minlength=2 * width).tolist()
-        key = (tuple(hist[width:]), tuple(hist[:width]))
-        tally[key] = tally.get(key, 0) + count
-    return tally
 
 
 @dataclass(frozen=True)

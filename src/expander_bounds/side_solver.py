@@ -147,18 +147,34 @@ def _residuals(delta: int, caps: tuple[int, ...], beta, gamma, t: float) -> tupl
         return np.abs(mass - 1.0) + slack, np.abs(weighted - t) + slack_i
 
 
+def _root_x_upper(delta: int, cap, t: float):
+    """``xg = ln(cap / (delta - cap + 1)) - ln(s / (1 + s))``, ``s = cap - t``:
+    an upper bound on the root ``x* = ln gamma`` of ``mean = t`` at a cap
+    above ``t`` (or at each cap of a float array), the one root bound of the
+    root finder and the certifier's screen and refine.
+
+    Going down from the cap, the profile's term ratios ``w_{i-1} / w_i = i
+    e^-x / (delta - i + 1)`` start at ``r = cap e^-x / (delta - cap + 1)``
+    and fall. So ``cap - i`` is below, in likelihood ratio, the geometric law
+    with ratio ``r``, and ``gap = cap - mean`` is at most that law's mean
+    ``r / (1 - r)``, which is ``s`` at ``xg``. The mean rises with ``x``, so
+    it is at least ``t`` at ``xg``, and ``x* <= xg``. Callers take the larger
+    of ``xg`` and the uncapped root ``x0 = ln(t / (delta - t))``, which is
+    below ``x*`` as the cap only lowers the mean, against rounding.
+    """
+    s = cap - t
+    return np.log(cap / (delta - cap + 1.0)) - (np.log(s) - np.log1p(s))
+
+
 def _solve_caps(delta: int, caps, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(gamma, x, ln S0)`` per cap: the witness at the root of ``mean =
     target_mean(delta, eta)``, numpy's ``ln gamma`` and the kernel's ``ln S0``
     there, which a verifier recomputes from the stored ``gamma`` bit for bit.
 
     Each cap's bracket ``[a, b]`` starts at the uncapped root ``x0 = ln(t /
-    (delta - t))`` and at ``xg = ln(cap / (delta - cap + 1)) - ln(s / (1 +
-    s))``, ``s = cap - t``. Above ``xg`` the root cannot lie: going down from
-    the cap the profile's term ratios start at ``r = cap e^-x / (delta - cap
-    + 1)`` and fall, so ``gap`` is at most the mean ``r / (1 - r)`` of a
-    geometric law, which is ``s`` at ``xg``. ``x0`` is close to the root where
-    the cap binds little, ``xg`` where it pins the mean; the first pass
+    (delta - t))`` and at the bound ``xg`` of :func:`_root_x_upper`. ``x0``
+    is close to the root where the cap binds little, ``xg`` where it pins
+    the mean (within about ``s = cap - t``); the first pass
     evaluates both where the cap can bind, and the first step goes to the
     root of the cubic that matches ``x`` as a function of ``phi``, and its
     slope, at both ends (inverse Hermite interpolation), which saves the
@@ -186,7 +202,7 @@ def _solve_run(delta: int, caps: tuple[int, ...], t: float) -> tuple:
     s = c - t
     log_odds = math.log(t) - np.log(s)
     x0 = math.log(t / (delta - t))
-    xg = np.maximum(np.log(c / (delta - c + 1.0)) - (np.log(s) - np.log1p(s)), x0)
+    xg = np.maximum(_root_x_upper(delta, c, t), x0)
     scale = np.maximum(abs(x0), np.abs(xg))
     noise = _PHI_NOISE * (c * (1.0 + scale) + binomial_log_row(delta)[list(caps)])
     width = 8.0 * _UNIT_ROUNDOFF * scale

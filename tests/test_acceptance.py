@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import record_verdict
+from exact_reference import log_config_prob, sample_out_degree_configurations
 from p1p3_identity import check_p1p3_identity
 from solved_reference import bound_rhs
 from table_reference import BASELINE_BOUND, BOUND, ETA, PAIR_WITNESSES, VACUOUS_PAIRS
@@ -46,9 +47,7 @@ from expander_bounds import (
     cut_state,
     derive_seed,
     local_descent,
-    log_config_prob,
     min_eta,
-    sample_out_degree_configurations,
     sample_pairing,
     solve_one_sided,
     verify_certificate,

@@ -16,7 +16,6 @@ from expander_bounds import (
     solve_one_sided,
 )
 from expander_bounds import combinatorics
-from expander_bounds.combinatorics import _log_binomial_direct
 from expander_bounds.side_solver import solve_side
 from exact_reference import binomial_pmf, binomial_tail
 from p1p3_identity import check_p1p3_identity
@@ -118,11 +117,13 @@ EXACT_TAIL_CASES = [
 @pytest.mark.parametrize("delta,eta,d", EXACT_TAIL_CASES)
 def test_probabilities_match_the_exact_sums(delta, eta, d):
     # P1, P2 and P3 come from the root solve's ln S0; the exact tails and the
-    # point mass, summed term by term at the solved p, are the reference
+    # point mass, summed term by term at the solved p, are the reference,
+    # with no absolute tolerance: P1 is about 4e-57 at delta 1600, eta 1e-3,
+    # where approx's default abs=1e-12 would pass any value
     pt = solve_one_sided(delta, eta, d)
-    assert pt.p1 == pytest.approx(binomial_tail(delta, pt.p, pt.d), rel=1e-11)
-    assert pt.p2 == pytest.approx(binomial_tail(delta - 1, pt.p, pt.d - 1), rel=1e-11)
-    assert pt.p3 == pytest.approx(binomial_pmf(delta, pt.p, pt.d), rel=1e-11)
+    assert pt.p1 == pytest.approx(binomial_tail(delta, pt.p, pt.d), rel=1e-11, abs=0.0)
+    assert pt.p2 == pytest.approx(binomial_tail(delta - 1, pt.p, pt.d - 1), rel=1e-11, abs=0.0)
+    assert pt.p3 == pytest.approx(binomial_pmf(delta, pt.p, pt.d), rel=1e-11, abs=0.0)
 
 
 def test_one_sided_builds_no_shifted_row(monkeypatch):
@@ -269,11 +270,32 @@ def test_one_sided_grid_bytes_are_pinned():
     assert hashlib.sha256(repr(points).encode()).hexdigest() == ONE_SIDED_GRID_SHA256
 
 
-def test_one_sided_sums_the_central_binomial_once_per_degree():
-    """theta's ln C(6400, 3200) comes from one direct sum over the grid's 8 etas."""
+def test_one_sided_sums_the_central_binomial_once_per_degree(monkeypatch):
+    """theta's ln C(6400, 3200) is read off the binomial row the root solve
+    builds, summed once over the grid's 8 etas, and no other sum or lgamma
+    runs for it."""
     hi = TWO_SQRT_LN2 / math.sqrt(6400)
-    _log_binomial_direct.cache_clear()
+
+    def no_direct_sum(*args):
+        raise AssertionError("a direct sum or lgamma was called")
+
+    combinatorics.binomial_log_row.cache_clear()
+    monkeypatch.setattr(math, "fsum", no_direct_sum)
+    monkeypatch.setattr(math, "lgamma", no_direct_sum)
     for k in range(8):
         solve_one_sided(6400, 1e-3 + k * (hi - 1e-3) / 7)
-    info = _log_binomial_direct.cache_info()
-    assert (info.misses, info.hits) == (1, 7)
+    monkeypatch.undo()
+    info = combinatorics.binomial_log_row.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+@pytest.mark.parametrize("delta", [8194, 10_000, 20_000])
+def test_p3_matches_the_exact_central_binomial_far_out(delta):
+    # ln C(delta, delta/2) from exact integer arithmetic: the row keeps P3
+    # within 1e-12 of it beyond the degrees the other oracles reach
+    log_c = math.log(math.comb(delta, delta // 2))
+    for eta in (1e-3, 0.5 * TWO_SQRT_LN2 / math.sqrt(delta), TWO_SQRT_LN2 / math.sqrt(delta)):
+        pt = solve_one_sided(delta, eta)
+        x = math.log(pt.gamma)
+        want = math.exp(log_c + pt.d * x - delta * math.log1p(pt.gamma))
+        assert abs(pt.p3 - want) <= 1e-12 * want, (delta, eta)

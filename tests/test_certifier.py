@@ -96,12 +96,15 @@ def _unscreened_satisfied(delta: int, eta: float, margin: float) -> bool:
 
 
 # Degrees past the paper's table: 308 needs the bump, 400-406 cross the
-# underflow band, and 800, 1009 and 1010 lie in the band where a gamma = 1
-# guard (condition (a), which the screen no longer has) would pass caps that
-# the root bound leaves to the solve, so there the probes' solves are checked.
+# underflow band, and 800, 850, 920, 1009 and 1010 lie in the band where a
+# gamma = 1 guard (condition (a), which the screen no longer has) would pass
+# caps that the root bound leaves to the solve, so there the probes' solves
+# are checked. At 850 and 920 the geometric root bound screens caps the
+# looser q/(1 - q)^2 bound left to the solve (min_eta(850) solves 398 caps,
+# not 682).
 AGREEMENT_DEGREES = [
     *((delta, margin) for margin in (1e-3, TIGHT) for delta in range(3, 61)),
-    *((delta, 1e-3) for delta in (100, 400, 402, 406, 800, 1009, 1010)),
+    *((delta, 1e-3) for delta in (100, 400, 402, 406, 800, 850, 920, 1009, 1010)),
     (308, TIGHT),
 ]
 
@@ -121,7 +124,7 @@ def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
     for delta, margin in AGREEMENT_DEGREES:
         try:
             min_eta(delta, margin=margin)
-        except NoBound:  # delta = 1009 uses up its bumps
+        except NoBound:  # delta = 920 and 1009 use up their bumps
             pass
     monkeypatch.undo()
     rng = random.Random(20261018)
@@ -207,7 +210,7 @@ def test_root_bound_holds_at_the_solved_root():
             continue
         _, (x,), (log_s0,) = side_solver._solve_caps(delta, (cap,), eta)
         x0 = math.log(t / (delta - t))
-        x_u = certifier._root_x_bound(delta, cap, t)
+        x_u = float(side_solver._root_x_upper(delta, cap, t))
         # the mean w1/w0 is off by at most twice the relative error of each sum
         mean_err = 4.0 * cap * (log_term_error(delta, cap, x_u) + (2 * cap + 24) * U)
         mean_u = truncated_log_moments(delta, (cap,), [math.exp(x_u)])[1][0]

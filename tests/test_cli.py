@@ -326,6 +326,15 @@ def test_simulate_refuses_hopeless_simple_request(monkeypatch, capsys):
     assert err.startswith("error: a 10-regular pairing is simple with probability")
 
 
+def test_oracle_reports_spent_simple_attempts(monkeypatch, capsys):
+    # a feasible --simple request that uses up the rejection attempts is an
+    # error line and exit 2, as the up-front refusals are, not a traceback
+    monkeypatch.setattr(graphlab, "_SIMPLE_ATTEMPT_LIMIT", 1)
+    code, out, err = run(capsys, "oracle", "--delta", "3", "--n", "4", "--seed", "0", "--simple")
+    assert (code, out) == (2, "")
+    assert err == "error: no simple graph found in 1 attempts (delta=3, n=4)\n"
+
+
 def test_margin_and_precision_validation(capsys):
     code, _, err = run(
         capsys, "table", "--delta-min", "4", "--delta-max", "4", "--margin", "-1"
@@ -454,8 +463,10 @@ FINGERPRINTS = {
     "trend --deltas 8 --margin 1e-6 --precision 4": (0, "26284f520666e959", EMPTY),
     "trend --deltas 8 --margin 1e-6 --precision 4 --format csv":
         (0, "d6eeddb08e12e693", EMPTY),
+    # theta's ln C(8, 4) is read off the binomial row, 1 ulp off the direct
+    # sum the pin was taken with: theta 0.032962143995103985 -> ...396
     "trend --deltas 8 --margin 1e-6 --precision 4 --format json":
-        (0, "8709046816459abd", EMPTY),
+        (0, "10d8bd8811691ca4", EMPTY),
     "trend --deltas 100 200 400": (0, "180f604e54f0598f", EMPTY),
     "trend --deltas 100 200 400 --format csv": (0, "07597ca6065225ea", EMPTY),
     "trend --deltas 100 200 400 --format json": (0, "27f9dad24f4f405d", EMPTY),

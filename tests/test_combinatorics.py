@@ -14,19 +14,20 @@ from hypothesis import strategies as st
 
 from expander_bounds import (
     binomial_log_row,
-    log_binomial,
-    log_odd_double_factorial,
     profile_residuals,
     solve_one_sided,
     truncated_log_moments,
 )
-from expander_bounds.combinatorics import (
+from expander_bounds.combinatorics import _layout, _log_s0_prefix
+from exact_reference import (
+    _EXP_ZERO_LOG,
     NEG_INF,
-    _layout,
     _log_binomial_direct,
-    _log_s0_prefix,
+    binomial_pmf,
+    binomial_tail,
+    log_binomial,
+    log_odd_double_factorial,
 )
-from exact_reference import _EXP_ZERO_LOG, binomial_pmf, binomial_tail
 
 U = 2.0**-53
 

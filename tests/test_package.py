@@ -56,12 +56,8 @@ PUBLIC_NAMES = [
     "expansion_experiment",
     "feasible_pairs",
     "local_descent",
-    "log_binomial",
-    "log_config_prob",
-    "log_odd_double_factorial",
     "min_eta",
     "profile_residuals",
-    "sample_out_degree_configurations",
     "sample_pairing",
     "solve_one_sided",
     "solve_side",

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from expander_bounds import (
     BetaUnderflow,
     InfeasibleTarget,
-    log_binomial,
     profile_residuals,
     side_solver,
     solve_side,
@@ -23,6 +22,7 @@ from expander_bounds import (
 )
 from expander_bounds.certifier import MASS_TOL, MEAN_TOL
 from expander_bounds.combinatorics import truncated_log_moments
+from exact_reference import log_binomial
 from table_reference import ETA, PAIR_WITNESSES
 
 
