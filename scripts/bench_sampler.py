@@ -24,6 +24,12 @@ Most rows run in a fresh child process whose PYTHONPATH is one checkout's
 - `one_sided`: `solve_one_sided` on perfbench's large-degree grid (8 evenly
   spaced eta in [1e-3, 2 sqrt(ln 2)/sqrt(delta)] for delta 1600 and 6400),
   fingerprinted by the sha256 of repr() of the solved points;
+- `table_search` and `trend_search`: `build_table(4, 60, 1e-6)` and
+  `alpha_trend([100, 200, 400])`, each in a fresh process, the multi-degree
+  searches the CLI's `table` and `trend` run (in a checkout whose searches
+  run in lock-step their degrees share rounds, where the `eta_*` rows call
+  `min_eta` per degree), fingerprinted by the sha256 of the certificates'
+  JSON and of repr() of the trend's points;
 - `certify_table`: `verify_certificate` over the 57 certificates of the
   paper's table, each read back with `certificate_from_json` before the
   clock starts, fingerprinted by every check's (name, passed, detail);
@@ -107,7 +113,7 @@ HERE = Path(__file__).resolve().parent
 
 ROWS = ("sample", "sample_peak", "oracle", "descent_best", "descent_first", "criterion_08",
         "eta_table", "eta_large", "eta_wide", "eta_850", "eta_1000", "eta_2000", "one_sided",
-        "certify_table", "table_json_peak")
+        "table_search", "trend_search", "certify_table", "table_json_peak")
 ETA_ROWS = {"eta_table": (range(4, 61), 1e-6), "eta_large": ((100, 200, 400), 1e-3),
             "eta_wide": ((1000, 2000), 1e-3), "eta_850": ((850,), 1e-3),
             "eta_1000": ((1000,), 1e-3), "eta_2000": ((2000,), 1e-3)}
@@ -185,6 +191,19 @@ def row(name: str) -> dict:
         seconds = time.perf_counter() - t0
         return {f"min_eta_{name[4:]}_s": seconds,
                 "fingerprint": sha256("".join(map(certificate_to_json, certs)))}
+    if name == "table_search":
+        from expander_bounds import build_table, certificate_to_json
+
+        t0 = time.perf_counter()
+        certs = build_table(4, 60, 1e-6)
+        return {"build_table_s": time.perf_counter() - t0,
+                "fingerprint": sha256("".join(map(certificate_to_json, certs)))}
+    if name == "trend_search":
+        from expander_bounds import alpha_trend
+
+        t0 = time.perf_counter()
+        points = alpha_trend([100, 200, 400])
+        return {"alpha_trend_s": time.perf_counter() - t0, "fingerprint": sha256(repr(points))}
     if name == "certify_table":
         from expander_bounds import (certificate_from_json, certificate_to_json, min_eta,
                                      verify_certificate)

@@ -28,8 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
-from .certifier import DEFAULT_MARGIN, DEFAULT_PRECISION, NoBound, min_eta, verify_certificate
+from .certifier import (
+    DEFAULT_MARGIN,
+    DEFAULT_PRECISION,
+    NoBound,
+    _certificates,
+    verify_certificate,
+)
 from .combinatorics import binomial_log_row
 from .side_solver import _solve_caps
 
@@ -139,14 +146,23 @@ def alpha_trend(
     Each entry runs the full certification search and then solves the
     one-sided system at the certified eta, so the returned points carry the
     binomial diagnostics alongside alpha. Compare alpha against TWO_SQRT_LN2.
-    Raises NoBound when the verifier rejects a degree's certificate, naming
-    the degree and the failed checks.
+    The searches of all the degrees run in lock-step
+    (``certifier._certificates``), each giving what ``min_eta`` gives.
+    Raises NoBound when a degree has no bound or the verifier rejects its
+    certificate, naming the degree and the failed checks; the degrees are
+    checked in order, and the first that fails raises.
     """
+    def even(delta) -> bool:
+        return isinstance(delta, int) and delta >= 4 and delta % 2 == 0
+
+    certs = iter(_certificates(list(takewhile(even, delta_list)), margin, precision))
     points = []
     for delta in delta_list:
-        if not isinstance(delta, int) or delta < 4 or delta % 2 != 0:
+        if not even(delta):
             raise ValueError("alpha_trend requires even degrees >= 4")
-        cert = min_eta(delta, margin, precision)
+        cert = next(certs)
+        if isinstance(cert, NoBound):
+            raise cert
         failures = verify_certificate(cert).failures()
         if failures:
             names = ", ".join(f.name for f in failures)

@@ -24,18 +24,29 @@ Each side's part, ``(ln S0(e^x) - t·x) / (2 ln 2)``, is convex in
 ``2 ln 2``) and stationary where the profile's mean is ``t``, which is the
 side solver's root. So the solved exponent is the minimum over witnesses,
 and ``rhs`` at any ``gamma > 0`` bounds it from above: any witness is sound.
-A probe (:func:`_satisfied`) therefore screens each feasible pair at the
+The search (:func:`_satisfied`) therefore screens each feasible pair at the
 uncapped binomial root ``gamma0 = t / (delta - t)``, where one prefix sum
-gives every cap's ``ln S0`` (:func:`_log_s0_prefix`), then refines the pairs
-it leaves with a few Newton steps (:func:`_refine`: upper bounds at the
+gives every cap's ``ln S0`` (:func:`_screen`), then refines the pairs it
+leaves with a few Newton steps (:func:`_refine`: upper bounds at the
 iterates, tangent lower bounds below), and solves only what is left.
 ``_SLACK`` covers the rounding of the evaluations and tangents, and screen
-and refine run only on caps whose solve provably cannot underflow
-(:func:`_screenable`), so every verdict is the full solve's. Certificates are
-built from full side solutions (:func:`evaluate_pairs`), but checking one
-needs no solve: :func:`verify_certificate` evaluates each pair's exponent at
-the stored witnesses (:func:`_pair_exponents`, the builder's ``rhs`` bit for
-bit), and a pass there implies a pass at the minimum.
+and refine run only on pairs whose solves provably cannot underflow, so
+every verdict is the full solve's. The searches of many degrees run in
+lock-step (:func:`_certificates`, behind :func:`min_eta`, :func:`build_table`
+and ``asymptotics.alpha_trend``): each round decides one batch of probes,
+every live degree's next halvings, with one padded prefix, one refine pass
+at a time over every pair left (one call of the moment kernel, which takes a
+degree per cap) and one root solve per solve group, and the certificates of
+all the degrees come from one root solve and one residual pass
+(:func:`_pair_bounds`). A cap's bits do not depend on its batch, so each
+degree gets the certificate its own search gives. On the paper's table
+(degrees 4..60, margin 1e-6) that is 15 rounds of 755 probes, 29 refine
+passes and no cap solved, where the degrees one at a time took 733 probes,
+934 refine passes and 57 certificate solves: ``build_table`` takes about 21
+against 63 ms. Checking a certificate needs no solve:
+:func:`verify_certificate` evaluates each pair's exponent at the stored
+witnesses (:func:`_pair_exponents`, the builder's ``rhs`` bit for bit), and
+a pass there implies a pass at the minimum.
 """
 
 from __future__ import annotations
@@ -43,16 +54,25 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, NamedTuple, get_type_hints
+from functools import lru_cache
+from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .combinatorics import _CAP_RANGE, _log_s0_prefix, _moments, truncated_log_moments
+from .combinatorics import (
+    _CAP_RANGE,
+    _in_runs,
+    _layout,
+    _log_s0_prefix,
+    _moments,
+    truncated_log_moments,
+)
 from .side_solver import (
     _UNIT_ROUNDOFF,
     BetaUnderflow,
     SideSolution,
     _root_x_upper,
+    _side_solutions,
     _solve_caps,
     profile_residuals,
     solve_side,
@@ -98,7 +118,7 @@ _GAMMA = "gamma must be a finite positive real"
 # refine lower bound exceeds -margin + _SLACK; _satisfied derives why 1e-9 is
 # enough.
 _SLACK = 1e-9
-# A cap is screened only while the closed-form bound of _screenable on ln S0
+# A cap is screened only while the closed-form bound of _screen on ln S0
 # at its root, from the root finder's own bracket end
 # (side_solver._root_x_upper), stays below this, which keeps every witness
 # the screen skips about 45 nats from beta's underflow.
@@ -106,6 +126,11 @@ _GUARD_LOG_S0 = 700.0
 # A pair the refine has not decided after this many side evaluations goes to
 # the full solve.
 _REFINE_EVALS = 8
+# A round of the eta searches probes each live degree's next halvings at
+# once, as many levels of them (at most _ROUND_LEVELS) as keep the terms of
+# the round's feasible pairs within _ROUND_TERMS.
+_ROUND_TERMS = 8000
+_ROUND_LEVELS = 5
 # How far the refine's brackets and iterates in x = ln gamma may sit from
 # the exact values they stand for: the rounding of x0, of the root bound
 # side_solver._root_x_upper and of exp between an iterate and its witness.
@@ -132,20 +157,22 @@ def _rhs(delta: int, eta: float, log_beta: float, gamma: float, log_beta_p: floa
     """The pair exponent (bits per vertex) at witnesses ``(ln beta, gamma)``
     and ``(ln beta', gamma')``: the one formula behind the search and the
     certificate."""
-    log2_beta = log_beta / _LN2
-    log2_beta_p = log_beta_p / _LN2
-    log2_gamma = math.log2(gamma)
-    log2_gamma_p = math.log2(gamma_p)
+    return _exponent(*_exponent_terms(delta, eta), log_beta, log_beta_p,
+                     math.log2(gamma) + math.log2(gamma_p))
+
+
+def _exponent_terms(delta: int, eta: float) -> tuple[float, ...]:
+    """The terms of the exponent that depend on ``(delta, eta)`` alone."""
     quarter = delta / 4.0
-    return (
-        1.0
-        - 0.5 * log2_beta
-        - 0.5 * log2_beta_p
-        - (1.0 - eta) * quarter * (log2_gamma + log2_gamma_p)
-        - delta
-        + quarter * _xlog2(1.0 + eta)
-        + quarter * _xlog2(1.0 - eta)
-    )
+    return delta, (1.0 - eta) * quarter, quarter * _xlog2(1.0 + eta), quarter * _xlog2(1.0 - eta)
+
+
+def _exponent(delta, weight, up, down, log_beta, log_beta_p, log2_gammas):
+    """:func:`_rhs` from its :func:`_exponent_terms` and ``log2 gamma + log2
+    gamma'``, elementwise where its arguments are arrays (the search's, one
+    entry per pair), in the same order of operations."""
+    return (1.0 - 0.5 * (log_beta / _LN2) - 0.5 * (log_beta_p / _LN2) - weight * log2_gammas
+            - delta + up + down)
 
 
 def all_pairs(delta: int) -> list[tuple[int, int]]:
@@ -216,145 +243,208 @@ def _pair_exponents(delta: int, eta: float, witnesses: list[tuple]) -> list[floa
 
 
 def evaluate_pairs(delta: int, eta: float) -> Iterator[PairBound]:
-    """Yield a PairBound for every cap pair at crossing level eta, in all_pairs order.
+    """Every cap pair's PairBound at crossing level eta, in all_pairs order.
 
     Feasible pairs come first (largest d first), each with its two side
     solutions and the exponent at their witnesses, from the root solve's own
     ``ln S0``: the value :func:`verify_certificate` recomputes. All feasible
-    caps are solved in one :func:`side_solver.solve_side` call when the first
-    pair is taken. Vacuous pairs follow with the target mean as witness.
-    Raises BetaUnderflow when a cap pins the mean.
+    caps are solved in one :func:`side_solver.solve_side` call. Vacuous
+    pairs follow with the target mean as witness. Raises BetaUnderflow when a
+    cap pins the mean. :func:`_pair_bounds` does the same for many degrees.
     """
+    pairs = feasible_pairs(delta, eta)
+    caps = _caps_of(pairs)
+    return iter(_bounds(delta, eta, pairs, dict(zip(caps, solve_side(delta, caps, eta)
+                                                    if caps else ()))))
+
+
+def _caps_of(pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    return tuple(dict.fromkeys(c for pair in pairs for c in pair))
+
+
+def _bounds(delta: int, eta: float, pairs, side_of: dict) -> tuple[PairBound, ...]:
+    """The PairBounds of the feasible ``pairs`` from their caps' sides, then
+    the vacuous ones: the feasible pairs are a prefix of all_pairs."""
     tm = target_mean(delta, eta)
-    feasible = feasible_pairs(delta, eta)
-    if feasible:
-        caps = tuple(dict.fromkeys(c for pair in feasible for c in pair))
-        side_of = dict(zip(caps, solve_side(delta, caps, eta)))
-        for d, dp in feasible:
-            side, side_p = side_of[d], side_of[dp]
-            rhs = _rhs(delta, eta, -side.log_s0, side.gamma, -side_p.log_s0, side_p.gamma)
-            yield PairBound(d, dp, side, side_p, rhs, tm)
-    # The feasible pairs are a prefix of all_pairs (d descending).
-    for d, dp in all_pairs(delta)[len(feasible):]:
-        yield PairBound(d, dp, None, None, None, tm)
+    return tuple(
+        PairBound(d, dp, side_of[d], side_of[dp], _rhs(
+            delta, eta, -side_of[d].log_s0, side_of[d].gamma,
+            -side_of[dp].log_s0, side_of[dp].gamma), tm) for d, dp in pairs
+    ) + tuple(PairBound(d, dp, None, None, None, tm) for d, dp in all_pairs(delta)[len(pairs):])
 
 
-def _screenable(delta: int, cap: int, t: float, x0: float, log_s0_x0: float) -> bool:
-    """True when the side solve of cap ``cap`` at target ``t`` provably keeps
-    ``ln S0 <= _GUARD_LOG_S0`` at its root, so ``beta`` cannot underflow.
+def _pair_bounds(jobs: list[tuple[int, float]]) -> list:
+    """:func:`evaluate_pairs` at each ``(delta, eta)`` of ``jobs``, as a tuple,
+    or the BetaUnderflow of the job's first cap that pins the mean. The
+    feasible caps of every job are solved in one root solve and one residual
+    pass (``side_solver._side_solutions``)."""
+    feasible = [feasible_pairs(delta, eta) for delta, eta in jobs]
+    caps = [_caps_of(pairs) for pairs in feasible]
+    flat = [(delta, c, eta) for (delta, eta), cs in zip(jobs, caps) for c in cs]
+    sides = iter(_side_solutions(*map(list, zip(*flat))) if flat else ())
+    out = []
+    for (delta, eta), pairs, cs in zip(jobs, feasible, caps):
+        side_of = {c: next(sides) for c in cs}
+        underflow = [s for s in side_of.values() if isinstance(s, BetaUnderflow)]
+        out.append(underflow[0] if underflow else _bounds(delta, eta, pairs, side_of))
+    return out
 
-    ``ln S0(x) - t x`` is convex and least at ``x*``, and ``x0 <= x* <= x_u``
-    (:func:`side_solver._root_x_upper`), so ``ln S0(x*) <= ln S0(x0) + t
-    max(0, x_u - x0)``.
+
+class _Pairs(NamedTuple):
+    """The feasible pairs of a batch of probes, probe after probe and largest
+    ``d`` first, each with its probe's ``t``, ``x0 = ln gamma0`` and
+    :func:`_exponent_terms` (``terms``, one row each); ``caps``, ``log_s0``
+    and ``mean0`` (``ln S0`` and the mean at ``gamma0``) and ``x_u`` (the root
+    bound) hold one row for the caps ``d`` and one for ``d'``."""
+    probe: np.ndarray
+    t: np.ndarray
+    x0: np.ndarray
+    terms: np.ndarray
+    caps: np.ndarray
+    log_s0: np.ndarray
+    mean0: np.ndarray
+    x_u: np.ndarray
+    screenable: np.ndarray
+    rhs0: np.ndarray
+
+
+def _screen(probes: list[tuple[int, float]]) -> _Pairs:
+    """Every feasible pair of every ``(delta, eta)`` probe, screened at the
+    probe's uncapped binomial root ``gamma0 = t / (delta - t)``.
+
+    One padded prefix (:func:`_log_s0_prefix`) gives every cap's ``ln S0``
+    at ``gamma0``, one :func:`side_solver._root_x_upper` call every cap's
+    root bound, and ``rhs0`` is each pair's exponent there, by
+    :func:`_exponent` with each probe's scalar terms from ``math``, the bits
+    of :func:`_rhs`. A pair is ``screenable`` when the side solves of both
+    its caps provably keep ``ln S0 <= _GUARD_LOG_S0`` at their roots, so
+    ``beta`` cannot underflow: ``ln S0(x) - t x`` is convex and least at
+    the root ``x*``, and ``x0 <= x* <= x_u``, so ``ln S0(x*) <= ln S0(x0) +
+    t max(0, x_u - x0)``.
     """
-    return log_s0_x0 + t * max(0.0, float(_root_x_upper(delta, cap, t)) - x0) <= _GUARD_LOG_S0
+    values = []
+    for delta, eta in probes:
+        t = target_mean(delta, eta)
+        gamma0 = t / (delta - t)
+        lg = math.log2(gamma0)
+        values.append((t, math.log(gamma0), lg + lg, *_exponent_terms(delta, eta)))
+    values = np.array(values).T
+    deltas = np.array([delta for delta, _ in probes])
+    count = np.maximum(deltas // 2 - values[0].astype(int), 0)  # the caps d > t
+    probe = np.repeat(np.arange(len(probes)), count)
+    d = (deltas // 2 + np.cumsum(count) - count)[probe] - np.arange(probe.size)
+    caps = np.array((d, deltas[probe] - d))
+    log_s0, mean0 = (v[probe, caps] for v in _log_s0_prefix(tuple(deltas.tolist()), values[1]))
+    t, x0, lg0, *terms = values[:, probe]
+    x_u = _root_x_upper(terms[0], caps, t)
+    screenable = (log_s0 + t * np.maximum(0.0, x_u - x0) <= _GUARD_LOG_S0).all(axis=0)
+    rhs0 = _exponent(*terms, -log_s0[0], -log_s0[1], lg0)
+    return _Pairs(probe, t, x0, np.array(terms), caps, log_s0, mean0, x_u, screenable, rhs0)
 
 
-class _RefineSide:
-    """One side of a refine: a bracket ``[a, b]`` of the root in ``x = ln
-    gamma``, the bound ``dm`` on the float mean's error, and the latest
-    iterate ``x`` with its ``ln S0``, slope ``f' = mean - t`` and curvature
-    ``f'' = variance``."""
+def _refine(pairs: _Pairs, open_: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Bounds ``(k, upper, lower)`` on the solved exponents of the pairs ``k``,
+    one kernel pass over both sides of every pair still refined at a time,
+    each up to the error :func:`_satisfied` budgets for.
 
-    def __init__(self, delta: int, cap: int, t: float, x0: float):
-        self.delta, self.cap, self.t = delta, cap, t
-        self.a, self.b = x0, max(x0, float(_root_x_upper(delta, cap, t)))
-        self.dm = cap * (70.0 * delta + 3000.0) * _UNIT_ROUNDOFF
-        self.x = self.log_s0 = self.slope = self.var = None
-
-    def move(self, x: float, log_s0: float, mean: float, var: float) -> bool:
-        """Move to ``x`` (the kernel's values at ``e^x`` given), and an end of the
-        bracket there if the slope's sign is certain. False if ``ln S0 > _GUARD_LOG_S0``."""
-        self.x, self.log_s0, self.slope, self.var = x, log_s0, mean - self.t, var
-        if self.slope < -self.dm:
-            self.a = x
-        elif self.slope > self.dm:
-            self.b = x
-        return log_s0 <= _GUARD_LOG_S0
-
-    def gap(self) -> float:
-        """``f(x)`` less the tangent lower bound on ``f`` at the root, plus
-        its allowance, in nats (:func:`_satisfied`)."""
-        if self.slope <= 0.0:
-            tangent = self.slope * (self.b - self.x)
-        else:
-            tangent = -self.slope * (self.x - self.a)
-        return self.dm * (self.b - self.a) + 2.0 * self.cap * _X_ERR - tangent
-
-    def next_x(self) -> float:
-        """A Newton step on the slope, or the bracket's midpoint when the
-        step leaves the bracket."""
-        nxt = self.x - self.slope / self.var if self.var > 0.0 else self.a
-        return nxt if self.a < nxt < self.b else 0.5 * (self.a + self.b)
-
-
-def _refine(delta: int, eta: float, t: float, x0: float, d: int,
-            d_prime: int) -> Iterator[tuple[float, float]]:
-    """Bounds ``(upper, lower)`` on the solved exponent of a screenable pair,
-    one per kernel pass, each up to the error :func:`_satisfied` budgets for.
-
-    Both sides start at ``x0``. ``upper`` is the pair's exponent at the
-    latest iterates and ``lower`` is ``upper`` less both sides' gaps
-    (:meth:`_RefineSide.gap`). Each pass takes a Newton step on every side
-    whose slope has a certain sign. It stops after ``_REFINE_EVALS`` side
-    evaluations, when no slope has a certain sign, or at an iterate with
-    ``ln S0 > _GUARD_LOG_S0``.
+    Each pair in ``open_`` brackets each side's root by ``[x0, max(x0,
+    x_u)]`` in ``x = ln gamma``, with the bound ``dm = d (70 delta + 3000) u``
+    on the float mean's error, and starts it at a Newton step from ``x0``
+    with the screen's mean and the uncapped variance ``t (delta - t) /
+    delta`` (at ``x0`` where the mean's slope has no certain sign): only a
+    first iterate, which no bound relies on. ``upper`` is the pair's
+    exponent at its sides' latest iterates and ``lower`` is ``upper`` less
+    both sides' gaps: ``f(x)`` less the tangent lower bound on ``f`` at the
+    root, plus its allowance, in nats. A pass moves a bracket end to each
+    iterate whose slope ``f' = mean - t`` has a certain sign, and then each
+    such side of a pair still open (the caller may clear ``open_`` between
+    passes) takes a Newton step, or goes to the bracket's midpoint where the
+    step leaves the bracket; a side whose slope's sign is not certain keeps
+    its iterate, and evaluating it again gives the same values. A pair stops
+    after ``_REFINE_EVALS`` evaluations of a side that moved, when no slope
+    has a certain sign, or at an iterate with ``ln S0 > _GUARD_LOG_S0``,
+    whose bounds it does not yield. A balanced pair's one side is both its
+    rows, which move together, and counts once.
     """
-    side = _RefineSide(delta, d, t, x0)
-    side_p = side if d_prime == d else _RefineSide(delta, d_prime, t, x0)
-    sides = [side] if side_p is side else [side, side_p]
-    live, xs, evals = sides, [x0] * len(sides), 0
-    while True:
-        # the kernel itself, its inputs being feasible caps and exps of finite x
-        log_s0, mean, _, var = _moments(
-            delta, tuple(s.cap for s in live), np.exp(xs))
-        evals += len(live)
-        if not all([s.move(x, *v) for s, x, v in
-                    zip(live, xs, zip(log_s0.tolist(), mean.tolist(), var.tolist()))]):
-            return
-        upper = _rhs(delta, eta, -side.log_s0, math.exp(side.x),
-                     -side_p.log_s0, math.exp(side_p.x))
-        yield upper, upper - (side.gap() + side_p.gap()) / (2.0 * _LN2)
-        live = [s for s in sides if abs(s.slope) > s.dm]
-        if not live or evals + len(live) > _REFINE_EVALS:
-            return
-        xs = [s.next_x() for s in live]
+    k = np.flatnonzero(open_)
+    caps = pairs.caps[:, k]
+    two = caps[0] != caps[1]
+    side = np.empty((5, 2, k.size))  # x, a, b, dm and the allowance 2 d _X_ERR, per side
+    side[:2] = pairs.x0[k]
+    np.maximum(side[0], pairs.x_u[:, k], out=side[2])
+    side[3] = caps * (70.0 * (caps[0] + caps[1]) + 3000.0) * _UNIT_ROUNDOFF
+    side[4] = 2.0 * caps * _X_ERR
+    x, a, b, dm, _ = side
+    t, delta = pairs.t[k], caps[0] + caps[1]
+    slope = pairs.mean0[:, k] - t
+    nxt = x - slope / (t * (delta - t) / delta)
+    np.copyto(x, np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b)), where=np.abs(slope) > dm)
+    pair = np.concatenate((pairs.t[None, k], pairs.terms[:, k], np.zeros((1, k.size))))
+    moved, key = 1 + two, None
+    # the layouts of this refine's latest pairs, kept out of the kernel's cache
+    layout = lru_cache(maxsize=4)(_layout.__wrapped__)
+    while k.size:
+        x, a, b, dm, allowance = side
+        t, *terms, evals = pair  # and the side evaluations so far
+        if key is None:
+            key = tuple((caps[0] + caps[1]).tolist() * 2), tuple(caps.ravel().tolist())
+        gamma = np.exp(x)
+        log_s0, mean, _, var = (v.reshape(2, -1) for v in _in_runs(
+            lambda *args: _moments(*args, layout=layout), *key, gamma.ravel()))
+        evals += moved
+        slope = mean - t
+        below, above = slope < -dm, slope > dm
+        np.copyto(a, x, where=below)
+        np.copyto(b, x, where=above)
+        # the tangent at x towards the far end of the bracket, and its allowance
+        gap = dm * (b - a) + allowance - slope * (np.where(slope <= 0.0, b, a) - x)
+        log2_gamma = np.log2(gamma)
+        upper = _exponent(*terms, -log_s0[0], -log_s0[1], log2_gamma[0] + log2_gamma[1])
+        lower = upper - (gap[0] + gap[1]) / (2.0 * _LN2)
+        ok = (log_s0 <= _GUARD_LOG_S0).all(axis=0)
+        yield (k, upper, lower) if ok.all() else (k[ok], upper[ok], lower[ok])
+        live = below | above
+        moved = live[0] + (live[1] & two)
+        # Newton's step on the slope; a variance that is not positive sends
+        # it out of the bracket, to the midpoint
+        nxt = x - slope / np.maximum(var, 1e-300)
+        np.copyto(x, np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b)), where=live)
+        keep = ok & open_[k] & (moved > 0) & (evals + moved <= _REFINE_EVALS)
+        if not keep.all():
+            k, caps, two, moved = k[keep], caps[:, keep], two[keep], moved[keep]
+            side, pair, key = side[:, :, keep], pair[:, keep], None
 
 
-def _decide(bounds: Iterable[tuple[float, float]], margin: float) -> bool | None:
-    """True once an upper bound is at most ``-margin - _SLACK``, False once a
-    lower bound exceeds ``-margin + _SLACK``, None if the bounds run out."""
-    for upper, lower in bounds:
-        if upper <= -margin - _SLACK:
-            return True
-        if lower > -margin + _SLACK:
-            return False
-    return None
+def _satisfied(probes: list[tuple[int, float]], margin: float) -> list[bool]:
+    """The search condition at each ``(delta, eta)`` probe, all decided
+    together: at least one pair is feasible, and each feasible pair's solved
+    exponent is at most ``-margin`` with no cap's ``beta`` underflowing, the
+    verdict :func:`_certificates` reads off :func:`_pair_bounds`, building
+    no SideSolution.
 
+    Every cap of a probe shares ``t`` and so ``gamma0 = t / (delta - t)``.
+    The pairs go through three steps, each one batch over every probe, and
+    a pair stops at the first that decides it:
 
-def _satisfied(delta: int, eta: float, margin: float) -> bool:
-    """The search condition at eta: at least one pair is feasible, and each
-    feasible pair's solved exponent is at most ``-margin`` with no cap's
-    ``beta`` underflowing: the verdict :func:`min_eta` reads off
-    :func:`evaluate_pairs` (``False`` on BetaUnderflow), building no
-    SideSolution.
-
-    Every cap shares ``t`` and so ``gamma0 = t / (delta - t)``, and one
-    prefix row (:func:`_log_s0_prefix`) gives ``ln S0(gamma0)`` for all of
-    them. A pair whose caps are both :func:`_screenable` goes through three
-    steps, and stops at the first that decides it:
-
-    - screen: its exponent at ``gamma0`` on both sides bounds the solved one
-      from above (module docstring), so a value of at most ``-margin -
-      _SLACK`` passes it;
-    - refine (:func:`_refine`): a few Newton iterates on both sides give
-      upper bounds (the exponent at the iterates, passing it by the same
-      test) and tangent lower bounds, and a lower bound above ``-margin +
-      _SLACK`` fails the probe;
-    - solve: the caps of every pair still open, screenable or not, in one
-      call of the root finder (``side_solver._solve_caps``), each pair's
+    - screen (:func:`_screen`): a screenable pair's exponent at ``gamma0``
+      on both sides bounds the solved one from above (module docstring), so
+      a value of at most ``-margin - _SLACK`` passes it;
+    - refine (:func:`_refine`): a few Newton iterates on both sides of every
+      screenable pair left give upper bounds (the exponent at the iterates,
+      passing it by the same test) and tangent lower bounds, and a lower
+      bound above ``-margin + _SLACK`` fails its probe, whose other pairs
+      then stop;
+    - solve: every pair still open, screenable or not, of every probe not
+      yet failed, in groups of 1, 2, 4, ... pairs per probe, largest d
+      first, each group round one call of the root finder
+      (``side_solver._solve_caps``) over the caps of every probe, each pair's
       exponent from its sides' ``ln S0`` there. A ``beta`` that underflows
-      fails the probe.
+      fails the probe. A probe below the threshold usually fails at its
+      first pair, and no group solves more than twice what the pairs before
+      a failure needed.
+
+    A cap's kernel values, prefix row and root are the same bits in any
+    batch, so each probe gets the verdict it would get alone.
 
     Why ``_SLACK = 1e-9`` is enough for a pass. Let ``R`` be the exact
     exponent at a float witness, ``R*`` its minimum, ``r`` the float
@@ -365,7 +455,7 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     <= _SLACK``. With ``u = 2^-53``, on a screenable pair:
 
     - ``ln S0 <= 700`` at every witness evaluated: at the solved root by
-      :func:`_screenable`, and at each refine iterate because the refine
+      :func:`_screen`, and at each refine iterate because the refine
       gives up on one with ``ln S0 > _GUARD_LOG_S0``. ``gamma0 = (1 - eta) /
       (1 + eta)`` lies in ``[5e-10, 1]`` because the search keeps ``eta <= 1
       - 1e-9``, so ``x0`` is in ``[-21.5, 0]``; the root and every iterate
@@ -408,7 +498,7 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     float slope ``f'~`` within ``dm`` of ``f'(x)`` and ``|f'| < d``, ``f'(x)
     (x* - x)`` is at least ``T - dm (b - a) - 2 d tau``, where ``T = f'~ (b
     - x)`` when ``f'~ <= 0`` and ``-f'~ (x - a)`` otherwise. That is the
-    side's gap (:meth:`_RefineSide.gap`), ``-T`` plus its allowance. For
+    side's gap (:func:`_refine`), ``-T`` plus its allowance. For
     ``dm``: each scaled term of the moment kernel carries its log term's
     error and ``u`` times its distance to the peak, at most 746 (farther
     terms are 0.0 and move the mean by under ``d^2 e^-746``), so a relative
@@ -422,40 +512,42 @@ def _satisfied(delta: int, eta: float, margin: float) -> bool:
     < delta``, and ``2e + 1e-10 < _SLACK``. A larger margin fails every pair
     anyway, since ``f >= 0`` at the root makes ``R* >= 1 - delta``.
     """
-    pairs = feasible_pairs(delta, eta)
-    if not pairs:
-        return False
-    t = target_mean(delta, eta)
-    gamma0 = t / (delta - t)
-    x0 = math.log(gamma0)
-    log_s0 = _log_s0_prefix(delta, x0).tolist()
-    unsolved = []
-    for d, dp in pairs:
-        if _screenable(delta, d, t, x0, log_s0[d]) and _screenable(delta, dp, t, x0, log_s0[dp]):
-            if _rhs(delta, eta, -log_s0[d], gamma0, -log_s0[dp], gamma0) <= -margin - _SLACK:
-                continue
-            verdict = _decide(_refine(delta, eta, t, x0, d, dp), margin)
-            if verdict is not None:
-                if verdict:
-                    continue
-                return False
-        unsolved.append((d, dp))
-    # Solved in groups of 1, 2, 4, ... pairs, largest d first: a probe below
-    # the threshold usually fails at its first pair, and no group solves more
-    # than twice what the pairs before a failure needed. A beta that
-    # underflows (a cap pinned against the mean has no representable witness)
-    # fails the probe: conservative, and min_eta bumps a rounded eta it hits.
-    start = 0
-    while start < len(unsolved):
-        group = unsolved[start:2 * start + 1]
-        start += len(group)
-        caps = tuple(dict.fromkeys(c for pair in group for c in pair))
-        gamma, _, log_s0_at = _solve_caps(delta, caps, eta)
-        root = dict(zip(caps, zip((-log_s0_at).tolist(), gamma.tolist())))
-        if not np.exp(-log_s0_at).all() or any(
-                _rhs(delta, eta, *root[d], *root[dp]) > -margin for d, dp in group):
-            return False
-    return True
+    if not probes:
+        return []
+    pairs = _screen(probes)
+    verdict = np.bincount(pairs.probe, minlength=len(probes)) > 0
+    passed = pairs.screenable & (pairs.rhs0 <= -margin - _SLACK)
+    open_ = pairs.screenable & ~passed
+    for k, upper, lower in _refine(pairs, open_) if open_.any() else ():
+        ok = upper <= -margin - _SLACK
+        verdict[pairs.probe[k[~ok & (lower > -margin + _SLACK)]]] = False
+        passed[k[ok]] = True
+        open_[k] = ~ok & verdict[pairs.probe[k]]
+    unsolved = np.flatnonzero(~passed & verdict[pairs.probe])
+    if not unsolved.size:
+        return verdict.tolist()
+    probe = pairs.probe[unsolved]
+    rank = np.arange(unsolved.size) - np.searchsorted(probe, probe)
+    group = np.frexp(rank + 1.0)[1] - 1  # ranks 0 | 1, 2 | 3..6 | 7..14 | ...
+    for g in range(group.max() + 1):
+        chosen = [(p, *pairs.caps[:, j].tolist()) for p, j in
+                  zip(probe[group == g].tolist(), unsolved[group == g].tolist()) if verdict[p]]
+        sides = list(dict.fromkeys((p, c) for p, d, dp in chosen for c in (d, dp)))
+        if not sides:
+            continue
+        gamma, _, log_s0 = _solve_caps([probes[p][0] for p, _ in sides], [c for _, c in sides],
+                                       [probes[p][1] for p, _ in sides])
+        # A beta that underflows (a cap pinned against the mean has no
+        # representable witness) fails the probe: conservative, and
+        # _certificates bumps a rounded eta it hits.
+        root = dict(zip(sides, zip((-log_s0).tolist(), gamma.tolist(),
+                                   (np.exp(-log_s0) == 0.0).tolist())))
+        for p, d, dp in chosen:
+            delta, eta = probes[p]
+            if root[p, d][2] or root[p, dp][2] or _rhs(
+                    delta, eta, *root[p, d][:2], *root[p, dp][:2]) > -margin:
+                verdict[p] = False
+    return verdict.tolist()
 
 
 def _grid_scale(precision: int) -> float:
@@ -477,17 +569,17 @@ def min_eta(delta: int, margin: float = DEFAULT_MARGIN,
     (conservative direction: larger eta means a weaker claimed bound), and
     the certificate's pair bounds are evaluated once at the rounded value,
     which certifies when a pair is feasible and the largest feasible exponent
-    is at most -margin.
+    is at most -margin. This is :func:`_certificates` with one degree, the
+    search :func:`build_table` runs over many.
 
-    Each probe is :func:`_satisfied`: one prefix sum at the uncapped
-    binomial root gives every cap's ``ln S0`` there and clears the pairs with
-    room to spare, a few Newton steps decide the rest, and only what is
-    left is solved, with the verdict solving every pair would give. On the
-    paper's table (degrees 4..60, margin 1e-6) the refine decides all 434
-    pairs the screen leaves in 934 kernel passes and the searches solve no
-    cap; the screen alone left 652 caps to solve.
-    Only the certificate at the rounded eta is built from full side
-    solutions with residuals (:func:`evaluate_pairs`).
+    Each probe is decided by :func:`_satisfied`: one prefix sum at the
+    uncapped binomial root gives every cap's ``ln S0`` there and clears the
+    pairs with room to spare, a few Newton steps decide the rest, and only
+    what is left is solved, with the verdict solving every pair would give.
+    On the paper's table (degrees 4..60, margin 1e-6) the refine decides
+    every pair the screen leaves and the searches solve no cap; the screen
+    alone left 652 caps to solve. Only the certificate at the rounded eta is
+    built from full side solutions with residuals (:func:`_pair_bounds`).
 
     The search makes at most 34 float halvings and stops as soon as every
     float in the bracket ``(lo, hi]`` rounds up to the same grid value: the
@@ -506,8 +598,30 @@ def min_eta(delta: int, margin: float = DEFAULT_MARGIN,
     return, and delta=920, 950, 960 and 990 use up the bumps and raise
     NoBound.
     """
-    if not isinstance(delta, int) or delta < 3:
-        raise ValueError("delta must be an integer >= 3")
+    (cert,) = _certificates([delta], margin, precision)
+    if isinstance(cert, NoBound):
+        raise cert
+    return cert
+
+
+def _certificates(degrees, margin: float, precision: int) -> list:
+    """:func:`min_eta` of each degree, or the NoBound it raises, with every
+    degree's search run in lock-step.
+
+    Each round decides, in one :func:`_satisfied` call, the next halving of
+    every degree whose bracket still spans two grid values, and, while the
+    round's pairs stay few, the halvings after it too (the midpoints of both
+    halves, and so on, up to ``_ROUND_LEVELS``): a degree with few caps gets
+    its 13 or so halvings in 3 rounds instead of 13, and the probes its
+    verdicts do not lead to are dropped. Each degree keeps its own bracket,
+    early stop, bumps and NoBound, and every verdict and every cap's bits are
+    independent of the batch, so its certificate is the one a search of its
+    own gives. The certificates of every degree come from one
+    :func:`_pair_bounds` call, and one more for each round of bumps.
+    """
+    for delta in degrees:
+        if not isinstance(delta, int) or delta < 3:
+            raise ValueError("delta must be an integer >= 3")
     if not margin > 0.0:
         raise ValueError("margin must be positive")
     scale = _grid_scale(precision)
@@ -515,46 +629,77 @@ def min_eta(delta: int, margin: float = DEFAULT_MARGIN,
     def grid_index(x: float) -> int:
         return math.ceil(x * scale)
 
-    lo, hi = 0.0, 1.0 - 1e-9
-    if not _satisfied(delta, hi, margin):
-        raise NoBound(f"no eta below 1 satisfies the margin for delta={delta}")
-    for _ in range(34):
+    def open_bracket(lo: float, hi: float) -> bool:
         # x -> ceil(x * scale) is monotone, so its ends decide the bracket;
         # the next float above lo covers an lo * scale that is an integer.
-        if grid_index(math.nextafter(lo, hi)) == grid_index(hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if _satisfied(delta, mid, margin):
-            hi = mid
+        return grid_index(math.nextafter(lo, hi)) != grid_index(hi)
+
+    unique = list(dict.fromkeys(degrees))
+    bracket = dict.fromkeys(unique, (0.0, 1.0 - 1e-9))
+    halvings = dict.fromkeys(unique, 0)
+    found = {}
+    live = []
+    for delta, ok in zip(unique, _satisfied([(delta, 1.0 - 1e-9) for delta in unique], margin)):
+        if ok:
+            live.append(delta)
         else:
-            lo = mid
+            found[delta] = NoBound(f"no eta below 1 satisfies the margin for delta={delta}")
+    while live:
+        # The next halvings of every live degree, probed at once, as many
+        # levels of them as keep the terms of the round's feasible pairs within
+        # _ROUND_TERMS (and _ROUND_LEVELS): each degree's brackets form a tree, breadth
+        # first, where bracket i's children are 2i + 1 (its probe passed, hi =
+        # mid) and 2i + 2 (it failed, lo = mid).
+        probes, probed, terms = [], {}, 0
+        frontier = [(delta, 0, bracket[delta]) for delta in live]
+        for level in range(_ROUND_LEVELS):
+            nodes = [(delta, i, lo, hi, 0.5 * (lo + hi)) for delta, i, (lo, hi) in frontier
+                     if halvings[delta] + level < 34 and open_bracket(lo, hi)]
+            terms += sum(max(0, delta // 2 - math.floor(target_mean(delta, mid))) * (delta + 2)
+                         for delta, *_, mid in nodes)
+            if not nodes or level and terms > _ROUND_TERMS:
+                break
+            for delta, i, lo, hi, mid in nodes:
+                probed[delta, i] = len(probes)
+                probes.append((delta, mid))
+            frontier = [(delta, 2 * i + 1 + k, half) for delta, i, lo, hi, mid in nodes
+                        for k, half in enumerate(((lo, mid), (mid, hi)))]
+        verdicts = _satisfied(probes, margin)
+        for delta in live:
+            i = 0
+            while (delta, i) in probed:
+                (lo, hi), (_, mid) = bracket[delta], probes[probed[delta, i]]
+                ok = verdicts[probed[delta, i]]
+                bracket[delta] = (lo, mid) if ok else (mid, hi)
+                halvings[delta] += 1
+                i = 2 * i + (1 if ok else 2)
+        live = [delta for delta in live
+                if halvings[delta] < 34 and open_bracket(*bracket[delta])]
 
-    eta = grid_index(hi) / scale
-    bumps = 0
-    while True:
-        try:
-            pair_bounds = tuple(evaluate_pairs(delta, eta))
-        except BetaUnderflow:
-            pair_bounds = ()
-        if max((pb.rhs for pb in pair_bounds if not pb.vacuous), default=math.inf) <= -margin:
-            break
-        # The rounded eta lies above a passing probe, but a pinned cap can
-        # underflow there (delta=308, margin=1e-6 fails at 0.091), so step up.
-        eta = (round(eta * scale) + 1) / scale
-        bumps += 1
-        if bumps > 3 or eta >= 1.0:
-            raise NoBound(f"rounded eta failed re-verification for delta={delta}")
-
-    baseline_eta, baseline_bound = bollobas_eta(delta, precision)
-    return BoundCertificate(
-        delta=delta,
-        eta=eta,
-        expansion_bound=(1.0 - eta) * delta / 2.0,
-        margin=margin,
-        pair_bounds=pair_bounds,
-        baseline_eta=baseline_eta,
-        baseline_bound=baseline_bound,
-    )
+    eta = {delta: grid_index(bracket[delta][1]) / scale for delta in unique if delta not in found}
+    bumps = dict.fromkeys(eta, 0)
+    while eta.keys() - found.keys():
+        pending = [delta for delta in eta if delta not in found]
+        for delta, pair_bounds in zip(pending, _pair_bounds([(d, eta[d]) for d in pending])):
+            if not isinstance(pair_bounds, BetaUnderflow) and max(
+                    (pb.rhs for pb in pair_bounds if not pb.vacuous), default=math.inf) <= -margin:
+                found[delta] = BoundCertificate(
+                    delta=delta,
+                    eta=eta[delta],
+                    expansion_bound=(1.0 - eta[delta]) * delta / 2.0,
+                    margin=margin,
+                    pair_bounds=pair_bounds,
+                    baseline_eta=(baseline := bollobas_eta(delta, precision))[0],
+                    baseline_bound=baseline[1],
+                )
+                continue
+            # The rounded eta lies above a passing probe, but a pinned cap can
+            # underflow there (delta=308, margin=1e-6 fails at 0.091), so step up.
+            eta[delta] = (round(eta[delta] * scale) + 1) / scale
+            bumps[delta] += 1
+            if bumps[delta] > 3 or eta[delta] >= 1.0:
+                found[delta] = NoBound(f"rounded eta failed re-verification for delta={delta}")
+    return [found[delta] for delta in degrees]
 
 
 def bollobas_threshold(delta: int) -> float:
@@ -592,14 +737,19 @@ def build_table(
 ) -> list[BoundCertificate]:
     """Certificates for every degree in [delta_min, delta_max], in order.
 
-    Each degree is independent of the others, so the rows may be computed in
-    any order; the output is always sorted by degree.
+    Each is the one :func:`min_eta` returns for its degree, but the degrees'
+    searches run in lock-step (:func:`_certificates`). A degree that has no
+    bound raises its NoBound, the lowest such degree's.
     """
     if not isinstance(delta_min, int) or not isinstance(delta_max, int):
         raise ValueError("degree range bounds must be integers")
     if not 3 <= delta_min <= delta_max:
         raise ValueError("need 3 <= delta_min <= delta_max")
-    return [min_eta(delta, margin, precision) for delta in range(delta_min, delta_max + 1)]
+    certs = _certificates(range(delta_min, delta_max + 1), margin, precision)
+    for cert in certs:
+        if isinstance(cert, NoBound):
+            raise cert
+    return certs
 
 
 # ---------------------------------------------------------------------------

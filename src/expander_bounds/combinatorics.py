@@ -6,13 +6,13 @@ or small numbers directly. Base-2 quantities are a presentation concern of
 the certifying layer, not of this module.
 
 All functions are pure; cached rows are read-only, so concurrent callers are
-safe. Two arrays are cached per degree: the row ln C(delta, i) and the index
-0..delta as float64 (`_index`), which the prefix kernel uses instead of
-building an arange on every call. The row is the library's one source of
-ln C(delta, i). The moment kernel (`truncated_log_moments`) evaluates many
-caps in one call, each as one segment of a flat layout cached per (delta,
-caps) (`_layout`), and a cap's values do not depend on the other caps in the
-call.
+safe. The row ln C(delta, i) is cached per degree and is the library's one
+source of ln C(delta, i). The moment kernel (`truncated_log_moments`)
+evaluates many caps in one call, each as one segment of a flat layout cached
+per (degrees, caps) (`_layout`); each cap may have its own degree, so one
+call serves the caps of many degrees, and a cap's values do not depend on the
+other caps in the call. The prefix kernel (`_log_s0_prefix`) gives every
+cap's ln S0 and mean for many (degree, gamma) rows at once.
 
 The row builds its ratios in numpy and finishes them in Python, and it holds
 the same bits as a term-by-term Python loop. Each int-to-float conversion is
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _CAP_RANGE = "cap must be an integer in [0, delta]"
+_DELTA = "delta must be a positive integer, or one per cap"
 
 # exp is exactly 0.0 at and below this: e^-746 is under 0.21 of 2^-1074, and
 # numpy's exp turns nonzero near -745.133, where e^x crosses half of it.
@@ -84,16 +85,29 @@ def _index(n: int) -> np.ndarray:
     return idx
 
 
-def _checked_caps(delta: int, caps) -> tuple[int, ...]:
-    """``caps`` as a tuple, once delta >= 1 and each cap is an int in [0, delta]
-    (a float or numpy integer equal to one is not)."""
-    if not isinstance(delta, int) or delta < 1:
-        raise ValueError("delta must be a positive integer")
+def _checked_caps(delta, caps) -> tuple:
+    """``(delta, caps)`` with ``caps`` as a tuple and ``delta`` as one int, or
+    as a tuple of one int per cap where they differ, once each delta is at
+    least 1 and each cap an int in [0, its delta] (a float or numpy integer
+    equal to one is not)."""
     caps = tuple(caps)
-    for cap in caps:
-        if not isinstance(cap, int) or not 0 <= cap <= delta:
+    if isinstance(delta, int):
+        if delta < 1:
+            raise ValueError(_DELTA)
+        for cap in caps:
+            if not isinstance(cap, int) or not 0 <= cap <= delta:
+                raise ValueError(_CAP_RANGE)
+        return delta, caps
+    if not isinstance(delta, (tuple, list)) or len(delta) != len(caps) or not all(
+            isinstance(d, int) and d >= 1 for d in delta):
+        raise ValueError(_DELTA)
+    deltas = tuple(delta)
+    if deltas and deltas.count(deltas[0]) == len(deltas):
+        return _checked_caps(deltas[0], caps)
+    for d, cap in zip(deltas, caps):
+        if not isinstance(cap, int) or not 0 <= cap <= d:
             raise ValueError(_CAP_RANGE)
-    return caps
+    return deltas, caps
 
 
 def _checked_reals(values, count: int, name: str) -> np.ndarray:
@@ -108,13 +122,36 @@ def _checked_reals(values, count: int, name: str) -> np.ndarray:
     return array
 
 
+def _log_binomials(delta, i, seg=None) -> np.ndarray:
+    """``ln C(delta, i)`` at each entry of ``i``, where ``delta`` is one degree,
+    or a tuple of degrees of which ``seg`` picks each entry's (entry ``k``'s
+    is ``delta[k]`` without ``seg``)."""
+    if isinstance(delta, int):
+        return binomial_log_row(delta)[i]
+    rows, first = _joined_rows(tuple(dict.fromkeys(delta)))
+    offsets = np.array([first[d] for d in delta])
+    return rows[(offsets if seg is None else offsets[seg]) + i]
+
+
+@lru_cache(maxsize=4)
+def _joined_rows(degrees: tuple[int, ...]) -> tuple[np.ndarray, dict]:
+    """The rows ``ln C(delta, i)`` of ``degrees`` end to end, read-only, and
+    each degree's first index there; the 4 latest kept."""
+    rows = [binomial_log_row(d) for d in degrees]
+    sizes = [row.size for row in rows]
+    joined = np.concatenate(rows)
+    joined.flags.writeable = False
+    return joined, dict(zip(degrees, (np.cumsum(sizes) - sizes).tolist()))
+
+
 @lru_cache(maxsize=16)
-def _layout(delta: int, caps: tuple[int, ...]):
-    """The kernel's read-only flat layout of checked ``caps``, the 16 latest
-    kept: cap ``k``'s terms ``i <= cap`` form one segment, ``starts`` holds
-    each segment's first index, ``seg`` each term's segment (None for one
-    cap), ``row`` ``ln C(delta, i)`` and ``weights`` the rows ``i`` (also
-    returned as ``idx``), ``cap - i`` and ``i (cap - i)``."""
+def _layout(delta, caps: tuple[int, ...]):
+    """The kernel's read-only flat layout of checked ``caps`` (``delta`` one
+    degree or one per cap), the 16 latest kept: cap ``k``'s terms ``i <= cap``
+    form one segment, ``starts`` holds each segment's first index, ``seg`` each
+    term's segment (None for one cap), ``row`` ``ln C(delta, i)`` and
+    ``weights`` the rows ``i`` (also returned as ``idx``), ``cap - i`` and ``i
+    (cap - i)``."""
     lens = np.array(caps, dtype=np.intp) + 1
     starts = np.cumsum(lens) - lens
     seg = np.repeat(np.arange(len(caps), dtype=np.int32), lens)
@@ -123,51 +160,70 @@ def _layout(delta: int, caps: tuple[int, ...]):
     weights[0] = i
     weights[1] = lens[seg] - 1 - i
     np.multiply(weights[0], weights[1], out=weights[2])
-    row = binomial_log_row(delta)[i]
+    row = _log_binomials(delta, i, seg)
     for a in (starts, seg, row, weights):
         a.flags.writeable = False
     return starts, (seg if len(caps) > 1 else None), weights[0], row, weights
 
 
-def truncated_log_moments(delta: int, caps, gammas) -> tuple[np.ndarray, ...]:
+def truncated_log_moments(delta, caps, gammas) -> tuple[np.ndarray, ...]:
     """``(ln S0, mean, gap, variance)`` of each cap's profile, in one pass.
 
-    Entry ``k`` is for ``w_i = gamma_k^i C(delta, i)``, ``i <= caps[k]``: the
-    log of their sum ``S0`` (scaled by the largest term, so it may lie past
-    the double range), their mean, ``gap = sum (cap - i) w_i / S0`` (accurate
-    where the cap pins the mean) and variance ``mean gap - sum i (cap - i) w_i
-    / S0``. The one moment kernel, of the root finder, the refine and the
-    verifier: its flat layout's segments (:func:`_layout`) are reduced one by
-    one and every other step is elementwise, so a cap's values are the same
-    bits alone or in any batch. Raises ValueError unless delta >= 1, each cap
-    is an int in [0, delta] and each gamma, one per cap, a real number (not a
-    string), finite and positive.
+    Entry ``k`` is for ``w_i = gamma_k^i C(delta_k, i)``, ``i <= caps[k]``:
+    the log of their sum ``S0`` (scaled by the largest term, so it may lie
+    past the double range), their mean, ``gap = sum (cap - i) w_i / S0``
+    (accurate where the cap pins the mean) and variance ``mean gap - sum i
+    (cap - i) w_i / S0``. ``delta`` is one degree for every cap, or a
+    sequence of one per cap. The one moment kernel, of the root finder, the
+    search and the verifier: its flat layout's segments (:func:`_layout`) are
+    reduced one by one and every other step is elementwise, so a cap's values
+    are the same bits alone or in any batch, whatever the degrees beside it.
+    Raises ValueError unless each delta >= 1, each cap is an int in [0, its
+    delta] and each gamma, one per cap, a real number (not a string), finite
+    and positive.
     """
-    caps = _checked_caps(delta, caps)
+    delta, caps = _checked_caps(delta, caps)
     if not caps:
         raise ValueError("need at least one cap")
     return _in_runs(_moments, delta, caps, _checked_reals(gammas, len(caps), "gamma"))
 
 
-def _in_runs(kernel, delta: int, caps: tuple[int, ...], *per_cap: np.ndarray) -> tuple:
+def _in_runs(kernel, delta, caps: tuple[int, ...], *per_cap: np.ndarray) -> tuple:
     """``kernel(delta, caps, *per_cap)`` on runs of at most ``_RUN_TERMS`` terms
-    (or one cap), joined: a cap's values do not depend on its run."""
+    (or one cap), joined: a cap's values do not depend on its run. With one
+    degree per cap (a tuple ``delta``) runs hold whole degrees, and a degree
+    too long for one run gets runs of its own, cut as a call of its own cuts
+    them and given its ``delta`` as an int, so that its layouts are that
+    call's."""
     if sum(caps) + len(caps) <= _RUN_TERMS:
         return kernel(delta, caps, *per_cap)
-    cuts, terms = [0], 0
+    deltas = (delta,) * len(caps) if isinstance(delta, int) else delta
+    starts = [k for k in range(len(caps)) if k == 0 or deltas[k] != deltas[k - 1]]
+    size = {i: sum(caps[i:j]) + j - i for i, j in zip(starts, starts[1:] + [len(caps)])}
+    runs, terms, long = [0], 0, False
     for k, cap in enumerate(caps):
-        if terms and terms + cap >= _RUN_TERMS:
-            cuts.append(k)
+        if k in size:  # a degree's first cap: a run holds it whole, or it has its own
+            if terms and (long or terms + size[k] > _RUN_TERMS):
+                runs.append(k)
+                terms = 0
+            long = size[k] > _RUN_TERMS
+        elif terms and terms + cap >= _RUN_TERMS:
+            runs.append(k)
             terms = 0
         terms += cap + 1
-    parts = [kernel(delta, caps[i:j], *(v[i:j] for v in per_cap))
-             for i, j in zip(cuts, cuts[1:] + [len(caps)])]
+    parts = []
+    for i, j in zip(runs, runs[1:] + [len(caps)]):
+        run = deltas[i:j]
+        parts.append(kernel(run[0] if len(set(run)) == 1 else run, caps[i:j],
+                            *(v[i:j] for v in per_cap)))
     return tuple(np.concatenate(values) for values in zip(*parts))
 
 
-def _moments(delta: int, caps: tuple[int, ...], gamma: np.ndarray) -> tuple:
-    """:func:`truncated_log_moments` on checked inputs, in one flat pass."""
-    starts, seg, idx, row, weights = _layout(delta, caps)
+def _moments(delta, caps: tuple[int, ...], gamma: np.ndarray, layout=_layout) -> tuple:
+    """:func:`truncated_log_moments` on checked inputs, in one flat pass; a
+    caller whose caps seldom repeat passes a ``layout`` of its own (a cache of
+    ``_layout.__wrapped__``), which keeps them out of the shared cache."""
+    starts, seg, idx, row, weights = layout(delta, caps)
     x = np.log(gamma)
     scaled = idx * (x if seg is None else x[seg])
     scaled += row
@@ -187,12 +243,30 @@ def _moments(delta: int, caps: tuple[int, ...], gamma: np.ndarray) -> tuple:
     return peak + np.log(sums[0]), mean, gap, mean * gap - cross
 
 
-def _log_s0_prefix(delta: int, x: float) -> np.ndarray:
-    """ln S0 at ``gamma = e^x`` for every cap 0..delta, from one prefix sum.
+@lru_cache(maxsize=4)
+def _padded_rows(deltas: tuple[int, ...]) -> np.ndarray:
+    """The rows ``ln C(delta, i)`` of ``deltas``, one per row of a read-only
+    matrix, each padded to the longest with ``-inf``; the 4 latest kept."""
+    rows = np.full((len(deltas), max(deltas) + 1), -math.inf)
+    for k, delta in enumerate(deltas):
+        rows[k, : delta + 1] = binomial_log_row(delta)
+    rows.flags.writeable = False
+    return rows
 
-    Entry ``d`` is ``ln sum_{i <= d} C(delta, i) e^(i x)``: the log terms
-    ``L_i = ln C(delta, i) + i x`` are scaled by their largest value ``p``,
-    exponentiated, summed by one sequential ``cumsum`` and taken back to logs.
+
+def _log_s0_prefix(deltas: tuple[int, ...], xs) -> tuple[np.ndarray, np.ndarray]:
+    """``(ln S0, mean)`` at ``gamma = e^x`` for every cap 0..delta, one row
+    per ``(delta, x)`` of ``deltas`` and ``xs``, from prefix sums per row.
+
+    Entry ``[k, d]`` of ``ln S0`` is ``ln sum_{i <= d} C(delta, i) e^(i x)``
+    for ``delta = deltas[k]`` and ``x = xs[k]`` (entries past ``delta`` are
+    not defined): the log terms ``L_i = ln C(delta, i) + i x`` are scaled by
+    their largest value ``p``, exponentiated, summed by one sequential
+    ``cumsum`` along the row and taken back to logs; the mean divides the
+    same ``cumsum`` of ``i`` times the terms by it (nan where both are 0.0).
+    Every step is elementwise or runs along one row, and the padding past a
+    row's degree is ``-inf``, whose terms are 0.0, so a row holds the same
+    bits alone or beside any others.
 
     Error bound, with ``u = 2^-53``, numpy's ``exp``/``log`` within 4 ulp and
     ``eps`` the largest error of a log term ``L_i`` (the same terms
@@ -210,7 +284,12 @@ def _log_s0_prefix(delta: int, x: float) -> np.ndarray:
     the cap and reads ``-inf`` once it underflows, about 745 nats below
     ``p``.
     """
-    logterms = binomial_log_row(delta) + _index(delta) * x
-    peak = logterms.max()
-    with np.errstate(divide="ignore"):
-        return peak + np.log(np.cumsum(np.exp(logterms - peak)))
+    degrees = sorted(set(deltas))
+    rows = _padded_rows(tuple(degrees))[[degrees.index(delta) for delta in deltas]]
+    idx = _index(rows.shape[1] - 1)
+    logterms = rows + idx * np.array(xs)[:, None]
+    peak = logterms.max(axis=1)[:, None]
+    terms = np.exp(logterms - peak)
+    s0 = np.cumsum(terms, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return peak + np.log(s0), np.cumsum(idx * terms, axis=1) / s0

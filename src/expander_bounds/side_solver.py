@@ -8,9 +8,12 @@ their mean must hit the per-vertex crossing budget ``t = (1 - eta) * delta /
 solve in ``x`` finds gamma, after which ``beta = 1 / S0(gamma)`` normalizes
 the mass.
 
-One root finder (:func:`_solve_caps`) serves every caller. It solves all
-the caps of one degree at one ``eta`` together, each pass one call of the
-moment kernel (``combinatorics.truncated_log_moments``), by a safeguarded
+One root finder (:func:`_solve_caps`) serves every caller. It solves many
+caps together, of one degree or of many, each at its own ``eta`` (the
+certifier's lock-step search solves the 495 certificate caps of the paper's
+table in one call of 8 kernel passes, against 228 one degree at a time),
+each pass one call of the moment kernel
+(``combinatorics.truncated_log_moments``), by a safeguarded
 Newton iteration on the log-odds of the mean, ``phi(x) = ln(mean / gap) -
 ln(t / (cap - t))`` with ``gap = cap - mean``. ``phi`` is linear in ``x``
 without a cap and close to linear at both ends with one (where the cap pins
@@ -34,7 +37,7 @@ from .combinatorics import (
     _checked_reals,
     _in_runs,
     _layout,
-    binomial_log_row,
+    _log_binomials,
     truncated_log_moments,
 )
 
@@ -102,27 +105,29 @@ class SideSolution:
     log_s0: float | None = field(default=None, compare=False, repr=False)
 
 
-def profile_residuals(delta: int, caps, eta: float, betas,
+def profile_residuals(delta, caps, eta, betas,
                       gammas) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the two side constraints of each cap at its (beta, gamma).
 
     Entry ``k`` is ``(|sum_i w_i - 1|, |sum_i i * w_i - target|)`` for ``w_i =
     betas[k] * gammas[k]^i * C(delta, i)``, i = 0..caps[k], each plus an
     allowance for the rounding of that float sum, so they bound the residuals
-    of the exact sums at the given doubles. One pass over the kernel's flat
-    layout, reduced per segment: a cap's residuals do not depend on the other
-    caps. Raises ValueError unless there is one beta and one gamma per cap,
-    each a real number (not a string), finite and positive, delta >= 1 and
-    every cap lies in [0, delta].
+    of the exact sums at the given doubles. ``delta`` and ``eta`` are one
+    value for every cap or sequences of one per cap. One pass over the
+    kernel's flat layout, reduced per segment: a cap's residuals do not
+    depend on the other caps. Raises ValueError unless there is one beta and
+    one gamma per cap, each a real number (not a string), finite and
+    positive, each delta >= 1 and every cap lies in [0, its delta].
     """
-    caps = _checked_caps(delta, caps)
+    delta, caps = _checked_caps(delta, caps)
     beta = _checked_reals(betas, len(caps), "beta")
     gamma = _checked_reals(gammas, len(caps), "gamma")
-    t = target_mean(delta, eta)
-    return _in_runs(lambda *args: _residuals(*args, t), delta, caps, beta, gamma)
+    t = target_mean(*(v if isinstance(v, (int, float)) else np.array(v, dtype=float)
+                      for v in (delta, eta)))
+    return _in_runs(_residuals, delta, caps, beta, gamma, np.full(len(caps), t))
 
 
-def _residuals(delta: int, caps: tuple[int, ...], beta, gamma, t: float) -> tuple:
+def _residuals(delta, caps: tuple[int, ...], beta, gamma, t) -> tuple:
     """:func:`profile_residuals` on checked inputs, in one flat pass."""
     starts, seg, idx, row, weights = _layout(delta, caps)
     log_beta, log_gamma = np.log(beta), np.log(gamma)
@@ -147,11 +152,12 @@ def _residuals(delta: int, caps: tuple[int, ...], beta, gamma, t: float) -> tupl
         return np.abs(mass - 1.0) + slack, np.abs(weighted - t) + slack_i
 
 
-def _root_x_upper(delta: int, cap, t: float):
+def _root_x_upper(delta, cap, t):
     """``xg = ln(cap / (delta - cap + 1)) - ln(s / (1 + s))``, ``s = cap - t``:
     an upper bound on the root ``x* = ln gamma`` of ``mean = t`` at a cap
-    above ``t`` (or at each cap of a float array), the one root bound of the
-    root finder and the certifier's screen and refine.
+    above ``t``, elementwise over float arrays of caps (and of their degrees
+    and targets), the one root bound of the root finder and the certifier's
+    screen and refine.
 
     Going down from the cap, the profile's term ratios ``w_{i-1} / w_i = i
     e^-x / (delta - i + 1)`` start at ``r = cap e^-x / (delta - cap + 1)``
@@ -166,10 +172,12 @@ def _root_x_upper(delta: int, cap, t: float):
     return np.log(cap / (delta - cap + 1.0)) - (np.log(s) - np.log1p(s))
 
 
-def _solve_caps(delta: int, caps, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_caps(delta, caps, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(gamma, x, ln S0)`` per cap: the witness at the root of ``mean =
     target_mean(delta, eta)``, numpy's ``ln gamma`` and the kernel's ``ln S0``
     there, which a verifier recomputes from the stored ``gamma`` bit for bit.
+    ``delta`` and ``eta`` are one value for every cap, or sequences of one
+    per cap, so one call solves the caps of many degrees.
 
     Each cap's bracket ``[a, b]`` starts at the uncapped root ``x0 = ln(t /
     (delta - t))`` and at the bound ``xg`` of :func:`_root_x_upper`. ``x0``
@@ -183,35 +191,52 @@ def _solve_caps(delta: int, caps, eta: float) -> tuple[np.ndarray, np.ndarray, n
     bracket by the sign of ``phi``. A cap stops once ``|phi|`` is within
     ``_PHI_NOISE`` of its largest log term or its bracket is a few ulp wide,
     and then keeps its ``x``, so its result does not depend on the other
-    caps. Raises InfeasibleTarget, naming the first cap, when a target mean
-    is not in (0, cap).
+    caps, nor on their degrees: each degree's scalars come from ``math`` as
+    in a call of its own. Raises InfeasibleTarget, naming the first cap,
+    when a target mean is not in (0, cap).
     """
-    caps = _checked_caps(delta, caps)
-    t = target_mean(delta, eta)
-    for cap in caps:
+    delta, caps = _checked_caps(delta, caps)
+    shared = isinstance(delta, int) and isinstance(eta, (int, float))
+    n = len(caps)
+    deltas = (delta,) * n if isinstance(delta, int) else delta
+    etas = (eta,) * n if isinstance(eta, (int, float)) else tuple(eta)
+    ts = [target_mean(delta, eta)] * n if shared else [
+        target_mean(d, e) for d, e in zip(deltas, etas)]
+    for cap, d, e, t in zip(caps, deltas, etas, ts):
         if not 0.0 < t < cap:
             raise InfeasibleTarget(
-                f"target mean {t!r} outside (0, {cap}) for delta={delta}, eta={eta!r}")
+                f"target mean {t!r} outside (0, {cap}) for delta={d}, eta={e!r}")
     # a long list goes through in runs, each solved to the end before the next
-    return _in_runs(lambda _, run: _solve_run(delta, run, t), delta, caps)
+    if shared:
+        return _in_runs(lambda _, run: _solve_run(delta, run, ts[0]), delta, caps)
+    return _in_runs(_solve_run, delta, caps, np.array(ts))
 
 
-def _solve_run(delta: int, caps: tuple[int, ...], t: float) -> tuple:
-    """:func:`_solve_caps` on checked, feasible caps."""
+def _solve_run(delta, caps: tuple[int, ...], t) -> tuple:
+    """:func:`_solve_caps` on checked, feasible caps, ``t`` their one target or
+    an array of the target of each."""
     n, c = len(caps), np.array(caps, dtype=float)
+    one = isinstance(delta, int)
+    # ln t, x0 and the uncapped standard deviation, from math per (delta, t)
+    keys = [(delta, t)] if isinstance(t, float) else list(
+        zip((delta,) * n if one else delta, t.tolist()))
+    scalars = {(d, tk): (math.log(tk), math.log(tk / (d - tk)), math.sqrt(tk * (d - tk) / d))
+               for d, tk in set(keys)}
+    log_t, x0, sd = (scalars[keys[0]] if len(scalars) == 1 else
+                     np.array([scalars[key] for key in keys]).T)
     s = c - t
-    log_odds = math.log(t) - np.log(s)
-    x0 = math.log(t / (delta - t))
-    xg = np.maximum(_root_x_upper(delta, c, t), x0)
-    scale = np.maximum(abs(x0), np.abs(xg))
-    noise = _PHI_NOISE * (c * (1.0 + scale) + binomial_log_row(delta)[list(caps)])
+    log_odds = log_t - np.log(s)
+    xg = np.maximum(_root_x_upper(delta if one else np.array(delta, dtype=float), c, t), x0)
+    scale = np.maximum(np.abs(x0), np.abs(xg))
+    noise = _PHI_NOISE * (c * (1.0 + scale) + _log_binomials(delta, list(caps)))
     width = 8.0 * _UNIT_ROUNDOFF * scale
     # First pass: x0 for every cap, and xg where the cap can bind; more than
     # ten standard deviations above the target, x0 is the root to rounding.
-    near = np.flatnonzero(s <= 10.0 * math.sqrt(t * (delta - t) / delta) + 1.0)
+    near = np.flatnonzero(s <= 10.0 * sd + 1.0)
     ends = np.concatenate((np.arange(n), near))
     gamma = np.exp(np.concatenate((np.full(n, x0), xg[near])))
-    log_s0, mean, gap, var = truncated_log_moments(delta, tuple(caps[k] for k in ends), gamma)
+    log_s0, mean, gap, var = truncated_log_moments(
+        delta if one else [delta[k] for k in ends], [caps[k] for k in ends], gamma)
     x = np.log(gamma)
     phi = np.log(mean / gap) - log_odds[ends]
     slope = var * c[ends] / (mean * gap)
@@ -253,10 +278,9 @@ def solve_side(delta: int, cap, eta: float):
     :func:`_solve_caps`, takes ``beta = 1 / S0`` from its ``ln S0`` and the
     residuals from :func:`profile_residuals`. ``cap`` may also be a sequence
     of caps, all solved in one call and one residual pass, for a list of
-    SideSolutions in their order, each the one its cap gets alone. So
-    ``certifier.evaluate_pairs`` solves the paper's table in 4 kernel passes
-    per degree, 228 for its 495 caps. Identical inputs give bit-identical
-    outputs.
+    SideSolutions in their order, each the one its cap gets alone
+    (:func:`_side_solutions`, which the certifier calls with the caps of
+    many degrees). Identical inputs give bit-identical outputs.
 
     Raises
     ------
@@ -274,13 +298,32 @@ def solve_side(delta: int, cap, eta: float):
         raise ValueError("cap must be an integer in [1, delta]")
     if not isinstance(eta, (int, float)) or not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
-    gamma, _, log_s0 = _solve_caps(delta, caps, eta)
-    beta = np.exp(-log_s0)
-    if not beta.all():
-        k = int(np.argmin(beta))  # the first cap whose S0 is past the double range
-        raise BetaUnderflow(f"beta underflows for delta={delta}, cap={caps[k]}, eta={eta}: "
-                            f"log beta = {-log_s0[k]:.1f}")
-    mass, mean = profile_residuals(delta, caps, eta, beta, gamma)
-    values = zip(caps, *(v.tolist() for v in (beta, gamma, mass, mean, log_s0)))
-    sides = [SideSolution(delta, c, float(eta), *rest) for c, *rest in values]
+    sides = _side_solutions(delta, caps, eta)
+    for side in sides:
+        if isinstance(side, BetaUnderflow):
+            raise side
     return sides[0] if isinstance(cap, int) else sides
+
+
+def _side_solutions(delta, caps, eta) -> list:
+    """Each cap's SideSolution, or the BetaUnderflow its ``beta`` raises, from
+    one :func:`_solve_caps` call and one residual pass over the caps whose
+    ``beta`` is a double; ``delta`` and ``eta`` as :func:`_solve_caps` takes
+    them, one value or one per cap."""
+    gamma, _, log_s0 = _solve_caps(delta, caps, eta)
+    n = len(caps)
+    beta = np.exp(-log_s0)
+    kept = np.flatnonzero(beta)
+    mass, mean = np.zeros((2, n))
+    if kept.size:
+        mass[kept], mean[kept] = profile_residuals(
+            *((delta, caps, eta) if kept.size == n else (
+                v if isinstance(v, (int, float)) else [v[k] for k in kept]
+                for v in (delta, caps, eta))), beta[kept], gamma[kept])
+    values = zip((delta,) * n if isinstance(delta, int) else delta, caps,
+                 (eta,) * n if isinstance(eta, (int, float)) else eta,
+                 *(v.tolist() for v in (beta, gamma, mass, mean, log_s0)))
+    return [SideSolution(d, c, float(e), *rest) if rest[0] > 0.0 else
+            BetaUnderflow(f"beta underflows for delta={d}, cap={c}, eta={e}: "
+                          f"log beta = {-rest[-1]:.1f}")
+            for d, c, e, *rest in values]

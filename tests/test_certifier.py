@@ -8,15 +8,18 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expander_bounds import (
     BetaUnderflow,
+    BoundCertificate,
     CertificateFormatError,
     NoBound,
     all_pairs,
+    alpha_trend,
     bollobas_eta,
     bollobas_threshold,
     build_table,
@@ -28,6 +31,7 @@ from expander_bounds import (
     min_eta,
     profile_residuals,
     side_solver,
+    solve_one_sided,
     target_mean,
     truncated_log_moments,
     verify_certificate,
@@ -60,12 +64,18 @@ def test_min_eta_small_degree_pins():
     assert min_eta(10, margin=TIGHT).eta == 0.507
 
 
+def satisfied(delta: int, eta: float, margin: float) -> bool:
+    """The search condition at one probe, a batch of one."""
+    (verdict,) = certifier._satisfied([(delta, eta)], margin)
+    return verdict
+
+
 def _full_search_eta(delta: int, margin: float, precision: int = 3) -> float:
     """Reference search: all 34 float halvings, then the threshold rounded up."""
     lo, hi = 0.0, 1.0 - 1e-9
     for _ in range(34):
         mid = 0.5 * (lo + hi)
-        if certifier._satisfied(delta, mid, margin):
+        if satisfied(delta, mid, margin):
             hi = mid
         else:
             lo = mid
@@ -115,10 +125,10 @@ def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
     probes = []
     screened = certifier._satisfied
 
-    def record(delta, eta, margin):
-        verdict = screened(delta, eta, margin)
-        probes.append((delta, eta, margin, verdict))
-        return verdict
+    def record(batch, margin):
+        verdicts = screened(batch, margin)
+        probes.extend((delta, eta, margin, v) for (delta, eta), v in zip(batch, verdicts))
+        return verdicts
 
     monkeypatch.setattr(certifier, "_satisfied", record)
     for delta, margin in AGREEMENT_DEGREES:
@@ -127,11 +137,12 @@ def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
         except NoBound:  # delta = 920 and 1009 use up their bumps
             pass
     monkeypatch.undo()
+    searched = list(probes)
     rng = random.Random(20261018)
     for _ in range(200):
         delta = rng.randint(3, 80)
         eta, margin = rng.uniform(0.0, 1.0 - 1e-9), 10.0 ** rng.uniform(-9.0, -2.0)
-        probes.append((delta, eta, margin, screened(delta, eta, margin)))
+        probes.append((delta, eta, margin, satisfied(delta, eta, margin)))
     # Margins a hair either side of the worst solved exponent, at eta where
     # the caps barely bind and the screen's value is close to the solved one.
     # At -worst + 1e-9 the worst pair fails by less than the refine's
@@ -144,7 +155,7 @@ def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
             worst = max(pb.rhs for pb in certifier.evaluate_pairs(delta, eta) if not pb.vacuous)
             for margin in (-worst - 1e-9, -worst + 1e-9):
                 solves.clear()
-                probes.append((delta, eta, margin, screened(delta, eta, margin)))
+                probes.append((delta, eta, margin, satisfied(delta, eta, margin)))
                 assert solves or margin < -worst, (delta, eta)
     monkeypatch.undo()
     assert len(probes) > 1500
@@ -152,6 +163,16 @@ def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
     assert any(not verdict for *_, verdict in probes)
     for delta, eta, margin, verdict in probes:
         assert verdict == _unscreened_satisfied(delta, eta, margin), (delta, eta, margin)
+    # The searches' probes again, shuffled into batches that mix degrees:
+    # each gets the verdict it got in its own search.
+    rng.shuffle(searched)
+    for margin in (1e-3, TIGHT):
+        batch = [probe for probe in searched if probe[2] == margin]
+        for start in range(0, len(batch), 100):
+            chunk = batch[start:start + 100]
+            assert len({delta for delta, *_ in chunk}) > 1
+            verdicts = certifier._satisfied([(delta, eta) for delta, eta, *_ in chunk], margin)
+            assert verdicts == [verdict for *_, verdict in chunk]
 
 
 def test_root_bound_screen_agrees_with_the_unscreened_condition(monkeypatch):
@@ -181,7 +202,7 @@ def test_root_bound_screen_agrees_with_the_unscreened_condition(monkeypatch):
         for margin in margins:
             expected = pair_bounds is not None and certifies(pair_bounds, margin)
             solves.clear()
-            verdict = certifier._satisfied(delta, eta, margin)
+            verdict = satisfied(delta, eta, margin)
             assert verdict == expected, (delta, eta, margin)
             verdicts.add(verdict)
             if delta > 1010 and margin == 1e-3:
@@ -219,17 +240,18 @@ def test_root_bound_holds_at_the_solved_root():
             assert x <= x_u + 1e-12, (delta, cap, t)
         else:
             pinned += 1
-        bound = _log_s0_prefix(delta, x0)[cap] + t * max(0.0, x_u - x0)
+        bound = _log_s0_prefix((delta,), [x0])[0][0, cap] + t * max(0.0, x_u - x0)
         assert log_s0 <= bound + cap * max(0.0, x - x_u) + 1e-9, (delta, cap, t)
         checked += 1
     assert checked > 400 and pinned > 50
 
     # The refine's brackets start at [x0, x_u], and every bound it gives on a
     # screenable pair holds at the fully solved witnesses: the upper one from
-    # above and the lower one, allowance included, from below. The tolerance
-    # is far inside the 1e-9 the search allows each side. Half the pairs pin
-    # their smaller cap against the mean.
-    bounds = pinned = 0
+    # above and the lower one, allowance included, from below, and so does
+    # the screen's exponent at gamma0. The tolerance is far inside the 1e-9
+    # the search allows each side. Half the pairs pin their smaller cap
+    # against the mean. The pairs are refined as one batch of many degrees.
+    probes, solved, pinned = [], [], 0
     for k in range(400):
         delta = rng.randint(3, 80)
         d = rng.randint(1, delta // 2)
@@ -238,16 +260,26 @@ def test_root_bound_holds_at_the_solved_root():
         t = target_mean(delta, eta)
         if not (0.0 <= eta < 1.0 and 0.0 < t < d):
             continue
-        x0 = math.log(t / (delta - t))
-        log_s0 = _log_s0_prefix(delta, x0)
-        if not all(certifier._screenable(delta, c, t, x0, log_s0[c]) for c in (d, delta - d)):
+        probes.append((delta, eta, d, s < 1e-3))
+    pairs = certifier._screen([(delta, eta) for delta, eta, *_ in probes])
+    chosen = np.zeros(pairs.probe.size, dtype=bool)
+    for j, (delta, eta, d, pins) in enumerate(probes):
+        (i,) = np.flatnonzero((pairs.probe == j) & (pairs.caps[0] == d))
+        if not pairs.screenable[i]:
             continue
         side = solved_witness(delta, d, eta)
-        solved = certifier._rhs(delta, eta, *side, *solved_witness(delta, delta - d, eta))
-        for upper, lower in certifier._refine(delta, eta, t, x0, d, delta - d):
-            assert lower <= solved + 1e-12 and upper >= solved - 1e-12, (delta, d, eta)
+        solved.append(certifier._rhs(delta, eta, *side, *solved_witness(delta, delta - d, eta)))
+        chosen[i] = True
+        pinned += pins
+    solved = dict(zip(np.flatnonzero(chosen).tolist(), solved))
+    bounds = 0
+    for i, value in solved.items():
+        assert pairs.rhs0[i] >= value - 1e-12, i
+        bounds += 1
+    for ks, upper, lower in certifier._refine(pairs, chosen.copy()):
+        for i, up, low in zip(ks.tolist(), upper.tolist(), lower.tolist()):
+            assert low <= solved[i] + 1e-12 and up >= solved[i] - 1e-12, probes[pairs.probe[i]]
             bounds += 1
-        pinned += s < 1e-3
     assert bounds > 1000 and pinned > 100
 
 
@@ -284,8 +316,8 @@ def test_min_eta_400_crosses_the_underflow_band():
     # below it, its side solve raises BetaUnderflow, and the probe fails,
     # while 0.080 itself passes. A bisection on the 1e-3 grid would stop at
     # 0.080; the float search certifies 0.081.
-    assert certifier._satisfied(400, 0.080, 1e-3)
-    assert not certifier._satisfied(400, 0.0801, 1e-3)
+    assert satisfied(400, 0.080, 1e-3)
+    assert not satisfied(400, 0.0801, 1e-3)
     assert min_eta(400).eta == 0.081
 
 
@@ -294,8 +326,8 @@ def test_min_eta_308_needs_the_bump():
     # pinned at the mean and its side solve raises BetaUnderflow; min_eta
     # steps one grid point up to 0.092, which certifies and still beats the
     # baseline of 0.095.
-    assert not certifier._satisfied(308, 0.091, TIGHT)
-    assert certifier._satisfied(308, 0.092, TIGHT)
+    assert not satisfied(308, 0.091, TIGHT)
+    assert satisfied(308, 0.092, TIGHT)
     cert = min_eta(308, margin=TIGHT)
     assert cert.eta == 0.092
     assert verify_certificate(cert).passed
@@ -378,6 +410,55 @@ def test_build_table():
         build_table(2, 6)
     with pytest.raises(ValueError):
         build_table(6, 4)
+
+
+def _own_search(delta: int, margin: float) -> str:
+    """min_eta of one degree, as JSON, or the message of its NoBound."""
+    try:
+        return certificate_to_json(min_eta(delta, margin=margin))
+    except NoBound as exc:
+        return f"NoBound: {exc}"
+
+
+@pytest.mark.parametrize("margin", [1e-3, TIGHT])
+def test_lockstep_searches_equal_each_degrees_own(margin):
+    # build_table and alpha_trend search their degrees in lock-step and return,
+    # byte for byte, what each degree's own search returns.
+    certs = build_table(3, 120, margin=margin)
+    assert [cert.delta for cert in certs] == list(range(3, 121))
+    for cert in certs:
+        assert certificate_to_json(cert) == _own_search(cert.delta, margin), cert.delta
+    degrees = list(range(4, 121, 2))
+    assert alpha_trend(degrees, margin=margin) == [
+        solve_one_sided(delta, min_eta(delta, margin=margin).eta) for delta in degrees]
+
+
+def test_lockstep_bumps_and_no_bounds_equal_each_degrees_own():
+    # The degrees whose rounded eta is bumped (308 at 1e-6, 800 and 830) or
+    # that cross the underflow band (400-406), and 920, which has no bound,
+    # searched together.
+    for degrees, margin in (([308, 60], TIGHT), ([400, 402, 406, 800, 830, 920], 1e-3)):
+        got = certifier._certificates(degrees, margin, 3)
+        assert [certificate_to_json(c) if isinstance(c, BoundCertificate) else f"NoBound: {c}"
+                for c in got] == [_own_search(delta, margin) for delta in degrees]
+    # the trend checks its degrees in order: 400 verifies, 402's certificate
+    # does not (nor does 406's, ROADMAP item 1), and 402 stops it as it
+    # stopped the loop
+    assert alpha_trend([400]) == [solve_one_sided(400, min_eta(400).eta)]
+    failures = ", ".join(f.name for f in verify_certificate(min_eta(402)).failures())
+    with pytest.raises(NoBound, match=f"^certificate for delta=402 fails {failures}$"):
+        alpha_trend([400, 402, 406])
+
+
+def test_a_range_with_no_bound_raises_its_lowest_degrees():
+    # The per-degree loop stopped at the first degree without a bound, so the
+    # lock-step table raises that degree's NoBound.
+    for low, high, margin in ((5, 7, 10.0), (918, 921, 1e-3)):
+        own = [_own_search(delta, margin) for delta in range(low, high + 1)]
+        first = next(text for text in own if text.startswith("NoBound"))
+        with pytest.raises(NoBound) as raised:
+            build_table(low, high, margin=margin)
+        assert f"NoBound: {raised.value}" == first
 
 
 # Caps the eta searches of the paper's table (degrees 4..60, margin 1e-6)
@@ -471,6 +552,7 @@ def _no_solver(*args, **kwargs):
 
 def test_verifier_makes_no_solver_call(loaded_certs, monkeypatch):
     monkeypatch.setattr(certifier, "solve_side", _no_solver)
+    monkeypatch.setattr(certifier, "_side_solutions", _no_solver)
     monkeypatch.setattr(certifier, "_solve_caps", _no_solver)
     monkeypatch.setattr(side_solver, "_solve_caps", _no_solver)
     for cert in loaded_certs:

@@ -200,11 +200,13 @@ def test_a_cap_gets_the_same_bits_in_any_batch():
     # its place in the call; nor do its residuals.
     rng = random.Random(27)
     checked = 0
+    sides, residuals = [], []
     for delta in (3, 7, 40, 60, 400, 1000, 6400):
         caps = [rng.randint(0, delta) for _ in range(12)] + [delta, delta // 2, 1]
         gammas = [math.exp(rng.uniform(-12.0, 12.0)) for _ in caps]
         alone = [[float(v[0]) for v in truncated_log_moments(delta, (c,), [g])]
                  for c, g in zip(caps, gammas)]
+        sides += [(delta, c, g, a) for c, g, a in zip(caps, gammas, alone)]
         for _ in range(4):
             order = list(range(len(caps)))
             rng.shuffle(order)
@@ -220,9 +222,43 @@ def test_a_cap_gets_the_same_bits_in_any_batch():
         eta = rng.random()
         both = profile_residuals(delta, caps, eta, betas, gammas)
         for j, (c, b, g) in enumerate(zip(caps, betas, gammas)):
-            assert [float(v[0]) for v in profile_residuals(delta, [c], eta, [b], [g])] == [
-                float(v[j]) for v in both]
+            alone = [float(v[0]) for v in profile_residuals(delta, [c], eta, [b], [g])]
+            assert alone == [float(v[j]) for v in both]
+            residuals.append((delta, c, eta, b, g, alone))
     assert checked > 150
+    # Batches that mix degrees, one degree (and eta) per cap, keep every
+    # cap's kernel values and residuals to the bit as well.
+    mixed = 0
+    for _ in range(6):
+        rng.shuffle(sides)
+        rng.shuffle(residuals)
+        some = sides[: rng.randint(2, len(sides))]
+        batch = truncated_log_moments(*zip(*((d, c, g) for d, c, g, _ in some)))
+        for j, (delta, cap, _, alone) in enumerate(some):
+            assert [float(v[j]) for v in batch] == alone, (delta, cap)
+            mixed += 1
+        some = residuals[: rng.randint(2, len(residuals))]
+        batch = profile_residuals(*zip(*(r[:5] for r in some)))
+        for j, (delta, cap, *_, alone) in enumerate(some):
+            assert [float(v[j]) for v in batch] == alone, (delta, cap)
+            mixed += 1
+        assert len({d for d, *_ in some}) > 1
+    assert mixed > 300
+
+
+def test_prefix_rows_get_the_same_bits_in_any_batch():
+    # Each row of the prefix kernel runs along its own degree, padded with
+    # -inf, so a (delta, x) row's ln S0 and mean are the same bits alone or
+    # beside rows of other degrees, in any order and with repeats.
+    rng = random.Random(29)
+    rows = [(delta, math.log(rng.uniform(1e-9, 3.0))) for delta in (3, 4, 7, 10, 60, 60, 400)]
+    alone = {row: [v[0].tobytes() for v in _log_s0_prefix((row[0],), [row[1]])] for row in rows}
+    for _ in range(5):
+        rng.shuffle(rows)
+        some = rows[: rng.randint(2, len(rows))]
+        batch = _log_s0_prefix(tuple(delta for delta, _ in some), [x for _, x in some])
+        for k, row in enumerate(some):
+            assert [v[k, : row[0] + 1].tobytes() for v in batch] == alone[row], row
 
 
 def log_term_error(delta: int, cap: int, x: float) -> float:
@@ -241,7 +277,7 @@ def test_log_s0_prefix_matches_the_moment_kernel(delta, gamma):
     # within eps + (2d + 24) u + u |ln S0| of the exact value, so they are
     # within twice that of each other.
     x = math.log(gamma)
-    prefix = _log_s0_prefix(delta, x)
+    prefix = _log_s0_prefix((delta,), [x])[0][0]
     assert prefix.shape == (delta + 1,)
     t = delta * gamma / (1.0 + gamma)
     caps = range(math.ceil(t), delta + 1)

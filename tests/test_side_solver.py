@@ -428,3 +428,35 @@ def test_profile_is_a_local_maximizer_of_log_F():
                     moved = [s + sign * p for s, p in zip(svec, perturb)]
                     assert min(moved) >= 0, (delta, cap, i, sign)
                     assert log_F(moved) <= base + tol, (delta, cap, i, sign)
+
+
+def test_solve_caps_over_many_degrees_matches_each_degrees_own_call():
+    # One root solve over the caps of many degrees, each at its own eta and
+    # in any order, returns each cap's (gamma, x, ln S0) bit for bit as the
+    # solve of its degree alone does; 1000's caps span several kernel runs.
+    rng = random.Random(29)
+    jobs = []
+    for delta in (3, 7, 40, 60, 100, 400, 1000):
+        eta = rng.uniform(0.05, 0.9)
+        t = target_mean(delta, eta)
+        caps = [c for c in range(math.floor(t) + 1, delta + 1) if delta < 400 or c % 7 == 0]
+        jobs.append((delta, eta, caps))
+    own = {}
+    for delta, eta, caps in jobs:
+        for cap, *values in zip(caps, *(v.tolist() for v in side_solver._solve_caps(
+                delta, caps, eta))):
+            own[delta, cap] = values
+    flat = [(delta, cap, eta) for delta, eta, caps in jobs for cap in caps]
+    assert sum(cap + 1 for delta, cap, _ in flat if delta == 1000) > 8192
+    for _ in range(3):
+        rng.shuffle(flat)
+        deltas, caps, etas = zip(*flat)
+        for delta, cap, *values in zip(deltas, caps, *(v.tolist() for v in side_solver._solve_caps(
+                list(deltas), caps, list(etas)))):
+            assert values == own[delta, cap], (delta, cap)
+    # a sorted batch keeps each degree together, as the certifier's does
+    flat.sort()
+    deltas, caps, etas = zip(*flat)
+    for delta, cap, *values in zip(deltas, caps, *(v.tolist() for v in side_solver._solve_caps(
+            list(deltas), caps, list(etas)))):
+        assert values == own[delta, cap], (delta, cap)
