@@ -26,24 +26,20 @@ side solver's root. So the solved exponent is the minimum over witnesses,
 and ``rhs`` at any ``gamma > 0`` bounds it from above: any witness is sound.
 The search (:func:`_satisfied`) therefore screens each feasible pair at the
 uncapped binomial root ``gamma0 = t / (delta - t)``, where one prefix sum
-gives every cap's ``ln S0`` (:func:`_screen`), then refines the pairs it
-leaves with a few Newton steps (:func:`_refine`: upper bounds at the
-iterates, tangent lower bounds below), and solves only what is left.
-``_SLACK`` covers the rounding of the evaluations and tangents, and screen
-and refine run only on pairs whose solves provably cannot underflow, so
-every verdict is the full solve's. The searches of many degrees run in
-lock-step (:func:`_certificates`, behind :func:`min_eta`, :func:`build_table`
-and ``asymptotics.alpha_trend``): each round decides one batch of probes,
-every live degree's next halvings, with one padded prefix, one refine pass
-at a time over every pair left (one call of the moment kernel, which takes a
-degree per cap) and one root solve per solve group, and the certificates of
-all the degrees come from one root solve and one residual pass
-(:func:`_pair_bounds`). A cap's bits do not depend on its batch, so each
-degree gets the certificate its own search gives. On the paper's table
-(degrees 4..60, margin 1e-6) that is 15 rounds of 755 probes, 29 refine
-passes and no cap solved, where the degrees one at a time took 733 probes,
-934 refine passes and 57 certificate solves: ``build_table`` takes about 21
-against 63 ms. Checking a certificate needs no solve:
+gives every cap's ``ln S0`` (:func:`_screen`), and solves only the pairs it
+leaves. ``_SLACK`` covers the rounding of the evaluations, and the screen
+runs only on pairs whose solves provably cannot underflow, so every verdict
+is the full solve's. The searches of many degrees run in lock-step
+(:func:`_certificates`, behind :func:`min_eta`, :func:`build_table` and
+``asymptotics.alpha_trend``): each round decides one batch of probes, every
+live degree's next halvings, with one padded prefix and one root solve per
+solve group, and the certificates of all the degrees come from one root
+solve and one residual pass (:func:`_pair_bounds`). A cap's bits do not
+depend on its batch, so each degree gets the certificate its own search
+gives. On the paper's table (degrees 4..60, margin 1e-6) that is 15 rounds
+of 755 probes, whose solves take 682 caps in 14 calls of the root finder;
+``build_table`` takes about 25 ms, against 63 ms with the degrees one at a
+time. Checking a certificate needs no solve:
 :func:`verify_certificate` evaluates each pair's exponent at the stored
 witnesses (:func:`_pair_exponents`, the builder's ``rhs`` bit for bit), and
 a pass there implies a pass at the minimum.
@@ -54,21 +50,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
 from .combinatorics import (
     _CAP_RANGE,
-    _in_runs,
-    _layout,
     _log_s0_prefix,
-    _moments,
     truncated_log_moments,
 )
 from .side_solver import (
-    _UNIT_ROUNDOFF,
     BetaUnderflow,
     SideSolution,
     _root_x_upper,
@@ -114,27 +105,19 @@ _LN2 = math.log(2.0)
 _GAMMA = "gamma must be a finite positive real"
 
 # A probe passes a pair unsolved when its exponent at the uncapped binomial
-# root or at a refine iterate is at most -margin - _SLACK, and fails it when a
-# refine lower bound exceeds -margin + _SLACK; _satisfied derives why 1e-9 is
-# enough.
+# root is at most -margin - _SLACK, and solves it otherwise; _satisfied derives
+# why 1e-9 is enough.
 _SLACK = 1e-9
 # A cap is screened only while the closed-form bound of _screen on ln S0
 # at its root, from the root finder's own bracket end
 # (side_solver._root_x_upper), stays below this, which keeps every witness
 # the screen skips about 45 nats from beta's underflow.
 _GUARD_LOG_S0 = 700.0
-# A pair the refine has not decided after this many side evaluations goes to
-# the full solve.
-_REFINE_EVALS = 8
 # A round of the eta searches probes each live degree's next halvings at
 # once, as many levels of them (at most _ROUND_LEVELS) as keep the terms of
 # the round's feasible pairs within _ROUND_TERMS.
 _ROUND_TERMS = 8000
 _ROUND_LEVELS = 5
-# How far the refine's brackets and iterates in x = ln gamma may sit from
-# the exact values they stand for: the rounding of x0, of the root bound
-# side_solver._root_x_upper and of exp between an iterate and its witness.
-_X_ERR = 1e-13
 
 
 class NoBound(RuntimeError):
@@ -292,25 +275,19 @@ def _pair_bounds(jobs: list[tuple[int, float]]) -> list:
 
 class _Pairs(NamedTuple):
     """The feasible pairs of a batch of probes, probe after probe and largest
-    ``d`` first, each with its probe's ``t``, ``x0 = ln gamma0`` and
-    :func:`_exponent_terms` (``terms``, one row each); ``caps``, ``log_s0``
-    and ``mean0`` (``ln S0`` and the mean at ``gamma0``) and ``x_u`` (the root
-    bound) hold one row for the caps ``d`` and one for ``d'``."""
+    ``d`` first; ``caps`` holds one row for the caps ``d`` and one for
+    ``d'``."""
     probe: np.ndarray
-    t: np.ndarray
-    x0: np.ndarray
-    terms: np.ndarray
     caps: np.ndarray
-    log_s0: np.ndarray
-    mean0: np.ndarray
-    x_u: np.ndarray
     screenable: np.ndarray
     rhs0: np.ndarray
 
 
 def _screen(probes: list[tuple[int, float]]) -> _Pairs:
     """Every feasible pair of every ``(delta, eta)`` probe, screened at the
-    probe's uncapped binomial root ``gamma0 = t / (delta - t)``.
+    probe's uncapped binomial root ``gamma0 = t / (delta - t)``: the first of
+    :func:`_satisfied`'s two steps, whose second solves the pairs this one
+    does not pass.
 
     One padded prefix (:func:`_log_s0_prefix`) gives every cap's ``ln S0``
     at ``gamma0``, one :func:`side_solver._root_x_upper` call every cap's
@@ -334,85 +311,12 @@ def _screen(probes: list[tuple[int, float]]) -> _Pairs:
     probe = np.repeat(np.arange(len(probes)), count)
     d = (deltas // 2 + np.cumsum(count) - count)[probe] - np.arange(probe.size)
     caps = np.array((d, deltas[probe] - d))
-    log_s0, mean0 = (v[probe, caps] for v in _log_s0_prefix(tuple(deltas.tolist()), values[1]))
+    log_s0 = _log_s0_prefix(tuple(deltas.tolist()), values[1])[probe, caps]
     t, x0, lg0, *terms = values[:, probe]
     x_u = _root_x_upper(terms[0], caps, t)
     screenable = (log_s0 + t * np.maximum(0.0, x_u - x0) <= _GUARD_LOG_S0).all(axis=0)
     rhs0 = _exponent(*terms, -log_s0[0], -log_s0[1], lg0)
-    return _Pairs(probe, t, x0, np.array(terms), caps, log_s0, mean0, x_u, screenable, rhs0)
-
-
-def _refine(pairs: _Pairs, open_: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """Bounds ``(k, upper, lower)`` on the solved exponents of the pairs ``k``,
-    one kernel pass over both sides of every pair still refined at a time,
-    each up to the error :func:`_satisfied` budgets for.
-
-    Each pair in ``open_`` brackets each side's root by ``[x0, max(x0,
-    x_u)]`` in ``x = ln gamma``, with the bound ``dm = d (70 delta + 3000) u``
-    on the float mean's error, and starts it at a Newton step from ``x0``
-    with the screen's mean and the uncapped variance ``t (delta - t) /
-    delta`` (at ``x0`` where the mean's slope has no certain sign): only a
-    first iterate, which no bound relies on. ``upper`` is the pair's
-    exponent at its sides' latest iterates and ``lower`` is ``upper`` less
-    both sides' gaps: ``f(x)`` less the tangent lower bound on ``f`` at the
-    root, plus its allowance, in nats. A pass moves a bracket end to each
-    iterate whose slope ``f' = mean - t`` has a certain sign, and then each
-    such side of a pair still open (the caller may clear ``open_`` between
-    passes) takes a Newton step, or goes to the bracket's midpoint where the
-    step leaves the bracket; a side whose slope's sign is not certain keeps
-    its iterate, and evaluating it again gives the same values. A pair stops
-    after ``_REFINE_EVALS`` evaluations of a side that moved, when no slope
-    has a certain sign, or at an iterate with ``ln S0 > _GUARD_LOG_S0``,
-    whose bounds it does not yield. A balanced pair's one side is both its
-    rows, which move together, and counts once.
-    """
-    k = np.flatnonzero(open_)
-    caps = pairs.caps[:, k]
-    two = caps[0] != caps[1]
-    side = np.empty((5, 2, k.size))  # x, a, b, dm and the allowance 2 d _X_ERR, per side
-    side[:2] = pairs.x0[k]
-    np.maximum(side[0], pairs.x_u[:, k], out=side[2])
-    side[3] = caps * (70.0 * (caps[0] + caps[1]) + 3000.0) * _UNIT_ROUNDOFF
-    side[4] = 2.0 * caps * _X_ERR
-    x, a, b, dm, _ = side
-    t, delta = pairs.t[k], caps[0] + caps[1]
-    slope = pairs.mean0[:, k] - t
-    nxt = x - slope / (t * (delta - t) / delta)
-    np.copyto(x, np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b)), where=np.abs(slope) > dm)
-    pair = np.concatenate((pairs.t[None, k], pairs.terms[:, k], np.zeros((1, k.size))))
-    moved, key = 1 + two, None
-    # the layouts of this refine's latest pairs, kept out of the kernel's cache
-    layout = lru_cache(maxsize=4)(_layout.__wrapped__)
-    while k.size:
-        x, a, b, dm, allowance = side
-        t, *terms, evals = pair  # and the side evaluations so far
-        if key is None:
-            key = tuple((caps[0] + caps[1]).tolist() * 2), tuple(caps.ravel().tolist())
-        gamma = np.exp(x)
-        log_s0, mean, _, var = (v.reshape(2, -1) for v in _in_runs(
-            lambda *args: _moments(*args, layout=layout), *key, gamma.ravel()))
-        evals += moved
-        slope = mean - t
-        below, above = slope < -dm, slope > dm
-        np.copyto(a, x, where=below)
-        np.copyto(b, x, where=above)
-        # the tangent at x towards the far end of the bracket, and its allowance
-        gap = dm * (b - a) + allowance - slope * (np.where(slope <= 0.0, b, a) - x)
-        log2_gamma = np.log2(gamma)
-        upper = _exponent(*terms, -log_s0[0], -log_s0[1], log2_gamma[0] + log2_gamma[1])
-        lower = upper - (gap[0] + gap[1]) / (2.0 * _LN2)
-        ok = (log_s0 <= _GUARD_LOG_S0).all(axis=0)
-        yield (k, upper, lower) if ok.all() else (k[ok], upper[ok], lower[ok])
-        live = below | above
-        moved = live[0] + (live[1] & two)
-        # Newton's step on the slope; a variance that is not positive sends
-        # it out of the bracket, to the midpoint
-        nxt = x - slope / np.maximum(var, 1e-300)
-        np.copyto(x, np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b)), where=live)
-        keep = ok & open_[k] & (moved > 0) & (evals + moved <= _REFINE_EVALS)
-        if not keep.all():
-            k, caps, two, moved = k[keep], caps[:, keep], two[keep], moved[keep]
-            side, pair, key = side[:, :, keep], pair[:, keep], None
+    return _Pairs(probe, caps, screenable, rhs0)
 
 
 def _satisfied(probes: list[tuple[int, float]], margin: float) -> list[bool]:
@@ -423,19 +327,13 @@ def _satisfied(probes: list[tuple[int, float]], margin: float) -> list[bool]:
     no SideSolution.
 
     Every cap of a probe shares ``t`` and so ``gamma0 = t / (delta - t)``.
-    The pairs go through three steps, each one batch over every probe, and
-    a pair stops at the first that decides it:
+    The pairs go through two steps, each one batch over every probe:
 
     - screen (:func:`_screen`): a screenable pair's exponent at ``gamma0``
       on both sides bounds the solved one from above (module docstring), so
       a value of at most ``-margin - _SLACK`` passes it;
-    - refine (:func:`_refine`): a few Newton iterates on both sides of every
-      screenable pair left give upper bounds (the exponent at the iterates,
-      passing it by the same test) and tangent lower bounds, and a lower
-      bound above ``-margin + _SLACK`` fails its probe, whose other pairs
-      then stop;
-    - solve: every pair still open, screenable or not, of every probe not
-      yet failed, in groups of 1, 2, 4, ... pairs per probe, largest d
+    - solve: every pair the screen leaves, screenable or not, of every probe
+      not yet failed, in groups of 1, 2, 4, ... pairs per probe, largest d
       first, each group round one call of the root finder
       (``side_solver._solve_caps``) over the caps of every probe, each pair's
       exponent from its sides' ``ln S0`` there. A ``beta`` that underflows
@@ -451,15 +349,14 @@ def _satisfied(probes: list[tuple[int, float]], margin: float) -> list[bool]:
     evaluation, ``e`` a bound on ``|r - R|`` and ``g`` the excess of ``R``
     at the solved witness over ``R*``. Then ``r(solved) <= R* + g + e <=
     R(w) + g + e <= r(w) + g + 2e`` at any witness ``w``, so a pass at
-    ``gamma0`` or at a refine iterate implies the solved pass when ``g + 2e
-    <= _SLACK``. With ``u = 2^-53``, on a screenable pair:
+    ``gamma0`` implies the solved pass when ``g + 2e <= _SLACK``. With ``u =
+    2^-53``, on a screenable pair:
 
-    - ``ln S0 <= 700`` at every witness evaluated: at the solved root by
-      :func:`_screen`, and at each refine iterate because the refine
-      gives up on one with ``ln S0 > _GUARD_LOG_S0``. ``gamma0 = (1 - eta) /
-      (1 + eta)`` lies in ``[5e-10, 1]`` because the search keeps ``eta <= 1
-      - 1e-9``, so ``x0`` is in ``[-21.5, 0]``; the root and every iterate
-      have ``x >= x0``, and where ``x > 0``, ``d x <= ln S0(x) <= 700``.
+    - ``ln S0 <= 700`` at both witnesses evaluated, ``gamma0`` and the
+      solved root (:func:`_screen`). ``gamma0 = (1 - eta) / (1 + eta)`` lies
+      in ``[5e-10, 1]`` because the search keeps ``eta <= 1 - 1e-9``, so
+      ``x0`` is in ``[-21.5, 0]``; the root has ``x >= x0``, and where ``x >
+      0``, ``d x <= ln S0(x) <= 700``.
     - Each log term ``L_i = ln C(delta, i) + i x`` is off by at most ``u (3
       ln C + i + 2 i |x| + |L_i|) <= (68 delta + 2100) u``, as ``ln C <=
       0.7 delta`` and ``i |x| <= max(21.5 delta, 700)``.
@@ -485,45 +382,12 @@ def _satisfied(probes: list[tuple[int, float]], margin: float) -> list[bool]:
     Against 60-digit decimal arithmetic, 784 seeded screenable caps (delta
     <= 80, half with ``s`` from 1e-15 to 1e-3) gave ``g <= 4.1e-26``. Hence
     ``g + 2e < _SLACK`` for delta up to 30,000.
-
-    The refine's lower bound and its allowance. Let ``f = ln S0 - t x``, so
-    ``R = K + (f_d + f_d') / (2 ln 2)`` with ``K`` free of the witnesses.
-    At an iterate ``x`` (exactly, the log of its witness ``e^x``) convexity
-    gives ``f(x*) >= f(x) + f'(x) (x* - x)`` for the root ``x*``. The
-    bracket holds the root up to ``tau = _X_ERR``: ``a`` is ``x0`` or an
-    iterate whose float slope is below ``-dm``, so its exact slope is
-    negative, and ``b`` is ``x_u`` or an iterate whose float slope is above
-    ``dm``; ``tau`` covers the rounding of ``x0`` and ``x_u`` (a few ulp of
-    ``|x| <= 50``) and of ``exp`` between ``x`` and the witness. With the
-    float slope ``f'~`` within ``dm`` of ``f'(x)`` and ``|f'| < d``, ``f'(x)
-    (x* - x)`` is at least ``T - dm (b - a) - 2 d tau``, where ``T = f'~ (b
-    - x)`` when ``f'~ <= 0`` and ``-f'~ (x - a)`` otherwise. That is the
-    side's gap (:func:`_refine`), ``-T`` plus its allowance. For
-    ``dm``: each scaled term of the moment kernel carries its log term's
-    error and ``u`` times its distance to the peak, at most 746 (farther
-    terms are 0.0 and move the mean by under ``d^2 e^-746``), so a relative
-    ``rho <= (68 delta + 2900) u``; weighted by ``|i - mean| <= d`` that
-    moves the mean by ``d rho``, and the two sums, the division and ``- t``
-    add ``(2 d + 4) d u``. So ``dm = d (70 delta + 3000) u``. Then ``R* >=
-    R(w) - (gap_d + gap_d') / (2 ln 2)``, and a fail at ``lower > -margin +
-    _SLACK`` implies the solved fail, ``r(solved) >= R* - e > -margin``,
-    once ``2e`` plus the rounding of ``lower`` is at most ``_SLACK``. That
-    rounding is under ``6 u (|upper| + |lower|) < 1e-10`` wherever ``margin
-    < delta``, and ``2e + 1e-10 < _SLACK``. A larger margin fails every pair
-    anyway, since ``f >= 0`` at the root makes ``R* >= 1 - delta``.
     """
     if not probes:
         return []
     pairs = _screen(probes)
     verdict = np.bincount(pairs.probe, minlength=len(probes)) > 0
-    passed = pairs.screenable & (pairs.rhs0 <= -margin - _SLACK)
-    open_ = pairs.screenable & ~passed
-    for k, upper, lower in _refine(pairs, open_) if open_.any() else ():
-        ok = upper <= -margin - _SLACK
-        verdict[pairs.probe[k[~ok & (lower > -margin + _SLACK)]]] = False
-        passed[k[ok]] = True
-        open_[k] = ~ok & verdict[pairs.probe[k]]
-    unsolved = np.flatnonzero(~passed & verdict[pairs.probe])
+    unsolved = np.flatnonzero(~(pairs.screenable & (pairs.rhs0 <= -margin - _SLACK)))
     if not unsolved.size:
         return verdict.tolist()
     probe = pairs.probe[unsolved]
@@ -574,12 +438,11 @@ def min_eta(delta: int, margin: float = DEFAULT_MARGIN,
 
     Each probe is decided by :func:`_satisfied`: one prefix sum at the
     uncapped binomial root gives every cap's ``ln S0`` there and clears the
-    pairs with room to spare, a few Newton steps decide the rest, and only
-    what is left is solved, with the verdict solving every pair would give.
-    On the paper's table (degrees 4..60, margin 1e-6) the refine decides
-    every pair the screen leaves and the searches solve no cap; the screen
-    alone left 652 caps to solve. Only the certificate at the rounded eta is
-    built from full side solutions with residuals (:func:`_pair_bounds`).
+    pairs with room to spare, and only what is left is solved, with the
+    verdict solving every pair would give. On the paper's table (degrees
+    4..60, margin 1e-6) the screen leaves 682 caps to solve, over the 15
+    rounds of the lock-step search. Only the certificate at the rounded eta
+    is built from full side solutions with residuals (:func:`_pair_bounds`).
 
     The search makes at most 34 float halvings and stops as soon as every
     float in the bracket ``(lo, hi]`` rounds up to the same grid value: the

@@ -12,7 +12,7 @@ evaluates many caps in one call, each as one segment of a flat layout cached
 per (degrees, caps) (`_layout`); each cap may have its own degree, so one
 call serves the caps of many degrees, and a cap's values do not depend on the
 other caps in the call. The prefix kernel (`_log_s0_prefix`) gives every
-cap's ln S0 and mean for many (degree, gamma) rows at once.
+cap's ln S0 for many (degree, gamma) rows at once.
 
 The row builds its ratios in numpy and finishes them in Python, and it holds
 the same bits as a term-by-term Python loop. Each int-to-float conversion is
@@ -144,10 +144,10 @@ def _joined_rows(degrees: tuple[int, ...]) -> tuple[np.ndarray, dict]:
     return joined, dict(zip(degrees, (np.cumsum(sizes) - sizes).tolist()))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def _layout(delta, caps: tuple[int, ...]):
     """The kernel's read-only flat layout of checked ``caps`` (``delta`` one
-    degree or one per cap), the 16 latest kept: cap ``k``'s terms ``i <= cap``
+    degree or one per cap), the 4 latest kept: cap ``k``'s terms ``i <= cap``
     form one segment, ``starts`` holds each segment's first index, ``seg`` each
     term's segment (None for one cap), ``row`` ``ln C(delta, i)`` and
     ``weights`` the rows ``i`` (also returned as ``idx``), ``cap - i`` and ``i
@@ -219,11 +219,9 @@ def _in_runs(kernel, delta, caps: tuple[int, ...], *per_cap: np.ndarray) -> tupl
     return tuple(np.concatenate(values) for values in zip(*parts))
 
 
-def _moments(delta, caps: tuple[int, ...], gamma: np.ndarray, layout=_layout) -> tuple:
-    """:func:`truncated_log_moments` on checked inputs, in one flat pass; a
-    caller whose caps seldom repeat passes a ``layout`` of its own (a cache of
-    ``_layout.__wrapped__``), which keeps them out of the shared cache."""
-    starts, seg, idx, row, weights = layout(delta, caps)
+def _moments(delta, caps: tuple[int, ...], gamma: np.ndarray) -> tuple:
+    """:func:`truncated_log_moments` on checked inputs, in one flat pass."""
+    starts, seg, idx, row, weights = _layout(delta, caps)
     x = np.log(gamma)
     scaled = idx * (x if seg is None else x[seg])
     scaled += row
@@ -254,19 +252,17 @@ def _padded_rows(deltas: tuple[int, ...]) -> np.ndarray:
     return rows
 
 
-def _log_s0_prefix(deltas: tuple[int, ...], xs) -> tuple[np.ndarray, np.ndarray]:
-    """``(ln S0, mean)`` at ``gamma = e^x`` for every cap 0..delta, one row
-    per ``(delta, x)`` of ``deltas`` and ``xs``, from prefix sums per row.
+def _log_s0_prefix(deltas: tuple[int, ...], xs) -> np.ndarray:
+    """``ln S0`` at ``gamma = e^x`` for every cap 0..delta, one row per
+    ``(delta, x)`` of ``deltas`` and ``xs``, from a prefix sum per row.
 
-    Entry ``[k, d]`` of ``ln S0`` is ``ln sum_{i <= d} C(delta, i) e^(i x)``
-    for ``delta = deltas[k]`` and ``x = xs[k]`` (entries past ``delta`` are
-    not defined): the log terms ``L_i = ln C(delta, i) + i x`` are scaled by
-    their largest value ``p``, exponentiated, summed by one sequential
-    ``cumsum`` along the row and taken back to logs; the mean divides the
-    same ``cumsum`` of ``i`` times the terms by it (nan where both are 0.0).
-    Every step is elementwise or runs along one row, and the padding past a
-    row's degree is ``-inf``, whose terms are 0.0, so a row holds the same
-    bits alone or beside any others.
+    Entry ``[k, d]`` is ``ln sum_{i <= d} C(delta, i) e^(i x)`` for ``delta =
+    deltas[k]`` and ``x = xs[k]`` (entries past ``delta`` are not defined):
+    the log terms ``L_i = ln C(delta, i) + i x`` are scaled by their largest
+    value ``p``, exponentiated, summed by one sequential ``cumsum`` along the
+    row and taken back to logs. Every step is elementwise or runs along one
+    row, and the padding past a row's degree is ``-inf``, whose terms are
+    0.0, so a row holds the same bits alone or beside any others.
 
     Error bound, with ``u = 2^-53``, numpy's ``exp``/``log`` within 4 ulp and
     ``eps`` the largest error of a log term ``L_i`` (the same terms
@@ -286,10 +282,7 @@ def _log_s0_prefix(deltas: tuple[int, ...], xs) -> tuple[np.ndarray, np.ndarray]
     """
     degrees = sorted(set(deltas))
     rows = _padded_rows(tuple(degrees))[[degrees.index(delta) for delta in deltas]]
-    idx = _index(rows.shape[1] - 1)
-    logterms = rows + idx * np.array(xs)[:, None]
+    logterms = rows + _index(rows.shape[1] - 1) * np.array(xs)[:, None]
     peak = logterms.max(axis=1)[:, None]
-    terms = np.exp(logterms - peak)
-    s0 = np.cumsum(terms, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return peak + np.log(s0), np.cumsum(idx * terms, axis=1) / s0
+    with np.errstate(divide="ignore"):
+        return peak + np.log(np.cumsum(np.exp(logterms - peak), axis=1))

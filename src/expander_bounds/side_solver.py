@@ -157,7 +157,7 @@ def _root_x_upper(delta, cap, t):
     an upper bound on the root ``x* = ln gamma`` of ``mean = t`` at a cap
     above ``t``, elementwise over float arrays of caps (and of their degrees
     and targets), the one root bound of the root finder and the certifier's
-    screen and refine.
+    screen.
 
     Going down from the cap, the profile's term ratios ``w_{i-1} / w_i = i
     e^-x / (delta - i + 1)`` start at ``r = cap e^-x / (delta - cap + 1)``
@@ -196,30 +196,24 @@ def _solve_caps(delta, caps, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     when a target mean is not in (0, cap).
     """
     delta, caps = _checked_caps(delta, caps)
-    shared = isinstance(delta, int) and isinstance(eta, (int, float))
     n = len(caps)
     deltas = (delta,) * n if isinstance(delta, int) else delta
     etas = (eta,) * n if isinstance(eta, (int, float)) else tuple(eta)
-    ts = [target_mean(delta, eta)] * n if shared else [
-        target_mean(d, e) for d, e in zip(deltas, etas)]
+    ts = [target_mean(d, e) for d, e in zip(deltas, etas)]
     for cap, d, e, t in zip(caps, deltas, etas, ts):
         if not 0.0 < t < cap:
             raise InfeasibleTarget(
                 f"target mean {t!r} outside (0, {cap}) for delta={d}, eta={e!r}")
     # a long list goes through in runs, each solved to the end before the next
-    if shared:
-        return _in_runs(lambda _, run: _solve_run(delta, run, ts[0]), delta, caps)
     return _in_runs(_solve_run, delta, caps, np.array(ts))
 
 
-def _solve_run(delta, caps: tuple[int, ...], t) -> tuple:
-    """:func:`_solve_caps` on checked, feasible caps, ``t`` their one target or
-    an array of the target of each."""
+def _solve_run(delta, caps: tuple[int, ...], t: np.ndarray) -> tuple:
+    """:func:`_solve_caps` on checked, feasible caps, ``t`` the target of each."""
     n, c = len(caps), np.array(caps, dtype=float)
     one = isinstance(delta, int)
     # ln t, x0 and the uncapped standard deviation, from math per (delta, t)
-    keys = [(delta, t)] if isinstance(t, float) else list(
-        zip((delta,) * n if one else delta, t.tolist()))
+    keys = list(zip((delta,) * n if one else delta, t.tolist()))
     scalars = {(d, tk): (math.log(tk), math.log(tk / (d - tk)), math.sqrt(tk * (d - tk) / d))
                for d, tk in set(keys)}
     log_t, x0, sd = (scalars[keys[0]] if len(scalars) == 1 else

@@ -145,9 +145,9 @@ def test_screened_probes_agree_with_the_unscreened_condition(monkeypatch):
         probes.append((delta, eta, margin, satisfied(delta, eta, margin)))
     # Margins a hair either side of the worst solved exponent, at eta where
     # the caps barely bind and the screen's value is close to the solved one.
-    # At -worst + 1e-9 the worst pair fails by less than the refine's
-    # allowance, so the probe must reach the full solve. At -worst - 1e-9 the
-    # refine's iterates may pass it, being as good a witness as the solved one.
+    # At -worst + 1e-9 the worst pair fails by less than the screen's slack,
+    # so the probe must reach the full solve. At -worst - 1e-9 the screen may
+    # pass it, gamma0 being as good a witness as the solved one.
     solves = []
     monkeypatch.setattr(certifier, "_solve_caps", _counting_solve(solves))
     for delta in (4, 9, 30, 60, 400):
@@ -240,17 +240,15 @@ def test_root_bound_holds_at_the_solved_root():
             assert x <= x_u + 1e-12, (delta, cap, t)
         else:
             pinned += 1
-        bound = _log_s0_prefix((delta,), [x0])[0][0, cap] + t * max(0.0, x_u - x0)
+        bound = _log_s0_prefix((delta,), [x0])[0, cap] + t * max(0.0, x_u - x0)
         assert log_s0 <= bound + cap * max(0.0, x - x_u) + 1e-9, (delta, cap, t)
         checked += 1
     assert checked > 400 and pinned > 50
 
-    # The refine's brackets start at [x0, x_u], and every bound it gives on a
-    # screenable pair holds at the fully solved witnesses: the upper one from
-    # above and the lower one, allowance included, from below, and so does
-    # the screen's exponent at gamma0. The tolerance is far inside the 1e-9
-    # the search allows each side. Half the pairs pin their smaller cap
-    # against the mean. The pairs are refined as one batch of many degrees.
+    # The screen's exponent at gamma0 on a screenable pair bounds the one at
+    # the fully solved witnesses from above. The tolerance is far inside the
+    # 1e-9 the search allows each side. Half the pairs pin their smaller cap
+    # against the mean. The pairs are screened as one batch of many degrees.
     probes, solved, pinned = [], [], 0
     for k in range(400):
         delta = rng.randint(3, 80)
@@ -276,11 +274,7 @@ def test_root_bound_holds_at_the_solved_root():
     for i, value in solved.items():
         assert pairs.rhs0[i] >= value - 1e-12, i
         bounds += 1
-    for ks, upper, lower in certifier._refine(pairs, chosen.copy()):
-        for i, up, low in zip(ks.tolist(), upper.tolist(), lower.tolist()):
-            assert low <= solved[i] + 1e-12 and up >= solved[i] - 1e-12, probes[pairs.probe[i]]
-            bounds += 1
-    assert bounds > 1000 and pinned > 100
+    assert bounds >= 387 and pinned > 100
 
 
 @settings(max_examples=300, deadline=None)
@@ -459,21 +453,6 @@ def test_a_range_with_no_bound_raises_its_lowest_degrees():
         with pytest.raises(NoBound) as raised:
             build_table(low, high, margin=margin)
         assert f"NoBound: {raised.value}" == first
-
-
-# Caps the eta searches of the paper's table (degrees 4..60, margin 1e-6)
-# may solve: the refine, stepping both sides of a pair by Newton steps,
-# decides every pair the screen leaves. Its secant steps on one side at a
-# time left one pair, two caps; the screen alone left 652.
-TABLE_SEARCH_SOLVES = 0
-
-
-def test_table_search_solves_almost_no_cap(monkeypatch):
-    solves = []
-    monkeypatch.setattr(certifier, "_solve_caps", _counting_solve(solves))
-    certs = build_table(4, 60, margin=TIGHT)
-    assert len(certs) == 57
-    assert len(solves) <= TABLE_SEARCH_SOLVES
 
 
 def test_bound_rhs_closed_form_at_full_cap():

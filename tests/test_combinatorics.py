@@ -248,17 +248,17 @@ def test_a_cap_gets_the_same_bits_in_any_batch():
 
 def test_prefix_rows_get_the_same_bits_in_any_batch():
     # Each row of the prefix kernel runs along its own degree, padded with
-    # -inf, so a (delta, x) row's ln S0 and mean are the same bits alone or
-    # beside rows of other degrees, in any order and with repeats.
+    # -inf, so a (delta, x) row's ln S0 is the same bits alone or beside rows
+    # of other degrees, in any order and with repeats.
     rng = random.Random(29)
     rows = [(delta, math.log(rng.uniform(1e-9, 3.0))) for delta in (3, 4, 7, 10, 60, 60, 400)]
-    alone = {row: [v[0].tobytes() for v in _log_s0_prefix((row[0],), [row[1]])] for row in rows}
+    alone = {row: _log_s0_prefix((row[0],), [row[1]])[0].tobytes() for row in rows}
     for _ in range(5):
         rng.shuffle(rows)
         some = rows[: rng.randint(2, len(rows))]
         batch = _log_s0_prefix(tuple(delta for delta, _ in some), [x for _, x in some])
         for k, row in enumerate(some):
-            assert [v[k, : row[0] + 1].tobytes() for v in batch] == alone[row], row
+            assert batch[k, : row[0] + 1].tobytes() == alone[row], row
 
 
 def log_term_error(delta: int, cap: int, x: float) -> float:
@@ -277,7 +277,7 @@ def test_log_s0_prefix_matches_the_moment_kernel(delta, gamma):
     # within eps + (2d + 24) u + u |ln S0| of the exact value, so they are
     # within twice that of each other.
     x = math.log(gamma)
-    prefix = _log_s0_prefix((delta,), [x])[0][0]
+    prefix = _log_s0_prefix((delta,), [x])[0]
     assert prefix.shape == (delta + 1,)
     t = delta * gamma / (1.0 + gamma)
     caps = range(math.ceil(t), delta + 1)
